@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .apps import AppBreakdown, AppCategory, breakdown, classify
 from .flows import (BlockFlowRecord, BlockingConfig, FlowKey, aggregate,
-                    greedy_subset, greedy_throughput_equivalent)
+                    greedy_throughput_equivalent)
 from .hops import (FingerprintDb, FingerprintEntry, HopEstimate, HopHistogram,
                    HostEstimates, HostTtlEstimate, estimate_hosts,
                    hop_histogram, infer_initial_ttl, match_fingerprint,
@@ -20,7 +20,7 @@ from .ingest import (DirectionFilter, FilterMode, IngestSummary, PacketRecord,
                      SynSignature, extract_syn_signature, read_trace)
 from .report import AnalysisParams, analyze_trace, write_report
 from .synth import (FlowPlan, GroundTruth, HostSpec, ScenarioError,
-                    ScenarioSpec, generate, load_scenario, write_pcap)
+                    ScenarioSpec, generate, load_scenario)
 from .tail import LlcdCurve, TailFit, fit_tail, llcd
 from .variability import (DegenerateSeriesError, ThroughputSeries, TraceGate,
                           gate_trace, skewness, throughput_series)

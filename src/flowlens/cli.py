@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 at least one trace rejected by the skewness gate,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -72,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fingerprint DB path (default: $FLOWLENS_FP_DB or built-in)")
     p_an.add_argument("--force", action="store_true",
                       help="run the full analysis even for gate-rejected traces")
-    p_an.add_argument("--jobs", type=int, default=0,
-                      help="parallel traces (default: up to 4)")
 
     p_gen = sub.add_parser("generate", help="emit a synthetic trace from a scenario file")
     p_gen.add_argument("--scenario", required=True)
@@ -102,6 +99,13 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"flowlens analyze: bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    multi = len(args.traces) > 1
+    stems = [Path(t).stem for t in args.traces]
+    clashes = sorted({s for s in stems if stems.count(s) > 1})
+    if clashes:
+        print(f"flowlens analyze: traces would share an output directory: "
+              f"{', '.join(clashes)}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         db = (FingerprintDb.load(fingerprints) if fingerprints
               else FingerprintDb.default())
@@ -113,35 +117,19 @@ def _cmd_analyze(args) -> int:
         return EXIT_NOINPUT
 
     out_root = Path(args.out)
-    multi = len(args.traces) > 1
-
-    def run_one(trace):
-        out_dir = out_root / Path(trace).stem if multi else out_root
-        result = analyze_trace(trace, params, db)
-        write_report(result, out_dir)
-        return result
-
-    results = [None] * len(args.traces)
-    errors = [None] * len(args.traces)
-    jobs = args.jobs if args.jobs > 0 else min(4, len(args.traces))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(run_one, t): i for i, t in enumerate(args.traces)}
-        for fut in concurrent.futures.as_completed(futures):
-            i = futures[fut]
-            try:
-                results[i] = fut.result()
-            except (OSError, PcapFormatError) as exc:
-                errors[i] = exc
-
     code = EXIT_OK
-    for trace, result, exc in zip(args.traces, results, errors):
-        if exc is not None:
+    for trace, stem in zip(args.traces, stems):
+        try:
+            result = analyze_trace(trace, params, db)
+            write_report(result, out_root / stem if multi else out_root)
+        except (OSError, PcapFormatError) as exc:
             print(f"flowlens analyze: {trace}: {exc}", file=sys.stderr)
             code = EXIT_NOINPUT
             continue
-        print(json.dumps(result.gate_line(), sort_keys=True))
+        print(json.dumps(result.gate_line(), sort_keys=True), flush=True)
         if not result.gate_kept and not params.force and code == EXIT_OK:
             code = EXIT_GATE_REJECTED
+        del result      # hold one trace's records at a time, not the batch's
     return code
 
 

@@ -96,10 +96,6 @@ def aggregate(packets: Iterable[PacketRecord], cfg: BlockingConfig) -> List[Bloc
     return records
 
 
-def greedy_subset(records: Iterable[BlockFlowRecord]) -> List[BlockFlowRecord]:
-    return [r for r in records if r.is_greedy]
-
-
 def greedy_throughput_equivalent(cfg: BlockingConfig, avg_packet_bytes: float) -> float:
     """Bits per second a flow sends when it just clears the greedy threshold."""
     if avg_packet_bytes <= 0:

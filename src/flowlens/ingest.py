@@ -1,4 +1,4 @@
-"""Trace ingestion: pcap files to normalized, direction-filtered packet records.
+"""Trace ingestion: pcap files to normalized packet records, and direction filters.
 
 Timestamps are re-based to the first frame of the capture so block indices
 are trace-relative, and records are re-sorted by timestamp. Only IPv4 is
@@ -110,11 +110,15 @@ class DirectionFilter:
 @dataclass
 class IngestSummary:
     total: int = 0          # frames in the file
-    kept: int = 0
-    skipped: int = 0        # total - kept, any reason
     non_ipv4: int = 0
     malformed: int = 0
-    filtered: int = 0       # dropped by the direction filter
+    kept: int = 0           # set by the direction split in report.analyze_trace
+    filtered: int = 0       # IPv4 records dropped by the direction filter
+
+    @property
+    def skipped(self) -> int:
+        """Frames not kept, any reason."""
+        return self.total - self.kept
 
 
 # Symbolic names for the option kinds that matter to fingerprinting.
@@ -160,15 +164,13 @@ def extract_syn_signature(tcp_flags: int, window_size: int, ttl: int,
                         mss=mss, options_layout=layout, truncated_options=truncated)
 
 
-def read_trace(path, dfilter: Optional[DirectionFilter] = None
-               ) -> Tuple[list, IngestSummary]:
+def read_trace(path) -> Tuple[list, IngestSummary]:
     """Read a pcap into timestamp-ordered PacketRecords.
 
-    Records failing the direction filter are dropped and counted. The whole
-    trace is buffered because re-sorting by timestamp requires it; traces are
-    independent, so parallelism happens across files, not within one.
+    Counts frames, non-IPv4 frames and malformed IPv4 frames; direction
+    filtering is left to the caller. The whole trace is buffered because
+    re-sorting by timestamp requires it.
     """
-    dfilter = dfilter or DirectionFilter()
     summary = IngestSummary()
     rows = []  # (ts_us, ParsedIPv4)
     with pcapio.PcapReader(path) as reader:
@@ -186,7 +188,6 @@ def read_trace(path, dfilter: Optional[DirectionFilter] = None
             rows.append((frame.ts_us, parsed))
 
     if not rows:
-        summary.skipped = summary.total
         return [], summary
 
     t0 = min(ts for ts, _ in rows)
@@ -198,15 +199,9 @@ def read_trace(path, dfilter: Optional[DirectionFilter] = None
         if p.proto == PROTO_TCP and not p.is_fragment:
             sig = extract_syn_signature(p.tcp_flags, p.tcp_window, p.ttl,
                                         p.df_flag, p.tcp_options)
-        rec = PacketRecord(timestamp=(ts_us - t0) / 1e6,
-                           src_ip=p.src_ip, dst_ip=p.dst_ip,
-                           src_port=p.src_port, dst_port=p.dst_port,
-                           proto=p.proto, ttl=p.ttl, ip_len=p.ip_len,
-                           is_fragment=p.is_fragment, syn_sig=sig)
-        if dfilter.keep(rec):
-            records.append(rec)
-            summary.kept += 1
-        else:
-            summary.filtered += 1
-    summary.skipped = summary.total - summary.kept
+        records.append(PacketRecord(timestamp=(ts_us - t0) / 1e6,
+                                    src_ip=p.src_ip, dst_ip=p.dst_ip,
+                                    src_port=p.src_port, dst_port=p.dst_port,
+                                    proto=p.proto, ttl=p.ttl, ip_len=p.ip_len,
+                                    is_fragment=p.is_fragment, syn_sig=sig))
     return records, summary

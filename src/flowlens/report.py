@@ -95,14 +95,13 @@ def analyze_trace(pcap_path, params: AnalysisParams,
               if params.fingerprints else hops.FingerprintDb.default())
     dfilter = ingest.DirectionFilter.parse(params.keep)
 
-    all_records, summary = ingest.read_trace(pcap_path, ingest.DirectionFilter())
+    all_records, summary = ingest.read_trace(pcap_path)
     fwd = [r for r in all_records if dfilter.keep(r)]
     rev_filter = dfilter.mirrored()
     rev = fwd if dfilter.mode is ingest.FilterMode.ALL else \
         [r for r in all_records if rev_filter.keep(r)]
     summary.kept = len(fwd)
     summary.filtered = len(all_records) - len(fwd)
-    summary.skipped = summary.total - summary.kept
 
     series = variability.throughput_series(fwd, params.tau)
     gate_kept = variability.gate_trace(series, variability.TraceGate(params.skew_min))
@@ -210,10 +209,8 @@ def write_report(result: AnalysisResult, out_dir) -> Path:
 
     if result.analyzed:
         flows.write_flows_csv(result.records, out_dir / "flows.csv")
-        if result.curve is not None:
-            tail.write_llcd_csv(result.curve, out_dir / "llcd.csv")
-        else:
-            _write_empty_llcd(out_dir / "llcd.csv")
+        curve = result.curve or tail.LlcdCurve(points=(), n_samples=0)
+        tail.write_llcd_csv(curve, out_dir / "llcd.csv")
         hops.write_hops_csv(result.hist_all, out_dir / "hops_all.csv")
         hops.write_hops_csv(result.hist_greedy, out_dir / "hops_greedy.csv")
 
@@ -222,8 +219,3 @@ def write_report(result: AnalysisResult, out_dir) -> Path:
         json.dump(report_dict(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report_path
-
-
-def _write_empty_llcd(path) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["x", "p"])

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .apps import AppCategory, classify
 from .flows import FlowKey
 from .hops import FingerprintDb, FingerprintEntry, MTU_TOKEN, match_fingerprint
-from .ingest import PacketRecord, SynSignature
+from .ingest import SynSignature
 from .pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                      PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN, PcapWriter,
                      build_ipv4_packet, build_tcp_options, wrap_ethernet)
@@ -588,39 +588,6 @@ def _validate_spec(spec: ScenarioSpec) -> None:
         raise ScenarioError("snaplen too small to keep transport headers")
     if spec.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
         raise ScenarioError(f"unsupported linktype {spec.linktype}")
-
-
-def write_pcap(records: Sequence[PacketRecord], path,
-               linktype: int = LINKTYPE_ETHERNET, snaplen: int = 65535,
-               endian: str = "<") -> Path:
-    """Write PacketRecords out as a pcap (the reader's exact inverse).
-
-    TCP records carrying a SYN signature become SYN packets with the
-    signature's window/DF/options; everything else becomes a plain packet.
-    Timestamps are taken as capture-relative seconds.
-    """
-    path = Path(path)
-    with PcapWriter(path, linktype=linktype, snaplen=snaplen, endian=endian) as writer:
-        for rec in records:
-            tcp_flags, window, opts, df = TCP_ACK, 0, b"", True
-            if rec.syn_sig is not None:
-                sig = rec.syn_sig
-                tcp_flags = TCP_SYN
-                window = sig.window_size
-                df = sig.df_flag
-                opts = build_tcp_options(sig.options_layout, sig.mss)
-            ip = build_ipv4_packet(rec.src_ip, rec.dst_ip, rec.proto,
-                                   ttl=rec.ttl, ip_len=rec.ip_len, df=df,
-                                   src_port=rec.src_port, dst_port=rec.dst_port,
-                                   tcp_flags=tcp_flags, tcp_window=window,
-                                   tcp_options=opts,
-                                   frag_offset=64 if rec.is_fragment else 0)
-            ts_us = round(rec.timestamp * 1e6)
-            if linktype == LINKTYPE_ETHERNET:
-                writer.write(ts_us, wrap_ethernet(ip), orig_len=14 + rec.ip_len)
-            else:
-                writer.write(ts_us, ip, orig_len=rec.ip_len)
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,18 @@ class DegenerateSeriesError(ValueError):
 @dataclass(frozen=True)
 class ThroughputSeries:
     interval: float                  # seconds per bin
-    values: Tuple[float, ...]        # bits per second, one per bin
-    byte_counts: Tuple[int, ...]     # exact bytes per bin (values derive from these)
+    byte_counts: Tuple[int, ...]     # exact bytes per bin
     mean_bps: float
     skewness: Optional[float]        # None when undefined (degenerate trace)
+
+    @property
+    def values(self) -> Tuple[float, ...]:
+        """Bits per second, one per bin, as Python floats."""
+        return _bps(self.byte_counts, self.interval)
+
+
+def _bps(byte_counts: Sequence[int], interval: float) -> Tuple[float, ...]:
+    return tuple(8.0 * b / interval for b in byte_counts)
 
 
 @dataclass(frozen=True)
@@ -73,20 +81,19 @@ def throughput_series(packets: Iterable[PacketRecord], interval: float) -> Throu
 
     if not per_bin:
         log.warning("empty trace: throughput series has no intervals")
-        return ThroughputSeries(interval=interval, values=(), byte_counts=(),
+        return ThroughputSeries(interval=interval, byte_counts=(),
                                 mean_bps=0.0, skewness=None)
 
     byte_counts = tuple(per_bin.get(i, 0) for i in range(last + 1))
-    values = tuple(8.0 * b / interval for b in byte_counts)
+    values = _bps(byte_counts, interval)
     mean_bps = float(np.mean(values))
     try:
         skew: Optional[float] = skewness(values)
     except DegenerateSeriesError as exc:
         log.warning("skewness undefined for this trace: %s", exc)
         skew = None
-    return ThroughputSeries(interval=interval, values=values,
-                            byte_counts=byte_counts, mean_bps=mean_bps,
-                            skewness=skew)
+    return ThroughputSeries(interval=interval, byte_counts=byte_counts,
+                            mean_bps=mean_bps, skewness=skew)
 
 
 def gate_trace(series: ThroughputSeries, gate: TraceGate) -> bool:

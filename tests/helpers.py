@@ -1,12 +1,15 @@
-"""Shared builders for tests: quick records, planted and randomized scenarios."""
+"""Shared builders for tests: quick records, pcaps, planted and randomized scenarios."""
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Sequence
 
 from flowlens.ingest import PacketRecord, SynSignature
-from flowlens.pcapio import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from flowlens.pcapio import (LINKTYPE_ETHERNET, PROTO_ICMP, PROTO_TCP,
+                             PROTO_UDP, TCP_ACK, TCP_SYN, PcapWriter,
+                             build_ipv4_packet, build_tcp_options, wrap_ethernet)
 from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
 
 SRC_NET = "10.0.0.0/8"          # all scenario src-side hosts live here
@@ -22,6 +25,53 @@ def mk_packet(ts: float, src: str = "10.0.0.1", dst: str = "203.0.113.1",
     return PacketRecord(timestamp=ts, src_ip=src, dst_ip=dst, src_port=sport,
                         dst_port=dport, proto=proto, ttl=ttl, ip_len=ip_len,
                         is_fragment=is_fragment, syn_sig=sig)
+
+
+def write_pcap(records: Sequence[PacketRecord], path,
+               linktype: int = LINKTYPE_ETHERNET, snaplen: int = 65535,
+               endian: str = "<") -> Path:
+    """Write PacketRecords out as a pcap (the reader's exact inverse).
+
+    TCP records carrying a SYN signature become SYN packets with the
+    signature's window/DF/options; everything else becomes a plain packet.
+    Timestamps are taken as capture-relative seconds.
+    """
+    path = Path(path)
+    with PcapWriter(path, linktype=linktype, snaplen=snaplen, endian=endian) as writer:
+        for rec in records:
+            tcp_flags, window, opts, df = TCP_ACK, 0, b"", True
+            if rec.syn_sig is not None:
+                sig = rec.syn_sig
+                tcp_flags = TCP_SYN
+                window = sig.window_size
+                df = sig.df_flag
+                opts = build_tcp_options(sig.options_layout, sig.mss)
+            ip = build_ipv4_packet(rec.src_ip, rec.dst_ip, rec.proto,
+                                   ttl=rec.ttl, ip_len=rec.ip_len, df=df,
+                                   src_port=rec.src_port, dst_port=rec.dst_port,
+                                   tcp_flags=tcp_flags, tcp_window=window,
+                                   tcp_options=opts,
+                                   frag_offset=64 if rec.is_fragment else 0)
+            ts_us = round(rec.timestamp * 1e6)
+            if linktype == LINKTYPE_ETHERNET:
+                writer.write(ts_us, wrap_ethernet(ip), orig_len=14 + rec.ip_len)
+            else:
+                writer.write(ts_us, ip, orig_len=rec.ip_len)
+    return path
+
+
+def skewed_trace(path, block_weights: Sequence[int]) -> Path:
+    """One packet per weight unit: block i carries block_weights[i] packets.
+
+    Each packet of a block has its own source port, so no 5-tuple repeats
+    within a block and the trace yields no flow records.
+    """
+    records = []
+    for i, w in enumerate(block_weights):
+        for j in range(w):
+            records.append(mk_packet((i * 100_000 + j * 50) / 1e6,
+                                     sport=1024 + j, ip_len=700))
+    return write_pcap(records, path)
 
 
 def random_scenario(seed: int) -> ScenarioSpec:

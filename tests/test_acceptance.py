@@ -97,8 +97,7 @@ def test_criterion_3_skewness_correctness():
         for _ in range(100):
             values = tuple(rng.uniform(0, 100) for _ in range(20))
             g1 = skewness(values)
-            series = ThroughputSeries(0.1, values, (0,) * 20,
-                                      float(np.mean(values)), g1)
+            series = ThroughputSeries(0.1, (0,) * 20, float(np.mean(values)), g1)
             assert gate_trace(series, gate) == (g1 >= 0.4)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from flowlens.apps import AppCategory, breakdown, classify
-from flowlens.flows import BlockFlowRecord, FlowKey, greedy_subset
+from flowlens.flows import BlockFlowRecord, FlowKey
 from flowlens.pcapio import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 
@@ -98,6 +98,6 @@ def test_filter_then_classify_commutes():
     records = _table1_records()
     for r in records[:10]:
         records[records.index(r)] = rec(r.key, n=25, greedy=True)
-    via_subset = breakdown(greedy_subset(records))
+    via_subset = breakdown([r for r in records if r.is_greedy])
     via_flag = breakdown(records, greedy_only=True)
     assert via_subset == via_flag

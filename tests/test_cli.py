@@ -10,33 +10,23 @@ import pytest
 from flowlens.apps import AppCategory, classify
 from flowlens.cli import main
 from flowlens.flows import FlowKey
-from flowlens.synth import generate, write_pcap
+from flowlens.synth import generate
 from flowlens.tail import LlcdCurve, fit_tail
 from flowlens.variability import skewness
 
-from helpers import SRC_NET, mk_packet, random_scenario, table1_scenario
-
-
-def _skewed_trace(tmp_path, name, block_weights):
-    """One packet per weight unit: block i carries block_weights[i] packets."""
-    records = []
-    for i, w in enumerate(block_weights):
-        for j in range(w):
-            records.append(mk_packet((i * 100_000 + j * 50) / 1e6,
-                                     sport=1024 + j, ip_len=700))
-    return write_pcap(records, tmp_path / name)
+from helpers import SRC_NET, random_scenario, skewed_trace, table1_scenario
 
 
 @pytest.fixture
 def kept_trace(tmp_path):
     # right-skewed block loads -> g1 = +1.5, above the 0.4 gate
-    return _skewed_trace(tmp_path, "kept.pcap", [1, 1, 1, 1, 8])
+    return skewed_trace(tmp_path / "kept.pcap", [1, 1, 1, 1, 8])
 
 
 @pytest.fixture
 def rejected_trace(tmp_path):
     # left-skewed -> g1 = -1.5, below the gate
-    return _skewed_trace(tmp_path, "rejected.pcap", [8, 8, 8, 8, 1])
+    return skewed_trace(tmp_path / "rejected.pcap", [8, 8, 8, 8, 1])
 
 
 def test_analyze_kept_trace(kept_trace, tmp_path, capsys):
@@ -95,6 +85,9 @@ def test_usage_error_exit_64(capsys):
     assert exc.value.code == 64
     assert main(["analyze", "x.pcap", "--keep", "bogus::"]) == 64
     assert main(["analyze", "x.pcap", "--tau", "-1"]) == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "x.pcap", "--jobs", "2"])   # traces run one after another
+    assert exc.value.code == 64
 
 
 def test_unreadable_input_exit_66(tmp_path):
@@ -113,6 +106,37 @@ def test_multiple_traces_get_subdirs(kept_trace, rejected_trace, tmp_path, capsy
     assert [l["trace"] for l in lines] == ["kept", "rejected"]
     assert (out / "kept" / "report.json").exists()
     assert (out / "rejected" / "report.json").exists()
+
+
+def test_batch_error_keeps_other_traces(kept_trace, rejected_trace, tmp_path, capsys):
+    out = tmp_path / "multi"
+    missing = tmp_path / "missing.pcap"
+    code = main(["analyze", str(kept_trace), str(missing), str(rejected_trace),
+                 "--out", str(out)])
+    assert code == 66     # an unreadable trace beats a gate rejection
+    captured = capsys.readouterr()
+    lines = [json.loads(l) for l in captured.out.strip().splitlines()]
+    assert [l["trace"] for l in lines] == ["kept", "rejected"]
+    assert str(missing) in captured.err
+    assert (out / "kept" / "report.json").exists()
+    assert (out / "rejected" / "report.json").exists()
+    assert not (out / "missing").exists()
+
+    assert main(["analyze", str(rejected_trace), str(missing),
+                 "--out", str(tmp_path / "m2")]) == 66
+
+
+def test_duplicate_stems_rejected_before_analysis(tmp_path, capsys):
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+    a = skewed_trace(tmp_path / "a" / "x.pcap", [1, 1, 1, 1, 8])
+    b = skewed_trace(tmp_path / "b" / "x.pcap", [8, 8, 8, 8, 1])
+    out = tmp_path / "out"
+    assert main(["analyze", str(a), str(b), "--out", str(out), "--force"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("share an output directory: x")
+    assert not out.exists()
 
 
 def test_generate_subcommand(tmp_path, capsys):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.flows import (BlockFlowRecord, BlockingConfig, FlowKey,
-                            aggregate, block_index, greedy_subset,
+from flowlens.flows import (BlockingConfig, aggregate, block_index,
                             greedy_throughput_equivalent)
 from flowlens.pcapio import PROTO_TCP, PROTO_UDP
 
@@ -63,14 +62,12 @@ def test_boundary_packet_joins_later_block():
     assert block_index(0.3, CFG.tau_us) == 3   # float division would say 2
 
 
-def test_greedy_subset_strictly_above_20():
-    def rec(n):
-        return BlockFlowRecord(0, FlowKey("a", "b", 1, 2, PROTO_TCP), n, n * 700,
-                               n > 20, 60)
-    records = [rec(20), rec(21), rec(100)]
-    assert [r.n_packets for r in greedy_subset(records)] == [21, 100]
-    assert greedy_subset([]) == []
-    assert greedy_subset([rec(2), rec(2)]) == []
+def test_greedy_flag_strictly_above_20():
+    packets = [mk_packet(i * 1e-4, sport=sport)
+               for sport, n in ((1, 2), (2, 20), (3, 21), (4, 100)) for i in range(n)]
+    records = aggregate(sorted(packets, key=lambda p: p.timestamp), CFG)
+    assert [(r.n_packets, r.is_greedy) for r in records] == \
+        [(2, False), (20, False), (21, True), (100, True)]
 
 
 def test_greedy_throughput_equivalent_values():
@@ -123,9 +120,8 @@ def test_aggregate_matches_brute_force(seed):
             r.key.dst_port, r.key.proto): (r.n_packets, r.n_bytes)
            for r in records}
     assert got == oracle
-    # greedy subset == filter by the same predicate the oracle would use
-    assert ({id(r) for r in greedy_subset(records)}
-            == {id(r) for r in records if r.n_packets > CFG.greedy_threshold})
+    # the greedy flag is the same predicate the oracle would use
+    assert all(r.is_greedy == (r.n_packets > CFG.greedy_threshold) for r in records)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,9 +12,9 @@ from flowlens.ingest import (DirectionFilter, FilterMode, PacketRecord,
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              build_tcp_options)
-from flowlens.synth import write_pcap
+from flowlens.report import AnalysisParams, analyze_trace
 
-from helpers import mk_packet
+from helpers import mk_packet, write_pcap
 
 
 def test_read_trace_passthrough(tmp_path):
@@ -22,7 +22,7 @@ def test_read_trace_passthrough(tmp_path):
     path = write_pcap(records, tmp_path / "t.pcap")
     got, summary = read_trace(path)
     assert len(got) == 3
-    assert summary.total == 3 and summary.kept == 3 and summary.skipped == 0
+    assert (summary.total, summary.non_ipv4, summary.malformed) == (3, 0, 0)
 
 
 def test_non_ip_frames_skipped(tmp_path):
@@ -36,8 +36,10 @@ def test_non_ip_frames_skipped(tmp_path):
     path.write_bytes(data + rec)
     got, summary = read_trace(path)
     assert len(got) == 2
+    assert summary.total == 3 and summary.non_ipv4 == 1
+    summary = analyze_trace(path, AnalysisParams()).summary
     assert summary.total == 3 and summary.kept == 2
-    assert summary.skipped == 1 and summary.non_ipv4 == 1
+    assert summary.skipped == 1 and summary.non_ipv4 == 1 and summary.filtered == 0
 
 
 def test_prefix_filter_counts_by_construction(tmp_path):
@@ -52,9 +54,10 @@ def test_prefix_filter_counts_by_construction(tmp_path):
                             src_port=r.src_port, dst_port=r.dst_port, proto=r.proto,
                             ttl=r.ttl, ip_len=r.ip_len) for i, r in enumerate(records)]
     path = write_pcap(records, tmp_path / "t.pcap")
-    got, summary = read_trace(path, DirectionFilter.parse("src:10.0.0.0/8"))
-    assert len(got) == 400
-    assert summary.kept == 400 and summary.filtered == 600
+    got, _ = read_trace(path)
+    assert len(got) == 1000
+    summary = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True)).summary
+    assert summary.kept == 400 and summary.filtered == 600 and summary.skipped == 600
 
 
 def test_timestamps_rebased_and_sorted(tmp_path):
@@ -168,5 +171,5 @@ def test_write_read_round_trip(tmp_path_factory, records, linktype):
     path = tmp_path_factory.mktemp("rt") / "rt.pcap"
     write_pcap(records, path, linktype=linktype)
     got, summary = read_trace(path)
-    assert summary.kept == len(records)
+    assert summary.total == len(records)
     assert got == records

@@ -96,6 +96,14 @@ def test_zero_filled_gaps():
     assert series.byte_counts == (1000, 0, 500)
 
 
+def test_values_are_python_floats():
+    # throughput.csv writes repr(v); a numpy scalar would print np.float64(...)
+    series = throughput_series([mk_packet(0.01, ip_len=333), mk_packet(0.31, ip_len=77)], 0.3)
+    assert all(type(v) is float for v in series.values)
+    assert series.values == tuple(8.0 * b / 0.3 for b in series.byte_counts)
+    assert series.mean_bps == sum(series.values) / len(series.values)
+
+
 def test_constant_rate_trace_mean():
     # 18.80 Mbps planted exactly: 235000 bytes per 0.1 s interval
     packets = [mk_packet((i * 1000 + j) / 1e4, sport=j + 1, ip_len=2350)
@@ -130,8 +138,8 @@ def test_interval_validation():
 # --- gate ----------------------------------------------------------------------
 
 def _series_with_skew(value):
-    return ThroughputSeries(interval=0.1, values=(1.0,), byte_counts=(1,),
-                            mean_bps=1.0, skewness=value)
+    return ThroughputSeries(interval=0.1, byte_counts=(1,), mean_bps=1.0,
+                            skewness=value)
 
 
 def test_gate_threshold_cases():
