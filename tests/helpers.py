@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import struct
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from flowlens.ingest import PacketRecord, SynSignature
-from flowlens.pcapio import (LINKTYPE_ETHERNET, PROTO_ICMP, PROTO_TCP,
-                             PROTO_UDP, TCP_ACK, TCP_SYN, PcapWriter,
+from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
+                             PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              build_ipv4_packet, build_tcp_options, wrap_ethernet)
 from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
 
@@ -29,15 +30,22 @@ def mk_packet(ts: float, src: str = "10.0.0.1", dst: str = "203.0.113.1",
 
 def write_pcap(records: Sequence[PacketRecord], path,
                linktype: int = LINKTYPE_ETHERNET, snaplen: int = 65535,
-               endian: str = "<") -> Path:
+               endian: str = "<", vlan: bool = False, ns: bool = False,
+               ihl: int = 5) -> Path:
     """Write PacketRecords out as a pcap (the reader's exact inverse).
 
     TCP records carrying a SYN signature become SYN packets with the
     signature's window/DF/options; everything else becomes a plain packet.
-    Timestamps are taken as capture-relative seconds.
+    Timestamps are taken as capture-relative seconds. The encoding knobs
+    change only the bytes, never what a reader should get back: `vlan`
+    adds an 802.1Q tag to Ethernet frames, `ns` writes the nanosecond
+    magic, and `ihl` > 5 splices NOP option bytes into the IPv4 header
+    without touching its total-length field.
     """
     path = Path(path)
-    with PcapWriter(path, linktype=linktype, snaplen=snaplen, endian=endian) as writer:
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(endian + "IHHiIII", MAGIC_NS if ns else MAGIC_US,
+                             2, 4, 0, 0, snaplen, linktype))
         for rec in records:
             tcp_flags, window, opts, df = TCP_ACK, 0, b"", True
             if rec.syn_sig is not None:
@@ -52,11 +60,17 @@ def write_pcap(records: Sequence[PacketRecord], path,
                                    tcp_flags=tcp_flags, tcp_window=window,
                                    tcp_options=opts,
                                    frag_offset=64 if rec.is_fragment else 0)
-            ts_us = round(rec.timestamp * 1e6)
+            if ihl > 5:
+                ip = bytes([0x40 | ihl]) + ip[1:20] + b"\x01" * (4 * ihl - 20) + ip[20:]
             if linktype == LINKTYPE_ETHERNET:
-                writer.write(ts_us, wrap_ethernet(ip), orig_len=14 + rec.ip_len)
-            else:
-                writer.write(ts_us, ip, orig_len=rec.ip_len)
+                ip = wrap_ethernet(ip)
+                if vlan:
+                    ip = ip[:12] + b"\x81\x00\x00\x2a" + ip[12:]
+            sec, us = divmod(round(rec.timestamp * 1e6), 1_000_000)
+            data = ip[:snaplen]
+            fh.write(struct.pack(endian + "IIII", sec, us * 1000 if ns else us,
+                                 len(data), len(ip)))
+            fh.write(data)
     return path
 
 

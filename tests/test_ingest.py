@@ -12,7 +12,7 @@ from flowlens.ingest import (DirectionFilter, FilterMode, PacketRecord,
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              build_tcp_options)
-from flowlens.report import AnalysisParams, analyze_trace
+from flowlens.report import AnalysisParams, analyze_trace, write_report
 
 from helpers import mk_packet, write_pcap
 
@@ -142,26 +142,32 @@ _sig_strategy = st.builds(
 
 @st.composite
 def _record_lists(draw):
+    """Small packet lists on few hosts and ports, so flows form; times distinct."""
     n = draw(st.integers(1, 30))
+    gaps = draw(st.lists(st.integers(1, 60_000), min_size=n - 1, max_size=n - 1))
+    ts_us = [0]
+    for gap in gaps:
+        ts_us.append(ts_us[-1] + gap)   # microsecond grid, first packet at 0
     records = []
-    for i in range(n):
-        ts = (i * 250) / 1e6   # microsecond grid, first packet at 0
+    for ts in ts_us:
         proto = draw(st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP, 47]))
-        has_ports = proto in (PROTO_TCP, PROTO_UDP)
+        fragment = draw(st.integers(0, 7)) == 0
+        has_ports = proto in (PROTO_TCP, PROTO_UDP) and not fragment
         sig = None
-        if proto == PROTO_TCP and draw(st.booleans()):
+        if proto == PROTO_TCP and not fragment and draw(st.booleans()):
             base = draw(_sig_strategy)
             sig = SynSignature(base.window_size, draw(st.integers(40, 255)),
                                base.df_flag, base.mss, base.options_layout)
         ttl = sig.observed_ttl if sig else draw(st.integers(1, 255))
+        port = st.sampled_from([53, 80, 1024, 1025])
         records.append(PacketRecord(
-            timestamp=ts,
-            src_ip=f"10.0.{draw(st.integers(0, 5))}.{draw(st.integers(1, 20))}",
-            dst_ip=f"203.0.113.{draw(st.integers(1, 20))}",
-            src_port=draw(st.integers(1, 65535)) if has_ports else 0,
-            dst_port=draw(st.integers(1, 65535)) if has_ports else 0,
+            timestamp=ts / 1e6,
+            src_ip=f"10.0.{draw(st.integers(0, 1))}.{draw(st.integers(1, 3))}",
+            dst_ip=f"203.0.113.{draw(st.integers(1, 3))}",
+            src_port=draw(port) if has_ports else 0,
+            dst_port=draw(port) if has_ports else 0,
             proto=proto, ttl=ttl, ip_len=draw(st.integers(80, 1500)),
-            syn_sig=sig))
+            is_fragment=fragment, syn_sig=sig))
     return records
 
 
@@ -173,3 +179,35 @@ def test_write_read_round_trip(tmp_path_factory, records, linktype):
     got, summary = read_trace(path)
     assert summary.total == len(records)
     assert got == records
+
+
+def _analyze_outputs(pcap, keep):
+    """Every file analyze writes, report.json without its generated_at line."""
+    out = pcap.parent / "out"
+    write_report(analyze_trace(pcap, AnalysisParams(keep=keep, force=True)), out)
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b'  "generated_at": '))
+        files[path.name] = data
+    return files
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=_record_lists(), data=st.data(),
+       link=st.sampled_from(["ethernet", "vlan", "raw"]), ns=st.booleans(),
+       endian=st.sampled_from("<>"), ihl=st.sampled_from([5, 6, 15]),
+       keep=st.sampled_from(["all", "src:10.0.0.0/24", "dst:203.0.113.2/31"]))
+def test_encoding_does_not_change_outputs(tmp_path_factory, records, data, link,
+                                          ns, endian, ihl, keep):
+    """Metamorphic: any encoding of the same packets gives the same outputs."""
+    tmp = tmp_path_factory.mktemp("enc")
+    (tmp / "ref").mkdir()
+    (tmp / "alt").mkdir()
+    ref = write_pcap(records, tmp / "ref" / "t.pcap")
+    alt = write_pcap(data.draw(st.permutations(records)), tmp / "alt" / "t.pcap",
+                     linktype=LINKTYPE_RAW_IP if link == "raw" else LINKTYPE_ETHERNET,
+                     vlan=link == "vlan", ns=ns, endian=endian, ihl=ihl)
+    assert _analyze_outputs(alt, keep) == _analyze_outputs(ref, keep)
