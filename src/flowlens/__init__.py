@@ -16,8 +16,8 @@ from .hops import (FingerprintDb, FingerprintEntry, HopEstimate, HopHistogram,
                    HostEstimates, HostTtlEstimate, estimate_hosts,
                    hop_histogram, infer_initial_ttl, match_fingerprint,
                    path_hops)
-from .ingest import (DirectionFilter, FilterMode, IngestSummary, PacketRecord,
-                     SynSignature, extract_syn_signature, read_trace)
+from .ingest import DirectionFilter, IngestSummary, read_trace
+from .pcapio import PacketRecord, SynSignature, extract_syn_signature
 from .report import AnalysisParams, analyze_trace, write_report
 from .synth import (FlowPlan, GroundTruth, HostSpec, ScenarioError,
                     ScenarioSpec, generate, load_scenario)

@@ -93,9 +93,6 @@ def _cmd_analyze(args) -> int:
                                 skew_min=args.skew_min, http_ports=args.http_ports,
                                 keep=args.keep, fingerprints=fingerprints,
                                 force=args.force)
-        params.blocking()            # validates tau/thresholds
-        from .ingest import DirectionFilter
-        DirectionFilter.parse(args.keep)
     except ValueError as exc:
         print(f"flowlens analyze: bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

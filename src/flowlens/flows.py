@@ -2,9 +2,9 @@
 
 A trace is cut into fixed-length blocks and packets sharing an identical
 5-tuple within one block form a flow. The same 5-tuple in another block is
-an independent flow. Block arithmetic is done in integer microseconds so
-boundary packets land deterministically (float division would misplace
-e.g. 0.3/0.1).
+an independent flow. Packet times are integer microseconds, so a block
+index is an integer division and boundary packets land deterministically
+(float division would misplace e.g. 0.3/0.1).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from .ingest import PacketRecord
+from .pcapio import PacketRecord
 
 
 @dataclass(frozen=True, order=True)
@@ -57,24 +57,21 @@ class BlockFlowRecord:
     rep_ttl: int    # modal observed TTL, ties broken toward the larger value
 
 
-def block_index(timestamp: float, tau_us: int) -> int:
-    """Half-open blocks [i*tau, (i+1)*tau); a boundary packet joins the later one."""
-    return round(timestamp * 1e6) // tau_us
-
-
 def aggregate(packets: Iterable[PacketRecord], cfg: BlockingConfig) -> List[BlockFlowRecord]:
     """Group packets into per-(block, 5-tuple) flow records.
 
     Flows with fewer than min_packets packets are dropped here; they still
     count toward throughput, which is computed from the raw packet stream.
     Non-first fragments carry no 5-tuple and are likewise excluded.
+    Blocks are half-open, [i*tau, (i+1)*tau): a boundary packet joins the
+    later one.
     """
     tau_us = cfg.tau_us
     cells = {}
     for p in packets:
         if p.is_fragment:
             continue
-        cell = (block_index(p.timestamp, tau_us),
+        cell = (p.ts_us // tau_us,
                 FlowKey(p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto))
         entry = cells.get(cell)
         if entry is None:

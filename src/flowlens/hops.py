@@ -36,7 +36,7 @@ from importlib import resources
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .flows import BlockFlowRecord, FlowKey
-from .ingest import PacketRecord, SynSignature
+from .pcapio import PacketRecord, SynSignature
 
 log = logging.getLogger(__name__)
 
@@ -243,7 +243,10 @@ def estimate_hosts(packets: Iterable[PacketRecord], db: FingerprintDb) -> HostEs
     ttls: Dict[str, Counter] = {}
     matched: Dict[str, FingerprintEntry] = {}
     for p in packets:
-        ttls.setdefault(p.src_ip, Counter())[p.ttl] += 1
+        counter = ttls.get(p.src_ip)
+        if counter is None:
+            counter = ttls[p.src_ip] = Counter()
+        counter[p.ttl] += 1
         if p.syn_sig is not None and p.src_ip not in matched:
             entry = match_fingerprint(p.syn_sig, db)
             if entry is not None:

@@ -6,6 +6,8 @@ Supported on the read side:
   * link types: Ethernet (1, optionally one 802.1Q tag) and raw IPv4 (101)
   * truncated captures (caplen < wire length); a cut-off final record ends
     the stream with a warning instead of an error
+  * a record claiming more than MAX_CAPLEN captured bytes is refused with
+    PcapFormatError before anything is read for it
 
 pcapng files (magic 0x0a0d0d0a) are rejected with a pointed error since the
 format is block-based and not trivially convertible in-process.
@@ -13,17 +15,19 @@ format is block-based and not trivially convertible in-process.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 log = logging.getLogger(__name__)
 
 MAGIC_US = 0xA1B2C3D4
 MAGIC_NS = 0xA1B23C4D
 PCAPNG_MAGIC = 0x0A0D0D0A
+MAX_CAPLEN = 262144     # libpcap's MAXIMUM_SNAPLEN
 
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
@@ -52,27 +56,46 @@ class PcapFormatError(Exception):
 @dataclass(frozen=True)
 class RawFrame:
     ts_us: int      # absolute capture timestamp in integer microseconds
-    caplen: int
-    origlen: int
-    data: bytes     # captured link-layer bytes (len == caplen)
+    data: bytes     # captured link-layer bytes
 
 
 @dataclass(frozen=True)
-class ParsedIPv4:
-    """Fields pulled from one IPv4 datagram (transport parsed for TCP/UDP)."""
+class SynSignature:
+    """Stack-identifying fields of a TCP SYN (SYN set, ACK clear)."""
 
+    window_size: int
+    observed_ttl: int
+    df_flag: bool
+    mss: Optional[int]
+    options_layout: Tuple[str, ...]
+    truncated_options: bool = False   # layout cut short at a malformed option
+
+
+@dataclass(slots=True)
+class PacketRecord:
+    """One captured IPv4 packet, the only per-packet object of a run.
+
+    parse_ipv4 leaves ts_us at 0; ingest.read_trace stamps it with the
+    frame's capture time and then re-bases it to the trace's earliest
+    valid IPv4 packet.
+    """
+
+    ts_us: int              # integer microseconds
     src_ip: str
     dst_ip: str
-    proto: int
+    src_port: int           # 0 when the protocol has no ports
+    dst_port: int
+    proto: int              # raw IP protocol number (6/17/1/...)
     ttl: int
-    ip_len: int
-    df_flag: bool
-    is_fragment: bool           # True for a non-first fragment (no transport header)
-    src_port: int = 0
-    dst_port: int = 0
-    tcp_flags: int = 0
-    tcp_window: int = 0
-    tcp_options: Optional[bytes] = None   # raw option bytes as captured (may be cut short)
+    ip_len: int             # total IP datagram length from the header
+    is_fragment: bool = False     # non-first fragment: excluded from flow keying
+    syn_sig: Optional[SynSignature] = None
+
+    def __post_init__(self):
+        if not 0 <= self.ttl <= 255:
+            raise ValueError(f"ttl {self.ttl} out of range")
+        if self.ip_len < 20:
+            raise ValueError(f"ip_len {self.ip_len} below IPv4 minimum")
 
 
 class PcapReader:
@@ -120,21 +143,23 @@ class PcapReader:
     def __iter__(self) -> Iterator[RawFrame]:
         read = self._fh.read
         unpack = self._rec_hdr.unpack
-        while True:
+        for index in itertools.count():
             hdr = read(16)
             if not hdr:
                 return
             if len(hdr) < 16:
                 log.warning("%s: truncated record header at end of file", self._path)
                 return
-            ts_sec, ts_frac, caplen, origlen = unpack(hdr)
+            ts_sec, ts_frac, caplen, _ = unpack(hdr)
+            if caplen > MAX_CAPLEN:
+                raise PcapFormatError(f"{self._path}: record {index} claims {caplen} "
+                                      f"captured bytes (limit {MAX_CAPLEN})")
             data = read(caplen)
             if len(data) < caplen:
                 log.warning("%s: truncated final record (%d of %d bytes)",
                             self._path, len(data), caplen)
                 return
-            ts_us = ts_sec * 1_000_000 + ts_frac // self._ts_divisor
-            yield RawFrame(ts_us=ts_us, caplen=caplen, origlen=origlen, data=data)
+            yield RawFrame(ts_sec * 1_000_000 + ts_frac // self._ts_divisor, data)
 
 
 def ipv4_payload(frame: bytes, linktype: int) -> Optional[bytes]:
@@ -157,11 +182,12 @@ def ipv4_payload(frame: bytes, linktype: int) -> Optional[bytes]:
     raise PcapFormatError(f"unsupported link type {linktype}")
 
 
-def parse_ipv4(buf: bytes) -> Optional[ParsedIPv4]:
+def parse_ipv4(buf: bytes) -> Optional[PacketRecord]:
     """Parse one IPv4 datagram (possibly truncated by the snap length).
 
     Returns None for malformed or non-IPv4 data. A non-first fragment gets
-    ports 0 and is_fragment=True; its transport payload is opaque.
+    ports 0 and is_fragment=True; its transport payload is opaque. The
+    record's ts_us is left at 0 for the caller to set.
     """
     if len(buf) < 20:
         return None
@@ -175,35 +201,76 @@ def parse_ipv4(buf: bytes) -> Optional[ParsedIPv4]:
     if ip_len < 20:
         return None
     flags_frag = (buf[6] << 8) | buf[7]
-    df = bool(flags_frag & IP_FLAG_DF)
-    frag_offset = flags_frag & 0x1FFF
     ttl = buf[8]
     proto = buf[9]
     src_ip = socket.inet_ntoa(buf[12:16])
     dst_ip = socket.inet_ntoa(buf[16:20])
 
-    if frag_offset != 0:
-        return ParsedIPv4(src_ip, dst_ip, proto, ttl, ip_len, df, is_fragment=True)
+    if flags_frag & 0x1FFF:
+        return PacketRecord(0, src_ip, dst_ip, 0, 0, proto, ttl, ip_len, True)
 
     sport = dport = 0
-    tcp_flags = tcp_window = 0
-    tcp_options: Optional[bytes] = None
-    transport = buf[ihl:]
-    if proto == PROTO_TCP and len(transport) >= 14:
-        sport = (transport[0] << 8) | transport[1]
-        dport = (transport[2] << 8) | transport[3]
-        data_offset = (transport[12] >> 4) * 4
-        tcp_flags = transport[13]
-        if len(transport) >= 16:
-            tcp_window = (transport[14] << 8) | transport[15]
-        if data_offset > 20:
-            tcp_options = transport[20:data_offset]  # may be short in snapped captures
-    elif proto == PROTO_UDP and len(transport) >= 4:
-        sport = (transport[0] << 8) | transport[1]
-        dport = (transport[2] << 8) | transport[3]
+    sig = None
+    n = len(buf) - ihl      # transport bytes captured
+    if proto == PROTO_TCP and n >= 14:
+        sport = (buf[ihl] << 8) | buf[ihl + 1]
+        dport = (buf[ihl + 2] << 8) | buf[ihl + 3]
+        window = (buf[ihl + 14] << 8) | buf[ihl + 15] if n >= 16 else 0
+        data_offset = (buf[ihl + 12] >> 4) * 4
+        # options may be cut short in snapped captures
+        options = buf[ihl + 20:ihl + data_offset] if data_offset > 20 else None
+        sig = extract_syn_signature(buf[ihl + 13], window, ttl,
+                                    bool(flags_frag & IP_FLAG_DF), options)
+    elif proto == PROTO_UDP and n >= 4:
+        sport = (buf[ihl] << 8) | buf[ihl + 1]
+        dport = (buf[ihl + 2] << 8) | buf[ihl + 3]
 
-    return ParsedIPv4(src_ip, dst_ip, proto, ttl, ip_len, df, False,
-                      sport, dport, tcp_flags, tcp_window, tcp_options)
+    return PacketRecord(0, src_ip, dst_ip, sport, dport, proto, ttl, ip_len,
+                        False, sig)
+
+
+# Symbolic names for the option kinds that matter to fingerprinting.
+_OPT_KIND = {"EOL": 0, "NOP": 1, "MSS": 2, "WS": 3, "SACK": 4, "TS": 8}
+_OPT_NAMES = {kind: name for name, kind in _OPT_KIND.items()}
+_OPT_FIXED_LEN = {2: 4, 3: 3, 4: 2, 8: 10}
+
+
+def parse_tcp_options(buf: bytes) -> Tuple[Tuple[str, ...], Optional[int], bool]:
+    """Walk TCP options; returns (layout, mss, truncated_at_malformed)."""
+    layout = []
+    mss = None
+    i = 0
+    n = len(buf)
+    while i < n:
+        kind = buf[i]
+        if kind == 0:
+            layout.append("EOL")
+            break
+        if kind == 1:
+            layout.append("NOP")
+            i += 1
+            continue
+        if i + 1 >= n:
+            return tuple(layout), mss, True
+        length = buf[i + 1]
+        fixed = _OPT_FIXED_LEN.get(kind)
+        if length < 2 or i + length > n or (fixed is not None and length != fixed):
+            return tuple(layout), mss, True
+        if kind == 2:
+            mss = (buf[i + 2] << 8) | buf[i + 3]
+        layout.append(_OPT_NAMES.get(kind, str(kind)))
+        i += length
+    return tuple(layout), mss, False
+
+
+def extract_syn_signature(tcp_flags: int, window_size: int, ttl: int,
+                          df_flag: bool, options: Optional[bytes]) -> Optional[SynSignature]:
+    """Signature for a pure SYN; None when SYN is absent or ACK present."""
+    if not (tcp_flags & TCP_SYN) or (tcp_flags & TCP_ACK):
+        return None
+    layout, mss, truncated = parse_tcp_options(options or b"")
+    return SynSignature(window_size=window_size, observed_ttl=ttl, df_flag=df_flag,
+                        mss=mss, options_layout=layout, truncated_options=truncated)
 
 
 class PcapWriter:
@@ -247,10 +314,6 @@ def _checksum16(data: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
-
-
-# TCP option kinds used when crafting SYN options.
-_OPT_KIND = {"EOL": 0, "NOP": 1, "MSS": 2, "WS": 3, "SACK": 4, "TS": 8}
 
 
 def build_tcp_options(layout, mss: Optional[int]) -> bytes:

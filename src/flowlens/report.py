@@ -35,6 +35,10 @@ class AnalysisParams:
     avg_packet_bytes: float = DEFAULT_AVG_PACKET_BYTES
     force: bool = False
 
+    def __post_init__(self):
+        self.blocking()                          # tau and the thresholds
+        ingest.DirectionFilter.parse(self.keep)
+
     def blocking(self) -> flows.BlockingConfig:
         return flows.BlockingConfig(tau=self.tau, min_packets=self.min_packets,
                                     greedy_threshold=self.greedy_threshold)
@@ -86,20 +90,16 @@ def analyze_trace(pcap_path, params: AnalysisParams,
                   db: Optional[hops.FingerprintDb] = None) -> AnalysisResult:
     """Run the whole pipeline over one capture file.
 
-    Direction handling: the keep filter defines forward traffic; its
-    mirrored filter selects the reverse direction, which is only used to
-    estimate destination-side hop distances.
+    Direction handling: the keep filter defines forward traffic; the same
+    prefixes on the opposite side select the reverse direction, which is
+    only used to estimate destination-side hop distances.
     """
     if db is None:
         db = (hops.FingerprintDb.load(params.fingerprints)
               if params.fingerprints else hops.FingerprintDb.default())
-    dfilter = ingest.DirectionFilter.parse(params.keep)
 
     all_records, summary = ingest.read_trace(pcap_path)
-    fwd = [r for r in all_records if dfilter.keep(r)]
-    rev_filter = dfilter.mirrored()
-    rev = fwd if dfilter.mode is ingest.FilterMode.ALL else \
-        [r for r in all_records if rev_filter.keep(r)]
+    fwd, rev = ingest.DirectionFilter.parse(params.keep).split(all_records)
     summary.kept = len(fwd)
     summary.filtered = len(all_records) - len(fwd)
 

@@ -51,10 +51,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .apps import AppCategory, classify
 from .flows import FlowKey
 from .hops import FingerprintDb, FingerprintEntry, MTU_TOKEN, match_fingerprint
-from .ingest import SynSignature
 from .pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                      PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN, PcapWriter,
-                     build_ipv4_packet, build_tcp_options, wrap_ethernet)
+                     SynSignature, build_ipv4_packet, build_tcp_options,
+                     wrap_ethernet)
 
 BEACON_SRC = "192.0.2.255"   # TEST-NET-1, never part of a host plan
 BEACON_DST = "192.0.2.254"

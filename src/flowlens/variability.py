@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import PacketRecord
+from .pcapio import PacketRecord
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +74,7 @@ def throughput_series(packets: Iterable[PacketRecord], interval: float) -> Throu
     per_bin = {}
     last = -1
     for p in packets:
-        idx = round(p.timestamp * 1e6) // step_us
+        idx = p.ts_us // step_us
         per_bin[idx] = per_bin.get(idx, 0) + p.ip_len
         if idx > last:
             last = idx

@@ -7,10 +7,10 @@ import struct
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from flowlens.ingest import PacketRecord, SynSignature
 from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
-                             build_ipv4_packet, build_tcp_options, wrap_ethernet)
+                             PacketRecord, SynSignature, build_ipv4_packet,
+                             build_tcp_options, wrap_ethernet)
 from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
 
 SRC_NET = "10.0.0.0/8"          # all scenario src-side hosts live here
@@ -23,9 +23,10 @@ def mk_packet(ts: float, src: str = "10.0.0.1", dst: str = "203.0.113.1",
               ttl: int = 55, ip_len: int = 700,
               sig: Optional[SynSignature] = None,
               is_fragment: bool = False) -> PacketRecord:
-    return PacketRecord(timestamp=ts, src_ip=src, dst_ip=dst, src_port=sport,
-                        dst_port=dport, proto=proto, ttl=ttl, ip_len=ip_len,
-                        is_fragment=is_fragment, syn_sig=sig)
+    """A record at `ts` seconds, stored as whole microseconds."""
+    return PacketRecord(ts_us=round(ts * 1e6), src_ip=src, dst_ip=dst,
+                        src_port=sport, dst_port=dport, proto=proto, ttl=ttl,
+                        ip_len=ip_len, is_fragment=is_fragment, syn_sig=sig)
 
 
 def write_pcap(records: Sequence[PacketRecord], path,
@@ -36,7 +37,7 @@ def write_pcap(records: Sequence[PacketRecord], path,
 
     TCP records carrying a SYN signature become SYN packets with the
     signature's window/DF/options; everything else becomes a plain packet.
-    Timestamps are taken as capture-relative seconds. The encoding knobs
+    Timestamps are taken as capture-relative microseconds. The encoding knobs
     change only the bytes, never what a reader should get back: `vlan`
     adds an 802.1Q tag to Ethernet frames, `ns` writes the nanosecond
     magic, and `ihl` > 5 splices NOP option bytes into the IPv4 header
@@ -66,7 +67,7 @@ def write_pcap(records: Sequence[PacketRecord], path,
                 ip = wrap_ethernet(ip)
                 if vlan:
                     ip = ip[:12] + b"\x81\x00\x00\x2a" + ip[12:]
-            sec, us = divmod(round(rec.timestamp * 1e6), 1_000_000)
+            sec, us = divmod(rec.ts_us, 1_000_000)
             data = ip[:snaplen]
             fh.write(struct.pack(endian + "IIII", sec, us * 1000 if ns else us,
                                  len(data), len(ip)))

@@ -145,7 +145,7 @@ def test_criterion_6_conservation_and_partition():
             records = aggregate(packets, cfg)
             per_cell = {}
             for p in packets:
-                cell = (round(p.timestamp * 1e6) // cfg.tau_us,
+                cell = (p.ts_us // cfg.tau_us,
                         p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto)
                 per_cell[cell] = per_cell.get(cell, 0) + 1
             admitted = {c: n for c, n in per_cell.items() if n >= cfg.min_packets}

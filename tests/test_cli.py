@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,10 @@ from flowlens.synth import generate
 from flowlens.tail import LlcdCurve, fit_tail
 from flowlens.variability import skewness
 
-from helpers import SRC_NET, random_scenario, skewed_trace, table1_scenario
+from helpers import (SRC_NET, mk_packet, random_scenario, skewed_trace,
+                     table1_scenario, write_pcap)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -95,6 +101,27 @@ def test_unreadable_input_exit_66(tmp_path):
     garbage = tmp_path / "garbage.pcap"
     garbage.write_bytes(b"\x00" * 64)
     assert main(["analyze", str(garbage), "--out", str(tmp_path / "o")]) == 66
+
+
+def test_oversized_caplen_exits_66_under_memory_cap(kept_trace, tmp_path):
+    # record 50 of 200 claims 2 GiB of captured bytes; the reader must
+    # refuse it before allocating, so a 2 GiB address-space cap is plenty
+    path = write_pcap([mk_packet(i * 1e-3, sport=1000 + i) for i in range(200)],
+                      tmp_path / "huge.pcap")
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 24 + 50 * (16 + 14 + 700) + 8, 0x7FFFFFFF)
+    path.write_bytes(bytes(data))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from flowlens.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, "analyze", str(path),
+                           str(kept_trace), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 66, proc.stderr
+    assert "Traceback" not in proc.stderr and "record 50 claims" in proc.stderr
+    assert (tmp_path / "out" / "kept" / "report.json").exists()   # batch went on
 
 
 def test_multiple_traces_get_subdirs(kept_trace, rejected_trace, tmp_path, capsys):

@@ -2,13 +2,13 @@
 
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.flows import (BlockingConfig, aggregate, block_index,
-                            greedy_throughput_equivalent)
+from flowlens.flows import BlockingConfig, aggregate, greedy_throughput_equivalent
 from flowlens.pcapio import PROTO_TCP, PROTO_UDP
 
 from helpers import mk_packet
@@ -23,7 +23,7 @@ def brute_force_group(packets, cfg):
     for p in packets:
         if p.is_fragment:
             continue
-        idx = round(p.timestamp * 1e6) // tau_us
+        idx = p.ts_us // tau_us
         cells[(idx, p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto)].append(p)
     out = {}
     for cell, plist in cells.items():
@@ -58,14 +58,13 @@ def test_per_block_independence_and_strict_threshold():
 def test_boundary_packet_joins_later_block():
     packets = [mk_packet(0.1), mk_packet(0.15), mk_packet(0.3), mk_packet(0.31)]
     records = aggregate(packets, CFG)
-    assert [r.block_index for r in records] == [1, 3]
-    assert block_index(0.3, CFG.tau_us) == 3   # float division would say 2
+    assert [r.block_index for r in records] == [1, 3]   # 0.3 s: block 3, not 2
 
 
 def test_greedy_flag_strictly_above_20():
     packets = [mk_packet(i * 1e-4, sport=sport)
                for sport, n in ((1, 2), (2, 20), (3, 21), (4, 100)) for i in range(n)]
-    records = aggregate(sorted(packets, key=lambda p: p.timestamp), CFG)
+    records = aggregate(sorted(packets, key=lambda p: p.ts_us), CFG)
     assert [(r.n_packets, r.is_greedy) for r in records] == \
         [(2, False), (20, False), (21, True), (100, True)]
 
@@ -107,7 +106,7 @@ def _random_packets(rng, n):
             proto=rng.choice([PROTO_TCP, PROTO_UDP]),
             ttl=rng.randint(32, 64),
             ip_len=rng.randint(40, 1500)))
-    return sorted(out, key=lambda p: p.timestamp)
+    return sorted(out, key=lambda p: p.ts_us)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -140,9 +139,7 @@ def test_partition_no_packet_lost_or_duplicated(seed):
 def test_concatenation_of_block_disjoint_traces():
     rng = random.Random(99)
     part_a = _random_packets(rng, 200)                      # blocks 0..4
-    part_b = [mk_packet(p.timestamp + 1.0, src=p.src_ip, dst=p.dst_ip,
-                        sport=p.src_port, dport=p.dst_port, proto=p.proto,
-                        ttl=p.ttl, ip_len=p.ip_len)
+    part_b = [replace(p, ts_us=p.ts_us + 1_000_000)
               for p in _random_packets(rng, 200)]           # blocks 10..14
     both = aggregate(part_a + part_b, CFG)
     separate = aggregate(part_a, CFG) + aggregate(part_b, CFG)

@@ -7,8 +7,8 @@ from flowlens.hops import (EstimateMethod, FingerprintDb,
                            FingerprintFormatError, HopEstimate, HostEstimates,
                            HostTtlEstimate, estimate_hosts, hop_histogram,
                            infer_initial_ttl, match_fingerprint, path_hops)
-from flowlens.ingest import SynSignature, read_trace
-from flowlens.pcapio import PROTO_TCP
+from flowlens.ingest import read_trace
+from flowlens.pcapio import PROTO_TCP, SynSignature
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 

@@ -1,17 +1,17 @@
 """Trace ingestion: filtering, SYN signatures, and the write/read round trip."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.ingest import (DirectionFilter, FilterMode, PacketRecord,
-                             SynSignature, extract_syn_signature,
-                             parse_tcp_options, read_trace)
+from flowlens.ingest import DirectionFilter, read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
-                             build_tcp_options)
+                             PacketRecord, SynSignature, build_tcp_options,
+                             extract_syn_signature, parse_tcp_options)
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
 from helpers import mk_packet, write_pcap
@@ -50,9 +50,7 @@ def test_prefix_filter_counts_by_construction(tmp_path):
         src = f"10.0.{i % 20}.{i % 250 + 1}" if i < 400 else f"172.16.{i % 20}.{i % 250 + 1}"
         records.append(mk_packet(i * 1e-4, src=src, sport=1000 + i))
     rng.shuffle(records)
-    records = [PacketRecord(timestamp=i * 1e-4, src_ip=r.src_ip, dst_ip=r.dst_ip,
-                            src_port=r.src_port, dst_port=r.dst_port, proto=r.proto,
-                            ttl=r.ttl, ip_len=r.ip_len) for i, r in enumerate(records)]
+    records = [replace(r, ts_us=i * 100) for i, r in enumerate(records)]
     path = write_pcap(records, tmp_path / "t.pcap")
     got, _ = read_trace(path)
     assert len(got) == 1000
@@ -64,31 +62,39 @@ def test_timestamps_rebased_and_sorted(tmp_path):
     records = [mk_packet(0.5, sport=1), mk_packet(0.2, sport=2), mk_packet(0.9, sport=3)]
     path = write_pcap(records, tmp_path / "t.pcap")
     got, _ = read_trace(path)
-    assert [r.timestamp for r in got] == [0.0, pytest.approx(0.3), pytest.approx(0.7)]
+    assert [r.ts_us for r in got] == [0, 300_000, 700_000]
     assert [r.src_port for r in got] == [2, 1, 3]
 
 
 def test_direction_filter_parse_and_mirror():
     f = DirectionFilter.parse("src:10.0.0.0/8,192.168.0.0/16")
-    assert f.mode is FilterMode.SRC_IN_PREFIX_SET and len(f.prefixes) == 2
-    m = f.mirrored()
-    assert m.mode is FilterMode.DST_IN_PREFIX_SET and m.prefixes == f.prefixes
-    assert DirectionFilter.parse("all").mode is FilterMode.ALL
+    assert f.side == "src" and len(f.prefixes) == 2
+    assert DirectionFilter.parse("dst:10.0.0.0/8").side == "dst"
+    assert DirectionFilter.parse("all").side is None
+    # the reverse direction is the same prefixes on the opposite side
+    records = [mk_packet(0.0, src="10.0.0.1", dst="172.16.0.1"),
+               mk_packet(0.0, src="172.16.0.1", dst="10.0.0.1"),
+               mk_packet(0.0, src="172.16.0.1", dst="172.16.0.2")]
+    fwd, rev = DirectionFilter.parse("src:10.0.0.0/8").split(records)
+    assert (fwd, rev) == ([records[0]], [records[1]])
+    assert DirectionFilter.parse("dst:10.0.0.0/8").split(records) == (rev, fwd)
+    everything = DirectionFilter.parse("all").split(records)
+    assert everything[0] is records and everything[1] is records
     with pytest.raises(ValueError):
         DirectionFilter.parse("sideways:10.0.0.0/8")
     with pytest.raises(ValueError):
-        DirectionFilter(mode=FilterMode.SRC_IN_PREFIX_SET, prefixes=())
+        DirectionFilter(side="src", prefixes=())
 
 
 @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), min_size=1, max_size=50))
 def test_filter_is_pure_partition(octets):
     f = DirectionFilter.parse("src:10.0.0.0/8")
-    records = [mk_packet(0.0, src=f"{a}.{b}.1.1") for a, b in octets]
-    kept = [r for r in records if f.keep(r)]
-    dropped = [r for r in records if not f.keep(r)]
-    assert len(kept) + len(dropped) == len(records)
-    assert all(r.src_ip.startswith("10.") for r in kept)
-    assert not any(r.src_ip.split(".")[0] == "10" for r in dropped)
+    records = [mk_packet(0.0, src=f"{a}.{b}.1.1", dst=f"{b}.{a}.2.2", sport=i)
+               for i, (a, b) in enumerate(octets)]
+    fwd, rev = f.split(records)
+    # order-preserving selections by prefix membership of each side
+    assert fwd == [r for r in records if r.src_ip.split(".")[0] == "10"]
+    assert rev == [r for r in records if r.dst_ip.split(".")[0] == "10"]
 
 
 # --- SYN signature extraction -------------------------------------------------
@@ -161,7 +167,7 @@ def _record_lists(draw):
         ttl = sig.observed_ttl if sig else draw(st.integers(1, 255))
         port = st.sampled_from([53, 80, 1024, 1025])
         records.append(PacketRecord(
-            timestamp=ts / 1e6,
+            ts_us=ts,
             src_ip=f"10.0.{draw(st.integers(0, 1))}.{draw(st.integers(1, 3))}",
             dst_ip=f"203.0.113.{draw(st.integers(1, 3))}",
             src_port=draw(port) if has_ports else 0,

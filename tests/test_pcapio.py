@@ -6,8 +6,9 @@ import pytest
 
 from flowlens import pcapio
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_TCP,
-                             PcapFormatError, PcapReader, PcapWriter,
-                             build_ipv4_packet, parse_ipv4, wrap_ethernet)
+                             PacketRecord, PcapFormatError, PcapReader,
+                             PcapWriter, SynSignature, build_ipv4_packet,
+                             build_tcp_options, parse_ipv4, wrap_ethernet)
 
 
 def _write_simple(path, endian="<", linktype=LINKTYPE_RAW_IP, n=3):
@@ -74,6 +75,20 @@ def test_truncated_final_record_ends_cleanly(tmp_path, caplog):
     assert any("truncated" in rec.message for rec in caplog.records)
 
 
+def test_oversized_caplen_rejected_before_reading(tmp_path):
+    path = tmp_path / "huge.pcap"
+    _write_simple(path, n=3)
+    data = bytearray(path.read_bytes())
+    second = 24 + 16 + 60                   # header, then one 60-byte record
+    struct.pack_into("<I", data, second + 8, pcapio.MAX_CAPLEN + 1)
+    path.write_bytes(bytes(data))
+    with PcapReader(path) as r:
+        frames = iter(r)
+        next(frames)
+        with pytest.raises(PcapFormatError, match="record 1 claims 262145"):
+            next(frames)
+
+
 def test_ethernet_and_vlan_unwrap():
     ip = build_ipv4_packet("1.2.3.4", "5.6.7.8", PROTO_TCP, ttl=64, ip_len=40,
                            src_port=1, dst_port=2)
@@ -90,11 +105,18 @@ def test_parse_ipv4_fields():
     ip = build_ipv4_packet("192.168.1.5", "10.1.2.3", PROTO_TCP, ttl=57,
                            ip_len=700, df=True, src_port=34567, dst_port=80,
                            tcp_flags=pcapio.TCP_ACK, tcp_window=8192)
-    p = parse_ipv4(ip)
-    assert (p.src_ip, p.dst_ip) == ("192.168.1.5", "10.1.2.3")
-    assert (p.src_port, p.dst_port) == (34567, 80)
-    assert p.ttl == 57 and p.ip_len == 700 and p.df_flag
-    assert not p.is_fragment
+    assert parse_ipv4(ip) == PacketRecord(ts_us=0, src_ip="192.168.1.5",
+                                          dst_ip="10.1.2.3", src_port=34567,
+                                          dst_port=80, proto=PROTO_TCP, ttl=57,
+                                          ip_len=700)
+    # a pure SYN carries its stack signature: window, TTL, DF and options
+    syn = build_ipv4_packet("192.168.1.5", "10.1.2.3", PROTO_TCP, ttl=57,
+                            ip_len=700, df=False, src_port=34567, dst_port=80,
+                            tcp_flags=pcapio.TCP_SYN, tcp_window=8192,
+                            tcp_options=build_tcp_options(("MSS", "NOP", "WS"), 1460))
+    assert parse_ipv4(syn).syn_sig == SynSignature(
+        window_size=8192, observed_ttl=57, df_flag=False, mss=1460,
+        options_layout=("MSS", "NOP", "WS"))
 
 
 def test_parse_ipv4_rejects_malformed():
@@ -122,6 +144,6 @@ def test_snaplen_truncation_preserves_headers(tmp_path):
         w.write(0, pkt, orig_len=1400)
     with PcapReader(path) as r:
         frame = next(iter(r))
-    assert frame.caplen == 96 and frame.origlen == 1400
+    assert len(frame.data) == 96
     p = parse_ipv4(frame.data)
     assert p.ip_len == 1400 and p.dst_port == 80   # header says full length

@@ -100,7 +100,7 @@ def test_beacon_only_when_block_zero_empty(tmp_path):
     path, gt = generate(spec, tmp_path / "late.pcap")
     assert gt.beacon
     records, _ = read_trace(path)
-    assert records[0].timestamp == 0.0 and records[0].src_ip == "192.0.2.255"
+    assert records[0].ts_us == 0 and records[0].src_ip == "192.0.2.255"
     # thanks to the beacon the flow stays in its planned block
     recs = aggregate(records, BlockingConfig())
     assert [r.block_index for r in recs] == [3]
