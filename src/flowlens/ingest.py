@@ -10,15 +10,12 @@ statistics but is flagged and never contributes to flow keys.
 from __future__ import annotations
 
 import ipaddress
-import logging
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from . import pcapio
 from .pcapio import PacketRecord
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
