@@ -22,6 +22,9 @@ RUN_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
 
 @pytest.fixture(scope="module")
 def run():
+    # run.py puts benchmarks/ on sys.path and imports its siblings as top-level
+    # modules; undo both so no later test resolves a name to the benchmark's copy
+    saved_path = list(sys.path)
     spec = importlib.util.spec_from_file_location("bench_run", RUN_PY)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # dataclasses look their module up here
@@ -29,7 +32,10 @@ def run():
         spec.loader.exec_module(module)
         yield module
     finally:
-        del sys.modules[spec.name]
+        sys.path[:] = saved_path
+        for name, mod in list(sys.modules.items()):
+            if RUN_PY.parent in Path(getattr(mod, "__file__", None) or "/").parents:
+                del sys.modules[name]
 
 
 def test_traced_pass_has_every_layer(run, tmp_path):

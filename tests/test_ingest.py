@@ -146,9 +146,17 @@ _sig_strategy = st.builds(
 )
 
 
+_port = st.one_of(st.sampled_from([53, 80, 1024, 1025]), st.integers(1, 65535))
+
+
+def _few_or_any(lo, few, hi):
+    return st.one_of(st.integers(lo, few), st.integers(lo, hi))
+
+
 @st.composite
 def _record_lists(draw):
-    """Small packet lists on few hosts and ports, so flows form; times distinct."""
+    """Small packet lists with distinct times, over the full port and host ranges
+    but biased toward a few of each, so flows form."""
     n = draw(st.integers(1, 30))
     gaps = draw(st.lists(st.integers(1, 60_000), min_size=n - 1, max_size=n - 1))
     ts_us = [0]
@@ -165,13 +173,12 @@ def _record_lists(draw):
             sig = SynSignature(base.window_size, draw(st.integers(40, 255)),
                                base.df_flag, base.mss, base.options_layout)
         ttl = sig.observed_ttl if sig else draw(st.integers(1, 255))
-        port = st.sampled_from([53, 80, 1024, 1025])
         records.append(PacketRecord(
             ts_us=ts,
-            src_ip=f"10.0.{draw(st.integers(0, 1))}.{draw(st.integers(1, 3))}",
-            dst_ip=f"203.0.113.{draw(st.integers(1, 3))}",
-            src_port=draw(port) if has_ports else 0,
-            dst_port=draw(port) if has_ports else 0,
+            src_ip=f"10.0.{draw(_few_or_any(0, 1, 5))}.{draw(_few_or_any(1, 3, 20))}",
+            dst_ip=f"203.0.113.{draw(_few_or_any(1, 3, 20))}",
+            src_port=draw(_port) if has_ports else 0,
+            dst_port=draw(_port) if has_ports else 0,
             proto=proto, ttl=ttl, ip_len=draw(st.integers(80, 1500)),
             is_fragment=fragment, syn_sig=sig))
     return records
