@@ -87,6 +87,14 @@ def test_rep_ttl_modal_with_larger_tie():
     assert records[0].rep_ttl == 64   # 60 and 64 tie at 2; larger wins
 
 
+def test_records_sorted_by_dotted_quad_string():
+    # "10.0.0.10" sorts before "10.0.0.2" as a string, after it as a number
+    packets = [mk_packet(t, src=src) for t in (0.01, 0.02)
+               for src in ("10.0.0.2", "10.0.0.10", "9.0.0.1")]
+    records = aggregate(packets, CFG)
+    assert [r.key.src_ip for r in records] == ["10.0.0.10", "10.0.0.2", "9.0.0.1"]
+
+
 def test_fragments_excluded_from_keying():
     packets = [mk_packet(0.01), mk_packet(0.02),
                mk_packet(0.03, is_fragment=True), mk_packet(0.04, is_fragment=True)]
