@@ -17,7 +17,7 @@ from .hops import (FingerprintDb, FingerprintEntry, HopEstimate, HopHistogram,
                    hop_histogram, infer_initial_ttl, match_fingerprint,
                    path_hops)
 from .ingest import DirectionFilter, IngestSummary, read_trace
-from .pcapio import PacketRecord, SynSignature, extract_syn_signature
+from .pcapio import PacketRecord, Packets, SynSignature, extract_syn_signature
 from .report import AnalysisParams, analyze_trace, write_report
 from .synth import (FlowPlan, GroundTruth, HostSpec, ScenarioError,
                     ScenarioSpec, generate, load_scenario)

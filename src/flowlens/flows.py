@@ -10,11 +10,12 @@ index is an integer division and boundary packets land deterministically
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from .pcapio import PacketRecord
+import numpy as np
+
+from .pcapio import Packets, ipv4_str
 
 
 @dataclass(frozen=True, order=True)
@@ -57,40 +58,61 @@ class BlockFlowRecord:
     rep_ttl: int    # modal observed TTL, ties broken toward the larger value
 
 
-def aggregate(packets: Iterable[PacketRecord], cfg: BlockingConfig) -> List[BlockFlowRecord]:
+def aggregate(packets: Packets, cfg: BlockingConfig) -> List[BlockFlowRecord]:
     """Group packets into per-(block, 5-tuple) flow records.
 
     Flows with fewer than min_packets packets are dropped here; they still
     count toward throughput, which is computed from the raw packet stream.
     Non-first fragments carry no 5-tuple and are likewise excluded.
     Blocks are half-open, [i*tau, (i+1)*tau): a boundary packet joins the
-    later one.
+    later one. Records come in (block, FlowKey) order.
     """
-    tau_us = cfg.tau_us
-    cells = {}
-    for p in packets:
-        if p.is_fragment:
-            continue
-        cell = (p.ts_us // tau_us,
-                FlowKey(p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto))
-        entry = cells.get(cell)
-        if entry is None:
-            cells[cell] = [1, p.ip_len, Counter((p.ttl,))]
-        else:
-            entry[0] += 1
-            entry[1] += p.ip_len
-            entry[2][p.ttl] += 1
+    keyed = ~packets.is_fragment
+    if not keyed.any():
+        return []
+    block = packets.ts_us[keyed] // cfg.tau_us
+    # FlowKey compares dotted-quad strings ("10.0.0.10" < "10.0.0.2"), so
+    # addresses sort by the rank of their string among the distinct ones
+    addrs = np.unique(np.concatenate([packets.src[keyed], packets.dst[keyed]]))
+    names = [ipv4_str(a) for a in addrs.tolist()]
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    src = np.searchsorted(addrs, packets.src[keyed])
+    dst = np.searchsorted(addrs, packets.dst[keyed])
+    pair = rank[src] << 32 | rank[dst]
+    # sport 16 | dport 16 | proto 8 | ttl 8 bits: the rest of the key, then the TTL
+    low = (packets.src_port[keyed].astype(np.int64) << 32
+           | packets.dst_port[keyed].astype(np.int64) << 16
+           | packets.proto[keyed].astype(np.int64) << 8 | packets.ttl[keyed])
+    order = np.lexsort((low, pair, block))
+    block, pair, low = block[order], pair[order], low[order]
+    ip_len = packets.ip_len[keyed][order]
 
-    records = []
-    for (idx, key), (n, nbytes, ttls) in sorted(cells.items()):
-        if n < cfg.min_packets:
-            continue
-        rep_ttl = max(ttls.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        records.append(BlockFlowRecord(block_index=idx, key=key, n_packets=n,
-                                       n_bytes=nbytes,
-                                       is_greedy=n > cfg.greedy_threshold,
-                                       rep_ttl=rep_ttl))
-    return records
+    key_change = ((block[1:] != block[:-1]) | (pair[1:] != pair[:-1])
+                  | (low[1:] >> 8 != low[:-1] >> 8))
+    new_flow = np.append(True, key_change)
+    new_ttl = np.append(True, key_change | (low[1:] != low[:-1]))
+    starts = np.flatnonzero(new_flow)
+    n_packets = np.diff(np.append(starts, len(order)))
+    n_bytes = np.add.reduceat(ip_len.astype(np.int64), starts)
+    # modal TTL: of each flow's (count, ttl) runs the largest wins, so ties
+    # go to the larger TTL
+    ttl_starts = np.flatnonzero(new_ttl)
+    score = np.diff(np.append(ttl_starts, len(order))) << 8 | (low[ttl_starts] & 0xFF)
+    rep_ttl = np.maximum.reduceat(score, np.flatnonzero(new_flow[ttl_starts])) & 0xFF
+
+    admitted = n_packets >= cfg.min_packets
+    first = starts[admitted]
+    key_low, rows = low[first] >> 8, order[first]
+    return [BlockFlowRecord(block_index=b, key=FlowKey(names[s], names[d], sp, dp, pr),
+                            n_packets=n, n_bytes=nb,
+                            is_greedy=n > cfg.greedy_threshold, rep_ttl=t)
+            for b, s, d, sp, dp, pr, n, nb, t in zip(
+                block[first].tolist(), src[rows].tolist(), dst[rows].tolist(),
+                (key_low >> 24).tolist(),
+                (key_low >> 8 & 0xFFFF).tolist(), (key_low & 0xFF).tolist(),
+                n_packets[admitted].tolist(), n_bytes[admitted].tolist(),
+                rep_ttl[admitted].tolist())]
 
 
 def greedy_throughput_equivalent(cfg: BlockingConfig, avg_packet_bytes: float) -> float:

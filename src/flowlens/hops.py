@@ -35,8 +35,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from .flows import BlockFlowRecord, FlowKey
-from .pcapio import PacketRecord, SynSignature
+from .pcapio import Packets, SynSignature, ipv4_str
 
 log = logging.getLogger(__name__)
 
@@ -233,31 +235,38 @@ class HostEstimates:
         return self.by_ip.get(ip)
 
 
-def estimate_hosts(packets: Iterable[PacketRecord], db: FingerprintDb) -> HostEstimates:
+def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
     """One TTL-distance estimate per source IP seen in the stream.
 
     The modal TTL is the anchor (ties toward the larger TTL, i.e. the
     shorter path); a host emitting several distinct TTLs is flagged since
-    its route apparently changed mid-trace.
+    its route apparently changed mid-trace. A host's fingerprint is the
+    first of its SYNs, in row order, that matches the database. Hosts are
+    visited, and `rejected` listed, in order of first appearance.
     """
-    ttls: Dict[str, Counter] = {}
-    matched: Dict[str, FingerprintEntry] = {}
-    for p in packets:
-        counter = ttls.get(p.src_ip)
-        if counter is None:
-            counter = ttls[p.src_ip] = Counter()
-        counter[p.ttl] += 1
-        if p.syn_sig is not None and p.src_ip not in matched:
-            entry = match_fingerprint(p.syn_sig, db)
-            if entry is not None:
-                matched[p.src_ip] = entry
+    if not len(packets):
+        return HostEstimates()
+    addrs, first_row, host = np.unique(packets.src, return_index=True, return_inverse=True)
+    # every (host, ttl) pair with its count, host-major: one run per host
+    pairs, counts = np.unique(host.astype(np.int64) << 8 | packets.ttl, return_counts=True)
+    runs = np.flatnonzero(np.append(True, pairs[1:] >> 8 != pairs[:-1] >> 8))
+    modal = (np.maximum.reduceat(counts << 8 | (pairs & 0xFF), runs) & 0xFF).tolist()
+    n_ttls = np.diff(np.append(runs, len(pairs))).tolist()
 
-    result = HostEstimates(n_hosts=len(ttls))
+    matched: Dict[int, FingerprintEntry] = {}
+    entries: Dict[SynSignature, Optional[FingerprintEntry]] = {}
+    for h, sig in zip(host[packets.syn_rows].tolist(), packets.syn_sigs):
+        if h not in matched:
+            if sig not in entries:
+                entries[sig] = match_fingerprint(sig, db)
+            if entries[sig] is not None:
+                matched[h] = entries[sig]
+
+    result = HostEstimates(n_hosts=len(addrs))
     rejected = []
-    for ip, counter in ttls.items():
-        modal_ttl = max(counter.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        conflict = len(counter) > 1
-        entry = matched.get(ip)
+    for h in np.argsort(first_row, kind="stable").tolist():
+        ip, modal_ttl, conflict = ipv4_str(addrs[h]), modal[h], n_ttls[h] > 1
+        entry = matched.get(h)
         if entry is not None:
             initial, method, label = entry.initial_ttl, EstimateMethod.FINGERPRINT_MATCH, entry.os_label
         else:

@@ -1,7 +1,7 @@
-"""Trace ingestion: pcap files to normalized packet records, and direction filters.
+"""Trace ingestion: pcap files to normalized Packets columns, and direction filters.
 
 Timestamps are re-based to the trace's earliest valid IPv4 packet so block
-indices are trace-relative, and records are re-sorted by timestamp. Only
+indices are trace-relative, and packets are re-sorted by timestamp. Only
 IPv4 is handled; anything else is counted and skipped. A non-first IP
 fragment has no transport header, so it keeps its byte count for rate
 statistics but is flagged and never contributes to flow keys.
@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from . import pcapio
-from .pcapio import PacketRecord
+from .pcapio import Packets
 
 
 @dataclass(frozen=True)
@@ -43,24 +44,25 @@ class DirectionFilter:
         nets = tuple(ipaddress.IPv4Network(p.strip()) for p in rest.split(","))
         return cls(side=side, prefixes=nets)
 
-    def split(self, records: List[PacketRecord]) -> Tuple[list, list]:
-        """(forward, reverse) records, each in input order.
+    def split(self, packets: Packets) -> Tuple[Packets, Packets]:
+        """(forward, reverse) packets, each in input order.
 
         Forward traffic has the filter's side in a prefix; reverse traffic
-        has the opposite side in one. With no side both are `records`.
+        has the opposite side in one. With no side both are `packets`.
         """
         if self.side is None:
-            return records, records
-        inside = {ip: any(ipaddress.IPv4Address(ip) in net for net in self.prefixes)
-                  for ip in {ip for r in records for ip in (r.src_ip, r.dst_ip)}}
-        fwd, rev = [], []
-        src_inside, dst_inside = (fwd, rev) if self.side == "src" else (rev, fwd)
-        for r in records:
-            if inside[r.src_ip]:
-                src_inside.append(r)
-            if inside[r.dst_ip]:
-                dst_inside.append(r)
-        return fwd, rev
+            return packets, packets
+        src_inside, dst_inside = (self._inside(packets.src), self._inside(packets.dst))
+        if self.side == "dst":
+            src_inside, dst_inside = dst_inside, src_inside
+        return packets.take(src_inside), packets.take(dst_inside)
+
+    def _inside(self, addrs: np.ndarray) -> np.ndarray:
+        """Mask of the addresses inside any of the prefixes."""
+        inside = np.zeros(len(addrs), dtype=bool)
+        for net in self.prefixes:
+            inside |= (addrs & np.uint32(int(net.netmask))) == np.uint32(int(net.network_address))
+        return inside
 
 
 @dataclass
@@ -77,33 +79,43 @@ class IngestSummary:
         return self.total - self.kept
 
 
-def read_trace(path) -> Tuple[List[PacketRecord], IngestSummary]:
-    """Read a pcap into timestamp-ordered PacketRecords.
+def read_trace(path) -> Tuple[Packets, IngestSummary]:
+    """Read a pcap into timestamp-ordered Packets.
 
     Counts frames, non-IPv4 frames and malformed IPv4 frames; direction
     filtering is left to the caller. The whole trace is buffered because
-    re-sorting by timestamp requires it.
+    re-sorting by timestamp requires it. Columns are joined and sorted one
+    at a time, so the peak is about one copy of the columns (25 B per
+    packet) plus the sort permutation.
     """
     summary = IngestSummary()
-    records = []
+    parts = {name: [] for name, _ in pcapio.COLUMNS}
+    syn_rows, syn_sigs, n = [], [], 0
     with pcapio.PcapReader(path) as reader:
-        linktype = reader.linktype
-        for frame in reader:
-            summary.total += 1
-            ip_bytes = pcapio.ipv4_payload(frame.data, linktype)
-            if ip_bytes is None:
-                summary.non_ipv4 += 1
-                continue
-            record = pcapio.parse_ipv4(ip_bytes)
-            if record is None:
-                summary.malformed += 1
-                continue
-            record.ts_us = frame.ts_us
-            records.append(record)
+        for chunk, frames, non_ipv4 in reader.packet_chunks():
+            summary.total += frames
+            summary.non_ipv4 += non_ipv4
+            summary.malformed += frames - non_ipv4 - len(chunk)
+            for (name, _), col in zip(pcapio.COLUMNS, chunk.columns()):
+                parts[name].append(col)
+            syn_rows.append(chunk.syn_rows + n)
+            syn_sigs += chunk.syn_sigs
+            n += len(chunk)
 
-    if records:
-        records.sort(key=attrgetter("ts_us"))
-        t0 = records[0].ts_us
-        for record in records:
-            record.ts_us -= t0
-    return records, summary
+    columns = []
+    for name, dtype in pcapio.COLUMNS:         # ts_us first: it sets the order
+        col = np.concatenate(parts.pop(name) or [np.empty(0, dtype)])
+        if not columns:
+            order = np.argsort(col, kind="stable")
+        columns.append(col[order])
+        del col
+    if n:
+        columns[0] -= columns[0][0]
+    # where each SYN row went, and its signature by the old row order
+    is_syn = np.zeros(n, dtype=bool)
+    old_rows = np.concatenate(syn_rows or [np.empty(0, np.int64)])
+    is_syn[old_rows] = True
+    new_rows = np.flatnonzero(is_syn[order])
+    sig_at = np.searchsorted(old_rows, order[new_rows])
+    return Packets(*columns, syn_rows=new_rows,
+                   syn_sigs=tuple(syn_sigs[i] for i in sig_at.tolist())), summary

@@ -1,6 +1,10 @@
 """Minimal classic-pcap reader/writer and IPv4 packet parsing/crafting.
 
 Supported on the read side:
+  * a frame-at-a-time iterator (PcapReader.__iter__ -> ipv4_payload ->
+    parse_ipv4), and a columnar one (PcapReader.packet_chunks) that
+    memory-maps the file and decodes every frame's headers at once into
+    Packets columns; the two give the same packets
   * classic pcap global header, magic 0xa1b2c3d4 (microseconds) or
     0xa1b23c4d (nanoseconds), in either byte order
   * link types: Ethernet (1, optionally one 802.1Q tag) and raw IPv4 (101)
@@ -15,12 +19,17 @@ format is block-based and not trivially convertible in-process.
 
 from __future__ import annotations
 
+import array
 import itertools
 import logging
+import mmap
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional, Sequence, Tuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +37,7 @@ MAGIC_US = 0xA1B2C3D4
 MAGIC_NS = 0xA1B23C4D
 PCAPNG_MAGIC = 0x0A0D0D0A
 MAX_CAPLEN = 262144     # libpcap's MAXIMUM_SNAPLEN
+CHUNK_ROWS = 1 << 14    # records decoded per packet_chunks step
 
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
@@ -98,8 +108,84 @@ class PacketRecord:
             raise ValueError(f"ip_len {self.ip_len} below IPv4 minimum")
 
 
+def ipv4_int(ip: str) -> int:
+    """Dotted quad to its 32-bit value: "10.0.0.1" -> 0x0A000001."""
+    return int.from_bytes(socket.inet_aton(ip), "big")
+
+
+def ipv4_str(value: int) -> str:
+    """32-bit value to its dotted quad, as socket.inet_ntoa writes it."""
+    return socket.inet_ntoa(int(value).to_bytes(4, "big"))
+
+
+@dataclass(eq=False)
+class Packets:
+    """A trace as columns: one row per IPv4 packet, one array per field.
+
+    The columns are PacketRecord's fields with narrow dtypes, addresses as
+    their 32-bit values. Pure SYNs are rare, so their signatures sit in a
+    sparse side table: `syn_rows` lists their row indices in ascending
+    order and `syn_sigs` holds one SynSignature per listed row.
+    """
+
+    ts_us: np.ndarray           # int64 microseconds
+    src: np.ndarray             # uint32
+    dst: np.ndarray             # uint32
+    src_port: np.ndarray        # uint16, 0 when the protocol has no ports
+    dst_port: np.ndarray        # uint16
+    proto: np.ndarray           # uint8
+    ttl: np.ndarray             # uint8
+    ip_len: np.ndarray          # uint16
+    is_fragment: np.ndarray     # bool: non-first fragment, excluded from flow keying
+    syn_rows: np.ndarray        # int64
+    syn_sigs: Tuple[SynSignature, ...]
+
+    def __len__(self) -> int:
+        return len(self.ts_us)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Packets):
+            return NotImplemented
+        return (all(a.dtype == b.dtype and np.array_equal(a, b)
+                    for a, b in zip(self.columns(), other.columns()))
+                and np.array_equal(self.syn_rows, other.syn_rows)
+                and self.syn_sigs == other.syn_sigs)
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """The per-row arrays, in COLUMNS order."""
+        return tuple(getattr(self, name) for name, _ in COLUMNS)
+
+    def take(self, mask: np.ndarray) -> "Packets":
+        """The rows where `mask` is true, in order, SYN table kept aligned."""
+        kept = mask[self.syn_rows]
+        new_index = np.cumsum(mask) - 1
+        return Packets(*(col[mask] for col in self.columns()),
+                       syn_rows=new_index[self.syn_rows[kept]],
+                       syn_sigs=tuple(itertools.compress(self.syn_sigs, kept)))
+
+    @classmethod
+    def from_records(cls, records: Sequence[PacketRecord]) -> "Packets":
+        """Columns of PacketRecords, in list order."""
+        values = [[r.ts_us for r in records],
+                  [ipv4_int(r.src_ip) for r in records],
+                  [ipv4_int(r.dst_ip) for r in records],
+                  [r.src_port for r in records], [r.dst_port for r in records],
+                  [r.proto for r in records], [r.ttl for r in records],
+                  [r.ip_len for r in records], [r.is_fragment for r in records]]
+        syn = [(i, r.syn_sig) for i, r in enumerate(records) if r.syn_sig is not None]
+        return cls(*(np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, COLUMNS)),
+                   syn_rows=np.array([i for i, _ in syn], dtype=np.int64),
+                   syn_sigs=tuple(sig for _, sig in syn))
+
+
+# (name, dtype) of every per-row array of Packets, in field order.
+COLUMNS = tuple((f.name, dtype) for f, dtype in zip(
+    fields(Packets), (np.int64, np.uint32, np.uint32, np.uint16, np.uint16,
+                      np.uint8, np.uint8, np.uint16, np.bool_)))
+
+
 class PcapReader:
-    """Iterates RawFrames out of a classic pcap file."""
+    """Reads a classic pcap file: frame by frame, or as Packets columns."""
 
     def __init__(self, path):
         self._fh = open(path, "rb")
@@ -129,6 +215,7 @@ class PcapReader:
         _, _, _, _, _, network = struct.unpack(self._endian + "HHiIII", header[4:])
         self.linktype = network
         self._rec_hdr = struct.Struct(self._endian + "IIII")
+        self._caplen = struct.Struct(self._endian + "I")
         self._path = path
 
     def __enter__(self):
@@ -160,6 +247,148 @@ class PcapReader:
                             self._path, len(data), caplen)
                 return
             yield RawFrame(ts_sec * 1_000_000 + ts_frac // self._ts_divisor, data)
+
+    def packet_chunks(self, rows: int = CHUNK_ROWS) -> Iterator[Tuple[Packets, int, int]]:
+        """The file's IPv4 packets as (chunk, frames, non_ipv4), `rows` records a step.
+
+        Each chunk holds, in file order and with absolute capture times,
+        the packets that parse_ipv4 accepts among its `frames` records;
+        `non_ipv4` of those frames carry no IPv4, and the rest are
+        malformed. The record headers are walked once over a memory map,
+        and every other field is gathered from it with array indexing.
+        Reads are masked to each frame's captured bytes, as the per-frame
+        parser's bounds checks do. Truncation and MAX_CAPLEN are handled
+        as in __iter__.
+        """
+        with mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            buf = np.frombuffer(mm, dtype=np.uint8)
+            try:
+                memo = {}       # extract_syn_signature's arguments -> result
+                pos, index = 24, 0
+                while pos is not None:
+                    starts, pos = self._walk(mm, pos, index, rows)
+                    if not starts:
+                        return
+                    if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
+                        raise PcapFormatError(f"unsupported link type {self.linktype}")
+                    index += len(starts)
+                    yield self._decode(mm, buf, np.frombuffer(starts, dtype=np.int64), memo)
+            finally:
+                del buf         # the map cannot close while an array views it
+
+    def _walk(self, mm, pos: int, index: int, rows: int) -> Tuple[array.array, Optional[int]]:
+        """Header offsets of up to `rows` whole records from `pos`; the next pos.
+
+        The next pos is None at the end of the file. `index` is the number
+        of records before `pos`, for the MAX_CAPLEN message.
+        """
+        size = len(mm)
+        caplen_at = self._caplen.unpack_from
+        starts = array.array("q")
+        append = starts.append
+        for index in range(index, index + rows):
+            if pos + 16 > size:
+                if pos < size:
+                    log.warning("%s: truncated record header at end of file", self._path)
+                return starts, None
+            caplen, = caplen_at(mm, pos + 8)
+            end = pos + 16 + caplen
+            if caplen > MAX_CAPLEN:
+                raise PcapFormatError(f"{self._path}: record {index} claims {caplen} "
+                                      f"captured bytes (limit {MAX_CAPLEN})")
+            if end > size:
+                log.warning("%s: truncated final record (%d of %d bytes)",
+                            self._path, size - pos - 16, caplen)
+                return starts, None
+            append(pos)
+            pos = end
+        return starts, pos
+
+    def _decode(self, mm, buf: np.ndarray, starts: np.ndarray,
+                memo: dict) -> Tuple[Packets, int, int]:
+        """One packet_chunks step over the records whose headers are at `starts`."""
+        n = len(starts)
+        hdr = _bytes_at(buf, starts, 12).view(self._endian + "u4")
+        ts_us = hdr[:, 0].astype(np.int64) * 1_000_000 + hdr[:, 1] // self._ts_divisor
+        caplen = hdr[:, 2].astype(np.int64)
+        data = starts + 16
+
+        # link layer: rows carrying IPv4 and their link header length
+        if self.linktype == LINKTYPE_ETHERNET:      # else raw IPv4
+            rows = np.flatnonzero(caplen >= 14)
+            ethertype = _be16(buf, data[rows] + 12)
+            vlan = (ethertype == ETHERTYPE_VLAN) & (caplen[rows] >= 18)
+            ethertype[vlan] = _be16(buf, data[rows[vlan]] + 16)
+            ipv4 = ethertype == ETHERTYPE_IPV4
+            rows, link_len = rows[ipv4], np.where(vlan[ipv4], 18, 14)
+        else:
+            rows = np.flatnonzero(caplen >= 1)
+            rows, link_len = rows[buf[data[rows]] >> 4 == 4], 0
+        non_ipv4 = n - len(rows)
+
+        # IPv4 header: parse_ipv4's checks, then the fixed 20 bytes
+        ip, avail = data[rows] + link_len, caplen[rows] - link_len
+        ok = avail >= 20
+        rows, ip, avail = rows[ok], ip[ok], avail[ok]
+        head = _bytes_at(buf, ip, 20)
+        ihl = (head[:, 0] & 0x0F).astype(np.int64) * 4
+        ip_len = head[:, 2:4].copy().view(">u2")[:, 0]
+        ok = (head[:, 0] >> 4 == 4) & (ihl >= 20) & (avail >= ihl) & (ip_len >= 20)
+        rows, head, ihl, ip_len = rows[ok], head[ok], ihl[ok], ip_len[ok]
+        tp, avail = ip[ok] + ihl, avail[ok] - ihl      # transport start and bytes
+        addrs = head[:, 12:20].copy().view(">u4")
+        fragment = ((head[:, 6] & 0x1F) | head[:, 7]) != 0
+        proto, ttl = head[:, 9], head[:, 8]
+
+        # transport: ports for TCP and UDP first fragments, SYN signatures
+        tcp = ~fragment & (proto == PROTO_TCP) & (avail >= 14)
+        ported = np.flatnonzero(tcp | (~fragment & (proto == PROTO_UDP) & (avail >= 4)))
+        ports = np.zeros((len(rows), 2), dtype=np.uint16)
+        ports[ported] = _bytes_at(buf, tp[ported], 4).view(">u2")
+        syn_rows, syn_sigs = self._syn_table(mm, buf, np.flatnonzero(tcp), tp, avail,
+                                             ttl, head[:, 6] & 0x40 != 0, memo)
+
+        chunk = Packets(ts_us[rows], addrs[:, 0].astype(np.uint32),
+                        addrs[:, 1].astype(np.uint32), ports[:, 0].copy(),
+                        ports[:, 1].copy(), proto.copy(), ttl.copy(),
+                        ip_len.astype(np.uint16), fragment, syn_rows, syn_sigs)
+        return chunk, n, non_ipv4
+
+    @staticmethod
+    def _syn_table(mm, buf, tcp, tp, avail, ttl, df, memo):
+        """(rows, signatures) of the pure SYNs among the TCP rows `tcp`.
+
+        Python runs once per pure SYN; `memo` maps extract_syn_signature's
+        arguments to its result, since most SYNs repeat a few stacks.
+        """
+        flags = buf[tp[tcp] + 13]
+        pure = (flags & TCP_SYN != 0) & (flags & TCP_ACK == 0)
+        syn, flags = tcp[pure], flags[pure]
+        t, n = tp[syn], avail[syn]
+        window = np.zeros(len(syn), dtype=np.int64)
+        window[n >= 16] = _be16(buf, t[n >= 16] + 14)
+        data_offset = (buf[t + 12] >> 4).astype(np.int64) * 4
+        opt_end = np.where(data_offset > 20, t + np.minimum(data_offset, n), 0)
+        sigs = []
+        for args in zip(flags.tolist(), window.tolist(), ttl[syn].tolist(),
+                        df[syn].tolist(), (t + 20).tolist(), opt_end.tolist()):
+            flag, win, hop_ttl, dont_frag, start, end = args
+            key = (flag, win, hop_ttl, dont_frag, mm[start:end])   # b"" if end <= start
+            sig = memo.get(key)
+            if sig is None:
+                sig = memo[key] = extract_syn_signature(*key)
+            sigs.append(sig)
+        return syn, tuple(sigs)
+
+
+def _bytes_at(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes at each offset in `pos`, one row per offset."""
+    return sliding_window_view(buf, width)[pos]
+
+
+def _be16(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Big-endian 16-bit values at byte offsets `pos` of `buf`, as int64."""
+    return (buf[pos].astype(np.int64) << 8) | buf[pos + 1]
 
 
 def ipv4_payload(frame: bytes, linktype: int) -> Optional[bytes]:

@@ -98,10 +98,11 @@ def analyze_trace(pcap_path, params: AnalysisParams,
         db = (hops.FingerprintDb.load(params.fingerprints)
               if params.fingerprints else hops.FingerprintDb.default())
 
-    all_records, summary = ingest.read_trace(pcap_path)
-    fwd, rev = ingest.DirectionFilter.parse(params.keep).split(all_records)
+    packets, summary = ingest.read_trace(pcap_path)
+    fwd, rev = ingest.DirectionFilter.parse(params.keep).split(packets)
     summary.kept = len(fwd)
-    summary.filtered = len(all_records) - len(fwd)
+    summary.filtered = len(packets) - len(fwd)
+    del packets
 
     series = variability.throughput_series(fwd, params.tau)
     gate_kept = variability.gate_trace(series, variability.TraceGate(params.skew_min))

@@ -16,6 +16,7 @@ import pytest
 from flowlens.apps import AppCategory, classify
 from flowlens.cli import main
 from flowlens.flows import BlockingConfig, aggregate, greedy_throughput_equivalent
+from flowlens.pcapio import Packets
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate, sample_flow_size
 from flowlens.tail import LlcdCurve, fit_tail, llcd
@@ -139,10 +140,11 @@ def test_criterion_6_conservation_and_partition():
                                  dport=rng.choice([80, 53]),
                                  ip_len=rng.randint(20, 1500))
                        for _ in range(rng.randint(1, 300))]
-            series = throughput_series(packets, 0.1)
+            columns = Packets.from_records(packets)
+            series = throughput_series(columns, 0.1)
             assert sum(series.byte_counts) == sum(p.ip_len for p in packets)
 
-            records = aggregate(packets, cfg)
+            records = aggregate(columns, cfg)
             per_cell = {}
             for p in packets:
                 cell = (p.ts_us // cfg.tau_us,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlens.flows import BlockingConfig, aggregate, greedy_throughput_equivalent
-from flowlens.pcapio import PROTO_TCP, PROTO_UDP
+from flowlens.pcapio import PROTO_TCP, PROTO_UDP, Packets
 
 from helpers import mk_packet
 
@@ -34,21 +34,21 @@ def brute_force_group(packets, cfg):
 
 def test_single_block_three_packets():
     packets = [mk_packet(t) for t in (0.01, 0.05, 0.09)]
-    records = aggregate(packets, CFG)
+    records = aggregate(Packets.from_records(packets), CFG)
     assert len(records) == 1
     r = records[0]
     assert r.block_index == 0 and r.n_packets == 3 and not r.is_greedy
 
 
 def test_lone_packet_dropped():
-    records = aggregate([mk_packet(0.05)], CFG)
+    records = aggregate(Packets.from_records([mk_packet(0.05)]), CFG)
     assert records == []
 
 
 def test_per_block_independence_and_strict_threshold():
     packets = [mk_packet(i * 0.003) for i in range(25)]          # block 0: 25 pkts
     packets += [mk_packet(0.1 + i * 0.01) for i in range(3)]     # block 1: 3 pkts
-    records = aggregate(packets, CFG)
+    records = aggregate(Packets.from_records(packets), CFG)
     assert len(records) == 2
     b0, b1 = records
     assert (b0.block_index, b0.n_packets, b0.is_greedy) == (0, 25, True)
@@ -57,14 +57,14 @@ def test_per_block_independence_and_strict_threshold():
 
 def test_boundary_packet_joins_later_block():
     packets = [mk_packet(0.1), mk_packet(0.15), mk_packet(0.3), mk_packet(0.31)]
-    records = aggregate(packets, CFG)
+    records = aggregate(Packets.from_records(packets), CFG)
     assert [r.block_index for r in records] == [1, 3]   # 0.3 s: block 3, not 2
 
 
 def test_greedy_flag_strictly_above_20():
     packets = [mk_packet(i * 1e-4, sport=sport)
                for sport, n in ((1, 2), (2, 20), (3, 21), (4, 100)) for i in range(n)]
-    records = aggregate(sorted(packets, key=lambda p: p.ts_us), CFG)
+    records = aggregate(Packets.from_records(sorted(packets, key=lambda p: p.ts_us)), CFG)
     assert [(r.n_packets, r.is_greedy) for r in records] == \
         [(2, False), (20, False), (21, True), (100, True)]
 
@@ -83,7 +83,7 @@ def test_rep_ttl_modal_with_larger_tie():
     packets = [mk_packet(0.01, ttl=60), mk_packet(0.02, ttl=64),
                mk_packet(0.03, ttl=64), mk_packet(0.04, ttl=60),
                mk_packet(0.05, ttl=55)]
-    records = aggregate(packets, CFG)
+    records = aggregate(Packets.from_records(packets), CFG)
     assert records[0].rep_ttl == 64   # 60 and 64 tie at 2; larger wins
 
 
@@ -91,14 +91,14 @@ def test_records_sorted_by_dotted_quad_string():
     # "10.0.0.10" sorts before "10.0.0.2" as a string, after it as a number
     packets = [mk_packet(t, src=src) for t in (0.01, 0.02)
                for src in ("10.0.0.2", "10.0.0.10", "9.0.0.1")]
-    records = aggregate(packets, CFG)
+    records = aggregate(Packets.from_records(packets), CFG)
     assert [r.key.src_ip for r in records] == ["10.0.0.10", "10.0.0.2", "9.0.0.1"]
 
 
 def test_fragments_excluded_from_keying():
     packets = [mk_packet(0.01), mk_packet(0.02),
                mk_packet(0.03, is_fragment=True), mk_packet(0.04, is_fragment=True)]
-    records = aggregate(packets, CFG)
+    records = aggregate(Packets.from_records(packets), CFG)
     assert len(records) == 1 and records[0].n_packets == 2
 
 
@@ -121,7 +121,7 @@ def _random_packets(rng, n):
 def test_aggregate_matches_brute_force(seed):
     rng = random.Random(seed)
     packets = _random_packets(rng, rng.randint(1, 1000))
-    records = aggregate(packets, CFG)
+    records = aggregate(Packets.from_records(packets), CFG)
     oracle = brute_force_group(packets, CFG)
     got = {(r.block_index, r.key.src_ip, r.key.dst_ip, r.key.src_port,
             r.key.dst_port, r.key.proto): (r.n_packets, r.n_bytes)
@@ -136,7 +136,7 @@ def test_aggregate_matches_brute_force(seed):
 def test_partition_no_packet_lost_or_duplicated(seed):
     rng = random.Random(seed)
     packets = _random_packets(rng, rng.randint(1, 300))
-    records = aggregate(packets, BlockingConfig(min_packets=2))
+    records = aggregate(Packets.from_records(packets), BlockingConfig(min_packets=2))
     # every packet maps to exactly one cell; admitted cells cover <= all packets
     total_in_records = sum(r.n_packets for r in records)
     assert total_in_records <= len(packets)
@@ -149,8 +149,9 @@ def test_concatenation_of_block_disjoint_traces():
     part_a = _random_packets(rng, 200)                      # blocks 0..4
     part_b = [replace(p, ts_us=p.ts_us + 1_000_000)
               for p in _random_packets(rng, 200)]           # blocks 10..14
-    both = aggregate(part_a + part_b, CFG)
-    separate = aggregate(part_a, CFG) + aggregate(part_b, CFG)
+    both = aggregate(Packets.from_records(part_a + part_b), CFG)
+    separate = (aggregate(Packets.from_records(part_a), CFG)
+                + aggregate(Packets.from_records(part_b), CFG))
     assert sorted(both, key=lambda r: (r.block_index, r.key)) == \
         sorted(separate, key=lambda r: (r.block_index, r.key))
 

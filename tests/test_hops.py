@@ -8,7 +8,7 @@ from flowlens.hops import (EstimateMethod, FingerprintDb,
                            HostTtlEstimate, estimate_hosts, hop_histogram,
                            infer_initial_ttl, match_fingerprint, path_hops)
 from flowlens.ingest import read_trace
-from flowlens.pcapio import PROTO_TCP, SynSignature
+from flowlens.pcapio import PROTO_TCP, Packets, SynSignature
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 
@@ -121,7 +121,7 @@ def test_infer_rejects_zero():
 def test_fallback_host_without_syn():
     packets = [mk_packet(0.01, src="10.0.0.9", ttl=60),
                mk_packet(0.02, src="10.0.0.9", ttl=60)]
-    est = estimate_hosts(packets, FingerprintDb.default())
+    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
     host = est.get("10.0.0.9")
     assert host.method is EstimateMethod.NEAREST_STANDARD_TTL
     assert host.initial_ttl == 64 and host.hops_to_monitor == 4
@@ -136,7 +136,7 @@ def test_fingerprint_beats_fallback():
                                        "NOP", "SACK", "MSS"))
     packets = [mk_packet(0.01, src="10.0.0.8", ttl=240, sig=sig),
                mk_packet(0.02, src="10.0.0.8", ttl=240)]
-    est = estimate_hosts(packets, FingerprintDb.default())
+    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
     host = est.get("10.0.0.8")
     assert host.method is EstimateMethod.FINGERPRINT_MATCH
     assert host.os_label == "Solaris 8"
@@ -150,7 +150,7 @@ def test_ten_percent_fingerprint_coverage():
         sig = LINUX_SIG if i < 5 else None
         packets.append(mk_packet(0.001 * i, src=ip, ttl=52, sig=sig))
         packets.append(mk_packet(0.001 * i + 0.5, src=ip, ttl=52))
-    est = estimate_hosts(packets, FingerprintDb.default())
+    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
     assert est.n_hosts == 50
     assert est.fingerprint_fraction == pytest.approx(0.10)
     assert est.fallback_fraction == pytest.approx(0.90)
@@ -160,14 +160,14 @@ def test_conflicting_ttls_flagged_modal_kept():
     packets = [mk_packet(0.01, src="10.0.0.7", ttl=60),
                mk_packet(0.02, src="10.0.0.7", ttl=60),
                mk_packet(0.03, src="10.0.0.7", ttl=58)]
-    est = estimate_hosts(packets, FingerprintDb.default())
+    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
     host = est.get("10.0.0.7")
     assert host.ttl_conflict and host.hops_to_monitor == 4   # modal 60 kept
 
 
 def test_implausible_hops_rejected():
     packets = [mk_packet(0.01, src="10.0.0.6", ttl=130)]   # infer 255 -> 125 hops
-    est = estimate_hosts(packets, FingerprintDb.default())
+    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
     assert est.get("10.0.0.6") is None
     assert "10.0.0.6" in est.rejected
     assert est.n_hosts == 1
@@ -177,8 +177,8 @@ def test_generator_ground_truth_recovered_exactly(tmp_path):
     spec = random_scenario(123)
     path, gt = generate(spec, tmp_path / "t.pcap")
     records, _ = read_trace(path)
-    fwd = [r for r in records if r.src_ip.startswith("10.")]
-    rev = [r for r in records if not r.src_ip.startswith("10.")]
+    fwd = records.take(records.src >> 24 == 10)
+    rev = records.take(records.src >> 24 != 10)
     fwd_est = estimate_hosts(fwd, FingerprintDb.default())
     rev_est = estimate_hosts(rev, FingerprintDb.default())
     for h in gt.hosts:
@@ -288,7 +288,7 @@ def test_hop_arithmetic_identity_property():
     for i in range(200):
         ttl = rng.randint(1, 250)
         packets.append(mk_packet(i * 1e-4, src=f"10.9.{i % 7}.{i % 25 + 1}", ttl=ttl))
-    est = estimate_hosts(packets, FingerprintDb.default())
+    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
     ttls_by_ip = {}
     for p in packets:
         ttls_by_ip.setdefault(p.src_ip, Counter())[p.ttl] += 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flowlens.ingest import DirectionFilter, read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
-                             PacketRecord, SynSignature, build_tcp_options,
+                             PacketRecord, Packets, SynSignature, build_tcp_options,
                              extract_syn_signature, parse_tcp_options)
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
@@ -62,8 +62,12 @@ def test_timestamps_rebased_and_sorted(tmp_path):
     records = [mk_packet(0.5, sport=1), mk_packet(0.2, sport=2), mk_packet(0.9, sport=3)]
     path = write_pcap(records, tmp_path / "t.pcap")
     got, _ = read_trace(path)
-    assert [r.ts_us for r in got] == [0, 300_000, 700_000]
-    assert [r.src_port for r in got] == [2, 1, 3]
+    assert got.ts_us.tolist() == [0, 300_000, 700_000]
+    assert got.src_port.tolist() == [2, 1, 3]
+
+
+_SYN = SynSignature(window_size=5840, observed_ttl=55, df_flag=True, mss=1460,
+                    options_layout=("MSS", "SACK", "TS", "NOP", "WS"))
 
 
 def test_direction_filter_parse_and_mirror():
@@ -75,26 +79,31 @@ def test_direction_filter_parse_and_mirror():
     records = [mk_packet(0.0, src="10.0.0.1", dst="172.16.0.1"),
                mk_packet(0.0, src="172.16.0.1", dst="10.0.0.1"),
                mk_packet(0.0, src="172.16.0.1", dst="172.16.0.2")]
-    fwd, rev = DirectionFilter.parse("src:10.0.0.0/8").split(records)
-    assert (fwd, rev) == ([records[0]], [records[1]])
-    assert DirectionFilter.parse("dst:10.0.0.0/8").split(records) == (rev, fwd)
-    everything = DirectionFilter.parse("all").split(records)
-    assert everything[0] is records and everything[1] is records
+    packets = Packets.from_records(records)
+    fwd, rev = DirectionFilter.parse("src:10.0.0.0/8").split(packets)
+    assert (fwd, rev) == (Packets.from_records(records[:1]),
+                          Packets.from_records(records[1:2]))
+    assert DirectionFilter.parse("dst:10.0.0.0/8").split(packets) == (rev, fwd)
+    everything = DirectionFilter.parse("all").split(packets)
+    assert everything[0] is packets and everything[1] is packets
     with pytest.raises(ValueError):
         DirectionFilter.parse("sideways:10.0.0.0/8")
     with pytest.raises(ValueError):
         DirectionFilter(side="src", prefixes=())
 
 
-@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), min_size=1, max_size=50))
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255), st.booleans()),
+                min_size=1, max_size=50))
 def test_filter_is_pure_partition(octets):
     f = DirectionFilter.parse("src:10.0.0.0/8")
-    records = [mk_packet(0.0, src=f"{a}.{b}.1.1", dst=f"{b}.{a}.2.2", sport=i)
-               for i, (a, b) in enumerate(octets)]
-    fwd, rev = f.split(records)
-    # order-preserving selections by prefix membership of each side
-    assert fwd == [r for r in records if r.src_ip.split(".")[0] == "10"]
-    assert rev == [r for r in records if r.dst_ip.split(".")[0] == "10"]
+    records = [mk_packet(0.0, src=f"{a}.{b}.1.1", dst=f"{b}.{a}.2.2", sport=i,
+                         sig=_SYN if syn else None)
+               for i, (a, b, syn) in enumerate(octets)]
+    fwd, rev = f.split(Packets.from_records(records))
+    # order-preserving selections by prefix membership of each side, SYNs
+    # staying on their rows
+    assert fwd == Packets.from_records([r for r in records if r.src_ip.split(".")[0] == "10"])
+    assert rev == Packets.from_records([r for r in records if r.dst_ip.split(".")[0] == "10"])
 
 
 # --- SYN signature extraction -------------------------------------------------
@@ -191,7 +200,7 @@ def test_write_read_round_trip(tmp_path_factory, records, linktype):
     write_pcap(records, path, linktype=linktype)
     got, summary = read_trace(path)
     assert summary.total == len(records)
-    assert got == records
+    assert got == Packets.from_records(records)
 
 
 def _analyze_outputs(pcap, keep):

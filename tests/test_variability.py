@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flowlens.pcapio import Packets
 from flowlens.variability import (DegenerateSeriesError, ThroughputSeries,
                                   TraceGate, gate_trace, skewness,
                                   throughput_series)
 
 from helpers import mk_packet
+
+EMPTY = Packets.from_records([])
 
 
 def brute_force_skewness(values):
@@ -84,21 +87,22 @@ def test_affine_invariance(values, a, b):
 # --- throughput series ----------------------------------------------------------
 
 def test_single_packet_rate():
-    series = throughput_series([mk_packet(0.05, ip_len=700)], 0.1)
+    series = throughput_series(Packets.from_records([mk_packet(0.05, ip_len=700)]), 0.1)
     assert series.values == (56000.0,)          # 700 * 8 / 0.1
 
 
 def test_zero_filled_gaps():
     packets = [mk_packet(0.01, ip_len=500), mk_packet(0.05, ip_len=500),
                mk_packet(0.25, ip_len=500)]
-    series = throughput_series(packets, 0.1)
+    series = throughput_series(Packets.from_records(packets), 0.1)
     assert series.values == (80000.0, 0.0, 40000.0)
     assert series.byte_counts == (1000, 0, 500)
 
 
 def test_values_are_python_floats():
     # throughput.csv writes repr(v); a numpy scalar would print np.float64(...)
-    series = throughput_series([mk_packet(0.01, ip_len=333), mk_packet(0.31, ip_len=77)], 0.3)
+    packets = [mk_packet(0.01, ip_len=333), mk_packet(0.31, ip_len=77)]
+    series = throughput_series(Packets.from_records(packets), 0.3)
     assert all(type(v) is float for v in series.values)
     assert series.values == tuple(8.0 * b / 0.3 for b in series.byte_counts)
     assert series.mean_bps == sum(series.values) / len(series.values)
@@ -108,7 +112,7 @@ def test_constant_rate_trace_mean():
     # 18.80 Mbps planted exactly: 235000 bytes per 0.1 s interval
     packets = [mk_packet((i * 1000 + j) / 1e4, sport=j + 1, ip_len=2350)
                for i in range(10) for j in range(100)]
-    series = throughput_series(packets, 0.1)
+    series = throughput_series(Packets.from_records(packets), 0.1)
     assert series.mean_bps == pytest.approx(18.80e6, rel=0.01)
     assert series.skewness is None              # constant rate: degenerate
 
@@ -119,20 +123,20 @@ def test_byte_conservation_exact():
         packets = [mk_packet(rng.randrange(0, 2_000_000) / 1e6,
                              ip_len=rng.randint(20, 1500))
                    for _ in range(rng.randint(1, 200))]
-        series = throughput_series(packets, 0.1)
+        series = throughput_series(Packets.from_records(packets), 0.1)
         assert sum(series.byte_counts) == sum(p.ip_len for p in packets)
 
 
 def test_empty_trace_flagged():
-    series = throughput_series([], 0.1)
+    series = throughput_series(EMPTY, 0.1)
     assert series.values == () and series.skewness is None and series.mean_bps == 0.0
 
 
 def test_interval_validation():
     with pytest.raises(ValueError):
-        throughput_series([], 0)
+        throughput_series(EMPTY, 0)
     with pytest.raises(ValueError):
-        throughput_series([], -1)
+        throughput_series(EMPTY, -1)
 
 
 # --- gate ----------------------------------------------------------------------
