@@ -1,7 +1,9 @@
 """Command-line front end: analyze traces, generate scenarios, check DBs.
 
 Exit codes: 0 success, 2 at least one trace rejected by the skewness gate,
-64 usage error, 65 invalid fingerprint database, 66 unreadable input.
+64 usage error, 65 invalid fingerprint database or a trace whose analysis
+failed, 66 unreadable input. A batch goes on past a failed trace and exits
+with the highest of its traces' codes.
 """
 
 from __future__ import annotations
@@ -123,9 +125,15 @@ def _cmd_analyze(args) -> int:
             print(f"flowlens analyze: {trace}: {exc}", file=sys.stderr)
             code = EXIT_NOINPUT
             continue
+        except Exception as exc:        # one trace's failure must not end the batch
+            log.debug("analysis of %s failed", trace, exc_info=True)
+            print(f"flowlens analyze: {trace}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            code = max(code, EXIT_DATA)
+            continue
         print(json.dumps(result.gate_line(), sort_keys=True), flush=True)
-        if not result.gate_kept and not params.force and code == EXIT_OK:
-            code = EXIT_GATE_REJECTED
+        if not result.gate_kept and not params.force:
+            code = max(code, EXIT_GATE_REJECTED)
         del result      # hold one trace's records at a time, not the batch's
     return code
 

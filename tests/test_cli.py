@@ -153,6 +153,30 @@ def test_batch_error_keeps_other_traces(kept_trace, rejected_trace, tmp_path, ca
                  "--out", str(tmp_path / "m2")]) == 66
 
 
+def test_unexpected_error_isolated_per_trace(kept_trace, rejected_trace, tmp_path,
+                                             capsys, monkeypatch):
+    import flowlens.cli as cli
+    real = cli.analyze_trace
+
+    def failing_on_kept(path, params, db):
+        if Path(path).stem == "kept":
+            raise RuntimeError("boom")
+        return real(path, params, db)
+
+    monkeypatch.setattr(cli, "analyze_trace", failing_on_kept)
+    out = tmp_path / "multi"
+    assert main(["analyze", str(kept_trace), str(rejected_trace), "--out", str(out)]) == 65
+    captured = capsys.readouterr()
+    assert f"flowlens analyze: {kept_trace}: RuntimeError: boom" in captured.err
+    assert "Traceback" not in captured.err
+    assert [json.loads(l)["trace"] for l in captured.out.strip().splitlines()] == ["rejected"]
+    assert (out / "rejected" / "report.json").exists()
+    assert not (out / "kept").exists()
+    # an unreadable trace still outranks a failed one
+    assert main(["analyze", str(kept_trace), str(tmp_path / "missing.pcap"),
+                 "--out", str(tmp_path / "m2")]) == 66
+
+
 def test_duplicate_stems_rejected_before_analysis(tmp_path, capsys):
     for d in ("a", "b"):
         (tmp_path / d).mkdir()

@@ -1,6 +1,7 @@
 """Trace ingestion: filtering, SYN signatures, and the write/read round trip."""
 
 import random
+import struct
 from dataclasses import replace
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from flowlens.ingest import DirectionFilter, read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
-                             PacketRecord, Packets, SynSignature, build_tcp_options,
-                             extract_syn_signature, parse_tcp_options)
+                             PacketRecord, Packets, PcapFormatError, PcapReader,
+                             SynSignature, build_tcp_options,
+                             extract_syn_signature, ipv4_payload, parse_ipv4,
+                             parse_tcp_options)
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
 from helpers import mk_packet, write_pcap
@@ -233,3 +236,131 @@ def test_encoding_does_not_change_outputs(tmp_path_factory, records, data, link,
                      linktype=LINKTYPE_RAW_IP if link == "raw" else LINKTYPE_ETHERNET,
                      vlan=link == "vlan", ns=ns, endian=endian, ihl=ihl)
     assert _analyze_outputs(alt, keep) == _analyze_outputs(ref, keep)
+
+
+# --- differential: the columnar reader against the per-frame parser -----------
+
+def _reference_read(path):
+    """read_trace's result by way of PcapReader -> ipv4_payload -> parse_ipv4,
+    then a stable sort on time and a re-base on the first packet."""
+    counts = {"total": 0, "non_ipv4": 0, "malformed": 0}
+    records = []
+    with PcapReader(path) as reader:
+        for frame in reader:
+            counts["total"] += 1
+            ip = ipv4_payload(frame.data, reader.linktype)
+            record = None if ip is None else parse_ipv4(ip)
+            if record is None:
+                counts["non_ipv4" if ip is None else "malformed"] += 1
+                continue
+            record.ts_us = frame.ts_us
+            records.append(record)
+    records.sort(key=lambda r: r.ts_us)
+    t0 = records[0].ts_us if records else 0
+    return [replace(r, ts_us=r.ts_us - t0) for r in records], counts
+
+
+def _records_of(data, endian):
+    """Header offsets of the records of a pcap image."""
+    starts, pos = [], 24
+    while pos + 16 <= len(data):
+        starts.append(pos)
+        pos += 16 + struct.unpack_from(endian + "I", data, pos + 8)[0]
+    return starts
+
+
+def _snapped(data, endian, rng):
+    """The pcap image with every other record cut to a random captured length."""
+    out = bytearray(data[:24])
+    for pos in _records_of(data, endian):
+        caplen = struct.unpack_from(endian + "I", data, pos + 8)[0]
+        cut = rng.randint(0, caplen) if rng.random() < 0.5 else caplen
+        out += data[pos:pos + 8] + struct.pack(endian + "I", cut) + data[pos + 12:pos + 16 + cut]
+    return bytes(out)
+
+
+def _mutant_bases(tmp_path):
+    """Small encodings of one packet list with SYNs and fragments, whole and snapped,
+    as (pcap image, record header offsets)."""
+    rng = random.Random(4)
+    records = []
+    for i in range(40):
+        proto = rng.choice([PROTO_TCP, PROTO_TCP, PROTO_UDP, PROTO_ICMP])
+        fragment = proto != PROTO_ICMP and i % 9 == 0
+        sig = _SYN if proto == PROTO_TCP and not fragment and i % 3 == 0 else None
+        records.append(mk_packet(i * 0.013, src=f"10.0.0.{i % 5 + 1}", ttl=55,
+                                 sport=0 if fragment else 1024 + i % 4,
+                                 dport=0 if fragment else 80, proto=proto,
+                                 ip_len=rng.randint(60, 90), sig=sig,
+                                 is_fragment=fragment))
+    encodings = [("<", {}), (">", dict(vlan=True, ihl=6, endian=">", ns=True)),
+                 ("<", dict(linktype=LINKTYPE_RAW_IP, ihl=15))]
+    bases = []
+    for i, (endian, kw) in enumerate(encodings):
+        data = write_pcap(records, tmp_path / f"base{i}.pcap", **kw).read_bytes()
+        for image in (data, _snapped(data, endian, rng)):
+            bases.append((image, _records_of(image, endian)))
+    return bases
+
+
+def test_columnar_read_matches_reference_on_mutants(tmp_path):
+    """Byte flips and truncations: both readers refuse the file, or agree row for row."""
+    bases = _mutant_bases(tmp_path)
+    path = tmp_path / "mutant.pcap"
+    refused = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        image, starts = rng.choice(bases)
+        data = bytearray(image)
+        for _ in range(rng.randint(1, 8)):
+            # mostly into a record's headers, where the parsers branch
+            pos = (rng.choice(starts) + rng.randrange(80) if rng.random() < 0.8
+                   else rng.randrange(len(data)))
+            pos = min(pos, len(data) - 1)
+            data[pos] = rng.randrange(256) if rng.random() < 0.5 else data[pos] ^ (1 << rng.randrange(8))
+        if rng.random() < 0.3:
+            del data[rng.randrange(len(data)):]
+        path.write_bytes(bytes(data))
+        try:
+            expected, counts = _reference_read(path)
+        except PcapFormatError:
+            with pytest.raises(PcapFormatError):
+                read_trace(path)
+            refused += 1
+            continue
+        got, summary = read_trace(path)
+        assert got == Packets.from_records(expected), f"mutant seed {seed}"
+        assert (summary.total, summary.non_ipv4, summary.malformed) == \
+            (counts["total"], counts["non_ipv4"], counts["malformed"]), f"mutant seed {seed}"
+    assert 0 < refused < 300      # the mutants exercise both outcomes
+
+
+# bytes that parse as a VLAN tag, an IPv4 ethertype or header, or TCP flags if read
+_TEMPTING = [b"\x45" * 8, b"\x08\x00" * 4, b"\x81\x00\x08\x00" * 2, b"\x02\x12" * 4,
+             b"\xff" * 8]
+
+
+def test_columnar_reads_stay_inside_each_frame(tmp_path):
+    """Every cut of a frame, followed by bytes that would parse if they were read,
+    decodes as the per-frame parser decodes it."""
+    packets = [mk_packet(0, ip_len=80, sig=_SYN), mk_packet(0, proto=PROTO_UDP, ip_len=40),
+               mk_packet(0, sport=0, dport=0, is_fragment=True)]
+    encodings = [("<", {}), (">", dict(vlan=True, endian=">")),
+                 ("<", dict(linktype=LINKTYPE_RAW_IP)),
+                 ("<", dict(linktype=LINKTYPE_RAW_IP, ihl=6))]
+    path = tmp_path / "cuts.pcap"
+    for endian, kw in encodings:
+        images = [write_pcap([p], path, **kw).read_bytes() for p in packets]
+        for filler in _TEMPTING:
+            out = bytearray(images[0][:24])
+            for frame in (image[40:] for image in images):
+                for cut in range(len(frame) + 1):
+                    out += struct.pack(endian + "IIII", 0, 0, cut, len(frame)) + frame[:cut]
+                    # the next record's time fields lie just past the cut
+                    out += filler + struct.pack(endian + "II", len(frame), len(frame)) + frame
+            path.write_bytes(bytes(out))
+            expected, counts = _reference_read(path)
+            got, summary = read_trace(path)
+            assert got == Packets.from_records(expected), (kw, filler)
+            assert (summary.total, summary.non_ipv4, summary.malformed) == \
+                (counts["total"], counts["non_ipv4"], counts["malformed"]), (kw, filler)
