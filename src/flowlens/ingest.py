@@ -102,13 +102,13 @@ def read_trace(path) -> Tuple[Packets, IngestSummary]:
             syn_sigs += chunk.syn_sigs
             n += len(chunk)
 
-    columns = []
-    for name, dtype in pcapio.COLUMNS:         # ts_us first: it sets the order
+    columns, order = [], None
+    for name, dtype in pcapio.COLUMNS:
         col = np.concatenate(parts.pop(name) or [np.empty(0, dtype)])
-        if not columns:
+        if order is None:                       # ts_us comes first
             order = np.argsort(col, kind="stable")
         columns.append(col[order])
-        del col
+        del col                                 # before the next column is joined
     if n:
         columns[0] -= columns[0][0]
     # where each SYN row went, and its signature by the old row order

@@ -108,11 +108,6 @@ class PacketRecord:
             raise ValueError(f"ip_len {self.ip_len} below IPv4 minimum")
 
 
-def ipv4_int(ip: str) -> int:
-    """Dotted quad to its 32-bit value: "10.0.0.1" -> 0x0A000001."""
-    return int.from_bytes(socket.inet_aton(ip), "big")
-
-
 def ipv4_str(value: int) -> str:
     """32-bit value to its dotted quad, as socket.inet_ntoa writes it."""
     return socket.inet_ntoa(int(value).to_bytes(4, "big"))
@@ -167,8 +162,8 @@ class Packets:
     def from_records(cls, records: Sequence[PacketRecord]) -> "Packets":
         """Columns of PacketRecords, in list order."""
         values = [[r.ts_us for r in records],
-                  [ipv4_int(r.src_ip) for r in records],
-                  [ipv4_int(r.dst_ip) for r in records],
+                  [int.from_bytes(socket.inet_aton(r.src_ip), "big") for r in records],
+                  [int.from_bytes(socket.inet_aton(r.dst_ip), "big") for r in records],
                   [r.src_port for r in records], [r.dst_port for r in records],
                   [r.proto for r in records], [r.ttl for r in records],
                   [r.ip_len for r in records], [r.is_fragment for r in records]]
