@@ -340,8 +340,8 @@ class PcapReader:
         ported = np.flatnonzero(tcp | (~fragment & (proto == PROTO_UDP) & (avail >= 4)))
         ports = np.zeros((len(rows), 2), dtype=np.uint16)
         ports[ported] = _bytes_at(buf, tp[ported], 4).view(">u2")
-        syn_rows, syn_sigs = self._syn_table(mm, buf, np.flatnonzero(tcp), tp, avail,
-                                             ttl, head[:, 6] & 0x40 != 0, memo)
+        syn_rows, syn_sigs = _syn_table(mm, buf, np.flatnonzero(tcp), tp, avail, ttl,
+                                        head[:, 6] & 0x40 != 0, memo)
 
         chunk = Packets(ts_us[rows], addrs[:, 0].astype(np.uint32),
                         addrs[:, 1].astype(np.uint32), ports[:, 0].copy(),
@@ -349,31 +349,31 @@ class PcapReader:
                         ip_len.astype(np.uint16), fragment, syn_rows, syn_sigs)
         return chunk, n, non_ipv4
 
-    @staticmethod
-    def _syn_table(mm, buf, tcp, tp, avail, ttl, df, memo):
-        """(rows, signatures) of the pure SYNs among the TCP rows `tcp`.
 
-        Python runs once per pure SYN; `memo` maps extract_syn_signature's
-        arguments to its result, since most SYNs repeat a few stacks.
-        """
-        flags = buf[tp[tcp] + 13]
-        pure = (flags & TCP_SYN != 0) & (flags & TCP_ACK == 0)
-        syn, flags = tcp[pure], flags[pure]
-        t, n = tp[syn], avail[syn]
-        window = np.zeros(len(syn), dtype=np.int64)
-        window[n >= 16] = _be16(buf, t[n >= 16] + 14)
-        data_offset = (buf[t + 12] >> 4).astype(np.int64) * 4
-        opt_end = np.where(data_offset > 20, t + np.minimum(data_offset, n), 0)
-        sigs = []
-        for args in zip(flags.tolist(), window.tolist(), ttl[syn].tolist(),
-                        df[syn].tolist(), (t + 20).tolist(), opt_end.tolist()):
-            flag, win, hop_ttl, dont_frag, start, end = args
-            key = (flag, win, hop_ttl, dont_frag, mm[start:end])   # b"" if end <= start
-            sig = memo.get(key)
-            if sig is None:
-                sig = memo[key] = extract_syn_signature(*key)
-            sigs.append(sig)
-        return syn, tuple(sigs)
+def _syn_table(mm, buf, tcp, tp, avail, ttl, df, memo):
+    """(rows, signatures) of the pure SYNs among the TCP rows `tcp`.
+
+    Python runs once per pure SYN; `memo` maps extract_syn_signature's
+    arguments to its result, since most SYNs repeat a few stacks.
+    """
+    flags = buf[tp[tcp] + 13]
+    pure = (flags & TCP_SYN != 0) & (flags & TCP_ACK == 0)
+    syn, flags = tcp[pure], flags[pure]
+    t, n = tp[syn], avail[syn]
+    window = np.zeros(len(syn), dtype=np.int64)
+    window[n >= 16] = _be16(buf, t[n >= 16] + 14)
+    data_offset = (buf[t + 12] >> 4).astype(np.int64) * 4
+    opt_end = np.where(data_offset > 20, t + np.minimum(data_offset, n), 0)
+    sigs = []
+    for args in zip(flags.tolist(), window.tolist(), ttl[syn].tolist(),
+                    df[syn].tolist(), (t + 20).tolist(), opt_end.tolist()):
+        flag, win, hop_ttl, dont_frag, start, end = args
+        key = (flag, win, hop_ttl, dont_frag, mm[start:end])   # b"" if end <= start
+        sig = memo.get(key)
+        if sig is None:
+            sig = memo[key] = extract_syn_signature(*key)
+        sigs.append(sig)
+    return syn, tuple(sigs)
 
 
 def _bytes_at(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:

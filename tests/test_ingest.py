@@ -317,7 +317,8 @@ def test_columnar_read_matches_reference_on_mutants(tmp_path):
             pos = (rng.choice(starts) + rng.randrange(80) if rng.random() < 0.8
                    else rng.randrange(len(data)))
             pos = min(pos, len(data) - 1)
-            data[pos] = rng.randrange(256) if rng.random() < 0.5 else data[pos] ^ (1 << rng.randrange(8))
+            flip = 1 << rng.randrange(8)
+            data[pos] = rng.randrange(256) if rng.random() < 0.5 else data[pos] ^ flip
         if rng.random() < 0.3:
             del data[rng.randrange(len(data)):]
         path.write_bytes(bytes(data))
