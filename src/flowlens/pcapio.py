@@ -253,9 +253,14 @@ class PcapReader:
         and every other field is gathered from it with array indexing.
         Reads are masked to each frame's captured bytes, as the per-frame
         parser's bounds checks do. Truncation and MAX_CAPLEN are handled
-        as in __iter__.
+        as in __iter__. The file must be mappable: a pipe is refused.
         """
-        with mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        try:
+            mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except OSError as exc:
+            raise PcapFormatError(f"{self._path}: cannot memory-map the file ({exc}); "
+                                  f"a regular file is needed, not a pipe") from exc
+        with mm:
             buf = np.frombuffer(mm, dtype=np.uint8)
             try:
                 memo = {}       # extract_syn_signature's arguments -> result

@@ -124,6 +124,17 @@ def test_oversized_caplen_exits_66_under_memory_cap(kept_trace, tmp_path):
     assert (tmp_path / "out" / "kept" / "report.json").exists()   # batch went on
 
 
+def test_pipe_input_refused_with_message(kept_trace):
+    # traces are memory-mapped, so a pipe is refused as unreadable input
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "flowlens", "analyze", "/dev/stdin",
+                           "--out", str(kept_trace.parent / "out")],
+                          input=kept_trace.read_bytes(), env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 66
+    assert b"a regular file is needed" in proc.stderr and b"Traceback" not in proc.stderr
+
+
 def test_multiple_traces_get_subdirs(kept_trace, rejected_trace, tmp_path, capsys):
     out = tmp_path / "multi"
     code = main(["analyze", str(kept_trace), str(rejected_trace),
