@@ -254,13 +254,11 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
     n_ttls = np.diff(np.append(runs, len(pairs))).tolist()
 
     matched: Dict[int, FingerprintEntry] = {}
-    entries: Dict[SynSignature, Optional[FingerprintEntry]] = {}
     for h, sig in zip(host[packets.syn_rows].tolist(), packets.syn_sigs):
         if h not in matched:
-            if sig not in entries:
-                entries[sig] = match_fingerprint(sig, db)
-            if entries[sig] is not None:
-                matched[h] = entries[sig]
+            entry = match_fingerprint(sig, db)
+            if entry is not None:
+                matched[h] = entry
 
     result = HostEstimates(n_hosts=len(addrs))
     rejected = []

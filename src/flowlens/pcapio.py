@@ -3,8 +3,8 @@
 Supported on the read side:
   * a frame-at-a-time iterator (PcapReader.__iter__ -> ipv4_payload ->
     parse_ipv4), and a columnar one (PcapReader.packet_chunks) that
-    memory-maps the file and decodes every frame's headers at once into
-    Packets columns; the two give the same packets
+    memory-maps the file (or reads a pipe whole) and decodes every frame's
+    headers at once into Packets columns; the two give the same packets
   * classic pcap global header, magic 0xa1b2c3d4 (microseconds) or
     0xa1b23c4d (nanoseconds), in either byte order
   * link types: Ethernet (1, optionally one 802.1Q tag) and raw IPv4 (101)
@@ -211,6 +211,7 @@ class PcapReader:
         self.linktype = network
         self._rec_hdr = struct.Struct(self._endian + "IIII")
         self._caplen = struct.Struct(self._endian + "I")
+        self._header = header
         self._path = path
 
     def __enter__(self):
@@ -243,8 +244,8 @@ class PcapReader:
                 return
             yield RawFrame(ts_sec * 1_000_000 + ts_frac // self._ts_divisor, data)
 
-    def packet_chunks(self, rows: int = CHUNK_ROWS) -> Iterator[Tuple[Packets, int, int]]:
-        """The file's IPv4 packets as (chunk, frames, non_ipv4), `rows` records a step.
+    def packet_chunks(self) -> Iterator[Tuple[Packets, int, int]]:
+        """The file's IPv4 packets as (chunk, frames, non_ipv4), CHUNK_ROWS records a step.
 
         Each chunk holds, in file order and with absolute capture times,
         the packets that parse_ipv4 accepts among its `frames` records;
@@ -253,45 +254,43 @@ class PcapReader:
         and every other field is gathered from it with array indexing.
         Reads are masked to each frame's captured bytes, as the per-frame
         parser's bounds checks do. Truncation and MAX_CAPLEN are handled
-        as in __iter__. The file must be mappable: a pipe is refused.
+        as in __iter__. A stream that cannot be mapped, such as a pipe, is
+        read whole into memory and decoded the same way.
         """
         try:
-            mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except OSError as exc:
-            raise PcapFormatError(f"{self._path}: cannot memory-map the file ({exc}); "
-                                  f"a regular file is needed, not a pipe") from exc
-        with mm:
-            buf = np.frombuffer(mm, dtype=np.uint8)
-            try:
-                memo = {}       # extract_syn_signature's arguments -> result
-                pos, index = 24, 0
-                while pos is not None:
-                    starts, pos = self._walk(mm, pos, index, rows)
-                    if not starts:
-                        return
-                    if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-                        raise PcapFormatError(f"unsupported link type {self.linktype}")
-                    index += len(starts)
-                    yield self._decode(mm, buf, np.frombuffer(starts, dtype=np.int64), memo)
-            finally:
-                del buf         # the map cannot close while an array views it
+            image = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except OSError:
+            image = self._header + self._fh.read()
+        # The map is not closed here: it closes when the last array viewing
+        # it is freed, which a propagating exception's traceback may delay.
+        buf = np.frombuffer(image, dtype=np.uint8)
+        memo = {}       # extract_syn_signature's arguments -> result
+        pos, index = 24, 0
+        while pos is not None:
+            starts, pos = self._walk(image, pos, index)
+            if not starts:
+                return
+            if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
+                raise PcapFormatError(f"unsupported link type {self.linktype}")
+            index += len(starts)
+            yield self._decode(image, buf, np.frombuffer(starts, dtype=np.int64), memo)
 
-    def _walk(self, mm, pos: int, index: int, rows: int) -> Tuple[array.array, Optional[int]]:
-        """Header offsets of up to `rows` whole records from `pos`; the next pos.
+    def _walk(self, image, pos: int, index: int) -> Tuple[array.array, Optional[int]]:
+        """Header offsets of up to CHUNK_ROWS whole records from `pos`; the next pos.
 
         The next pos is None at the end of the file. `index` is the number
         of records before `pos`, for the MAX_CAPLEN message.
         """
-        size = len(mm)
+        size = len(image)
         caplen_at = self._caplen.unpack_from
         starts = array.array("q")
         append = starts.append
-        for index in range(index, index + rows):
+        for index in range(index, index + CHUNK_ROWS):
             if pos + 16 > size:
                 if pos < size:
                     log.warning("%s: truncated record header at end of file", self._path)
                 return starts, None
-            caplen, = caplen_at(mm, pos + 8)
+            caplen, = caplen_at(image, pos + 8)
             end = pos + 16 + caplen
             if caplen > MAX_CAPLEN:
                 raise PcapFormatError(f"{self._path}: record {index} claims {caplen} "
@@ -304,7 +303,7 @@ class PcapReader:
             pos = end
         return starts, pos
 
-    def _decode(self, mm, buf: np.ndarray, starts: np.ndarray,
+    def _decode(self, image, buf: np.ndarray, starts: np.ndarray,
                 memo: dict) -> Tuple[Packets, int, int]:
         """One packet_chunks step over the records whose headers are at `starts`."""
         n = len(starts)
@@ -345,7 +344,7 @@ class PcapReader:
         ported = np.flatnonzero(tcp | (~fragment & (proto == PROTO_UDP) & (avail >= 4)))
         ports = np.zeros((len(rows), 2), dtype=np.uint16)
         ports[ported] = _bytes_at(buf, tp[ported], 4).view(">u2")
-        syn_rows, syn_sigs = _syn_table(mm, buf, np.flatnonzero(tcp), tp, avail, ttl,
+        syn_rows, syn_sigs = _syn_table(image, buf, np.flatnonzero(tcp), tp, avail, ttl,
                                         head[:, 6] & 0x40 != 0, memo)
 
         chunk = Packets(ts_us[rows], addrs[:, 0].astype(np.uint32),
@@ -355,7 +354,7 @@ class PcapReader:
         return chunk, n, non_ipv4
 
 
-def _syn_table(mm, buf, tcp, tp, avail, ttl, df, memo):
+def _syn_table(image, buf, tcp, tp, avail, ttl, df, memo):
     """(rows, signatures) of the pure SYNs among the TCP rows `tcp`.
 
     Python runs once per pure SYN; `memo` maps extract_syn_signature's
@@ -373,7 +372,7 @@ def _syn_table(mm, buf, tcp, tp, avail, ttl, df, memo):
     for args in zip(flags.tolist(), window.tolist(), ttl[syn].tolist(),
                     df[syn].tolist(), (t + 20).tolist(), opt_end.tolist()):
         flag, win, hop_ttl, dont_frag, start, end = args
-        key = (flag, win, hop_ttl, dont_frag, mm[start:end])   # b"" if end <= start
+        key = (flag, win, hop_ttl, dont_frag, image[start:end])   # b"" if end <= start
         sig = memo.get(key)
         if sig is None:
             sig = memo[key] = extract_syn_signature(*key)

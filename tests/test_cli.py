@@ -124,15 +124,25 @@ def test_oversized_caplen_exits_66_under_memory_cap(kept_trace, tmp_path):
     assert (tmp_path / "out" / "kept" / "report.json").exists()   # batch went on
 
 
-def test_pipe_input_refused_with_message(kept_trace):
-    # traces are memory-mapped, so a pipe is refused as unreadable input
+def test_pipe_input_matches_file(tmp_path):
+    # a pipe cannot be memory-mapped; it is read whole and analyzed the same way
+    trace, _ = generate(random_scenario(31), tmp_path / "trace.pcap")
+    args = ["--keep", f"src:{SRC_NET}", "--force"]
+    assert main(["analyze", str(trace), "--out", str(tmp_path / "file"), *args]) in (0, 2)
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "flowlens", "analyze", "/dev/stdin",
-                           "--out", str(kept_trace.parent / "out")],
-                          input=kept_trace.read_bytes(), env=env, capture_output=True,
+                           "--out", str(tmp_path / "pipe"), *args],
+                          input=trace.read_bytes(), env=env, capture_output=True,
                           timeout=120)
-    assert proc.returncode == 66
-    assert b"a regular file is needed" in proc.stderr and b"Traceback" not in proc.stderr
+    assert proc.returncode in (0, 2), proc.stderr
+    assert b"Traceback" not in proc.stderr
+    for name in ("throughput.csv", "flows.csv", "llcd.csv",
+                 "hops_all.csv", "hops_greedy.csv"):
+        assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in ("file", "pipe")]
+    for doc in reports:
+        doc.pop("generated_at"), doc.pop("trace_id")
+    assert reports[0] == reports[1]
 
 
 def test_multiple_traces_get_subdirs(kept_trace, rejected_trace, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowlens import pcapio
 from flowlens.ingest import DirectionFilter, read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
@@ -303,8 +304,14 @@ def _mutant_bases(tmp_path):
     return bases
 
 
-def test_columnar_read_matches_reference_on_mutants(tmp_path):
-    """Byte flips and truncations: both readers refuse the file, or agree row for row."""
+# the default chunk size, and one small enough to put chunk joins among
+# SYNs, fragments, cut frames and the file's end
+_CHUNK_ROWS = (pcapio.CHUNK_ROWS, 7)
+
+
+def test_columnar_read_matches_reference_on_mutants(tmp_path, monkeypatch):
+    """Byte flips and truncations: both readers refuse the file, or agree row for row,
+    whatever the chunk size."""
     bases = _mutant_bases(tmp_path)
     path = tmp_path / "mutant.pcap"
     refused = 0
@@ -325,14 +332,19 @@ def test_columnar_read_matches_reference_on_mutants(tmp_path):
         try:
             expected, counts = _reference_read(path)
         except PcapFormatError:
-            with pytest.raises(PcapFormatError):
-                read_trace(path)
+            for rows in _CHUNK_ROWS:
+                monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+                with pytest.raises(PcapFormatError):
+                    read_trace(path)
             refused += 1
             continue
-        got, summary = read_trace(path)
-        assert got == Packets.from_records(expected), f"mutant seed {seed}"
-        assert (summary.total, summary.non_ipv4, summary.malformed) == \
-            (counts["total"], counts["non_ipv4"], counts["malformed"]), f"mutant seed {seed}"
+        for rows in _CHUNK_ROWS:
+            monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+            got, summary = read_trace(path)
+            assert got == Packets.from_records(expected), f"mutant seed {seed}, {rows} rows"
+            assert (summary.total, summary.non_ipv4, summary.malformed) == \
+                (counts["total"], counts["non_ipv4"], counts["malformed"]), \
+                f"mutant seed {seed}, {rows} rows"
     assert 0 < refused < 300      # the mutants exercise both outcomes
 
 
@@ -341,7 +353,7 @@ _TEMPTING = [b"\x45" * 8, b"\x08\x00" * 4, b"\x81\x00\x08\x00" * 2, b"\x02\x12" 
              b"\xff" * 8]
 
 
-def test_columnar_reads_stay_inside_each_frame(tmp_path):
+def test_columnar_reads_stay_inside_each_frame(tmp_path, monkeypatch):
     """Every cut of a frame, followed by bytes that would parse if they were read,
     decodes as the per-frame parser decodes it."""
     packets = [mk_packet(0, ip_len=80, sig=_SYN), mk_packet(0, proto=PROTO_UDP, ip_len=40),
@@ -361,7 +373,49 @@ def test_columnar_reads_stay_inside_each_frame(tmp_path):
                     out += filler + struct.pack(endian + "II", len(frame), len(frame)) + frame
             path.write_bytes(bytes(out))
             expected, counts = _reference_read(path)
+            for rows in _CHUNK_ROWS:
+                monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+                got, summary = read_trace(path)
+                assert got == Packets.from_records(expected), (kw, filler, rows)
+                assert (summary.total, summary.non_ipv4, summary.malformed) == \
+                    (counts["total"], counts["non_ipv4"], counts["malformed"]), \
+                    (kw, filler, rows)
+
+
+def test_chunk_joins(tmp_path, monkeypatch):
+    """Chunks that end on the file's last record, on a cut final record, and before
+    an oversized record: the same packets as the per-frame parser, the same error."""
+    rng = random.Random(8)
+    times = rng.sample(range(12), 12)     # rows move across chunks when sorted
+    packets = [mk_packet(t * 1e-3, src=f"10.0.0.{i % 4 + 1}", ttl=50 + i,
+                         sig=_SYN if i % 4 else None) for i, t in enumerate(times)]
+    data = write_pcap(packets, tmp_path / "whole.pcap").read_bytes()
+    path = tmp_path / "chunks.pcap"
+    for image in (data, data[:-5]):
+        path.write_bytes(image)
+        expected, counts = _reference_read(path)
+        assert len(expected) == (12 if image is data else 11)
+        for rows in (1, 2, 3, 5, 6, 11, 12, 13):
+            monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
             got, summary = read_trace(path)
-            assert got == Packets.from_records(expected), (kw, filler)
-            assert (summary.total, summary.non_ipv4, summary.malformed) == \
-                (counts["total"], counts["non_ipv4"], counts["malformed"]), (kw, filler)
+            assert got == Packets.from_records(expected), rows
+            assert summary.total == counts["total"], rows
+    oversized = bytearray(data)
+    struct.pack_into("<I", oversized, _records_of(data, "<")[7] + 8, pcapio.MAX_CAPLEN + 1)
+    path.write_bytes(bytes(oversized))
+    for rows in (3, 7, 8):
+        monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+        with pytest.raises(PcapFormatError, match="record 7 claims"):
+            read_trace(path)
+
+
+def test_decode_error_comes_out_unchanged(tmp_path, monkeypatch):
+    """An error while decoding a chunk is not replaced by one from releasing the map."""
+    path = write_pcap([mk_packet(0, sig=_SYN)], tmp_path / "one.pcap")
+
+    def failing(self, image, buf, starts, memo):
+        raise RuntimeError("decode failed")     # its frame still holds a view of the map
+
+    monkeypatch.setattr(PcapReader, "_decode", failing)
+    with pytest.raises(RuntimeError, match="decode failed"):
+        read_trace(path)
