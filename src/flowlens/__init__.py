@@ -10,12 +10,11 @@ ground-truth synthetic trace generator for end-to-end validation.
 __version__ = "0.1.0"
 
 from .apps import AppBreakdown, AppCategory, breakdown, classify
-from .flows import (BlockFlowRecord, BlockingConfig, FlowKey, aggregate,
+from .flows import (BlockingConfig, FlowKey, Flows, aggregate,
                     greedy_throughput_equivalent)
-from .hops import (FingerprintDb, FingerprintEntry, HopEstimate, HopHistogram,
+from .hops import (FingerprintDb, FingerprintEntry, HopHistogram,
                    HostEstimates, HostTtlEstimate, estimate_hosts,
-                   hop_histogram, infer_initial_ttl, match_fingerprint,
-                   path_hops)
+                   hop_histogram, infer_initial_ttl, match_fingerprint)
 from .ingest import DirectionFilter, IngestSummary, read_trace
 from .pcapio import PacketRecord, Packets, SynSignature, extract_syn_signature
 from .report import AnalysisParams, analyze_trace, write_report

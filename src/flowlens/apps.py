@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet
 
-from .flows import BlockFlowRecord, FlowKey
+import numpy as np
+
+from .flows import FlowKey, Flows
 from .pcapio import PROTO_TCP, PROTO_UDP
 
 DEFAULT_HTTP_PORTS: FrozenSet[int] = frozenset({80})
@@ -39,16 +41,19 @@ class AppBreakdown:
     n_flows: int
 
 
-def breakdown(records: Iterable[BlockFlowRecord], greedy_only: bool = False,
+def breakdown(flows: Flows, greedy_only: bool = False,
               http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS) -> AppBreakdown:
-    counts = {cat: 0 for cat in AppCategory}
-    n = 0
-    for r in records:
-        if greedy_only and not r.is_greedy:
-            continue
-        counts[classify(r.key, http_ports)] += 1
-        n += 1
+    """Share of each of classify's categories among the flow rows."""
+    tcp = flows.proto == PROTO_TCP
+    ports = sorted(http_ports)
+    http = tcp & (np.isin(flows.src_port, ports) | np.isin(flows.dst_port, ports))
+    # position in AppCategory: HTTP, OTHER_TCP, UDP, OTHER
+    category = np.where(tcp, np.where(http, 0, 1), np.where(flows.proto == PROTO_UDP, 2, 3))
+    if greedy_only:
+        category = category[flows.is_greedy]
+    n = len(category)
     if n == 0:
         raise ValueError("no flows to classify")
-    return AppBreakdown(proportions={cat: c / n for cat, c in counts.items()},
+    counts = np.bincount(category, minlength=len(AppCategory)).tolist()
+    return AppBreakdown(proportions={cat: c / n for cat, c in zip(AppCategory, counts)},
                         n_flows=n)

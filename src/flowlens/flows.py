@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .pcapio import Packets, ipv4_str
+from .pcapio import Packets, ipv4_strs
 
 
 @dataclass(frozen=True, order=True)
@@ -48,17 +48,64 @@ class BlockingConfig:
         return round(self.tau * 1e6)
 
 
-@dataclass(frozen=True)
-class BlockFlowRecord:
-    block_index: int
-    key: FlowKey
-    n_packets: int
-    n_bytes: int
-    is_greedy: bool
-    rep_ttl: int    # modal observed TTL, ties broken toward the larger value
+@dataclass(eq=False)
+class Flows:
+    """Per-(block, 5-tuple) flow records as columns, one row per record.
+
+    Rows come in (block, FlowKey) order. The address columns hold 32-bit
+    values; `addrs` lists the distinct ones in ascending order and `names`
+    their dotted quads, formatted once per address.
+    """
+
+    block: np.ndarray           # int64 block index
+    src: np.ndarray             # uint32
+    dst: np.ndarray             # uint32
+    src_port: np.ndarray        # uint16
+    dst_port: np.ndarray        # uint16
+    proto: np.ndarray           # uint8
+    n_packets: np.ndarray       # int64
+    n_bytes: np.ndarray         # int64
+    rep_ttl: np.ndarray         # uint8: modal observed TTL, ties toward the larger value
+    is_greedy: np.ndarray       # bool
+    addrs: np.ndarray           # uint32, ascending
+    names: Tuple[str, ...]      # dotted quad of each of addrs
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def rows(self) -> Iterator[tuple]:
+        """The flows.csv rows: names for addresses, 0/1 for the greedy flag."""
+        names = np.array(self.names, dtype=object)
+        return zip(self.block.tolist(),
+                   names[np.searchsorted(self.addrs, self.src)].tolist(),
+                   names[np.searchsorted(self.addrs, self.dst)].tolist(),
+                   self.src_port.tolist(), self.dst_port.tolist(), self.proto.tolist(),
+                   self.n_packets.tolist(), self.n_bytes.tolist(),
+                   self.is_greedy.view(np.uint8).tolist(), self.rep_ttl.tolist())
 
 
-def aggregate(packets: Packets, cfg: BlockingConfig) -> List[BlockFlowRecord]:
+# Rank of each octet's decimal string among those of 0..255. Comparing two
+# dotted quads as strings compares their octet strings in turn ("1." < "10."
+# because "." < "0"), so an address's four ranks, packed like its octets,
+# sort as its dotted quad does.
+_OCTET_RANK = np.argsort(np.argsort([str(i) for i in range(256)])).astype(np.uint32)
+
+
+def _string_order(addrs: np.ndarray) -> np.ndarray:
+    """A uint32 per address whose numeric order is the dotted quads' string order."""
+    return (_OCTET_RANK[addrs >> 24] << 24 | _OCTET_RANK[addrs >> 16 & 0xFF] << 16
+            | _OCTET_RANK[addrs >> 8 & 0xFF] << 8 | _OCTET_RANK[addrs & 0xFF])
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order (sort and cut the runs)."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def aggregate(packets: Packets, cfg: BlockingConfig) -> Flows:
     """Group packets into per-(block, 5-tuple) flow records.
 
     Flows with fewer than min_packets packets are dropped here; they still
@@ -68,18 +115,10 @@ def aggregate(packets: Packets, cfg: BlockingConfig) -> List[BlockFlowRecord]:
     later one. Records come in (block, FlowKey) order.
     """
     keyed = ~packets.is_fragment
-    if not keyed.any():
-        return []
     block = packets.ts_us[keyed] // cfg.tau_us
-    # FlowKey compares dotted-quad strings ("10.0.0.10" < "10.0.0.2"), so
-    # addresses sort by the rank of their string among the distinct ones
-    addrs = np.unique(np.concatenate([packets.src[keyed], packets.dst[keyed]]))
-    names = [ipv4_str(a) for a in addrs.tolist()]
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    src = np.searchsorted(addrs, packets.src[keyed])
-    dst = np.searchsorted(addrs, packets.dst[keyed])
-    pair = rank[src] << 32 | rank[dst]
+    src, dst = packets.src[keyed], packets.dst[keyed]
+    # FlowKey compares dotted-quad strings ("10.0.0.10" < "10.0.0.2")
+    pair = _string_order(src).astype(np.uint64) << 32 | _string_order(dst)
     # sport 16 | dport 16 | proto 8 | ttl 8 bits: the rest of the key, then the TTL
     low = (packets.src_port[keyed].astype(np.int64) << 32
            | packets.dst_port[keyed].astype(np.int64) << 16
@@ -90,8 +129,10 @@ def aggregate(packets: Packets, cfg: BlockingConfig) -> List[BlockFlowRecord]:
 
     key_change = ((block[1:] != block[:-1]) | (pair[1:] != pair[:-1])
                   | (low[1:] >> 8 != low[:-1] >> 8))
-    new_flow = np.append(True, key_change)
-    new_ttl = np.append(True, key_change | (low[1:] != low[:-1]))
+    new_flow = np.ones(len(order), dtype=bool)      # also right for no rows
+    new_flow[1:] = key_change
+    new_ttl = new_flow.copy()
+    new_ttl[1:] |= low[1:] != low[:-1]
     starts = np.flatnonzero(new_flow)
     n_packets = np.diff(np.append(starts, len(order)))
     n_bytes = np.add.reduceat(ip_len.astype(np.int64), starts)
@@ -104,15 +145,17 @@ def aggregate(packets: Packets, cfg: BlockingConfig) -> List[BlockFlowRecord]:
     admitted = n_packets >= cfg.min_packets
     first = starts[admitted]
     key_low, rows = low[first] >> 8, order[first]
-    return [BlockFlowRecord(block_index=b, key=FlowKey(names[s], names[d], sp, dp, pr),
-                            n_packets=n, n_bytes=nb,
-                            is_greedy=n > cfg.greedy_threshold, rep_ttl=t)
-            for b, s, d, sp, dp, pr, n, nb, t in zip(
-                block[first].tolist(), src[rows].tolist(), dst[rows].tolist(),
-                (key_low >> 24).tolist(),
-                (key_low >> 8 & 0xFFFF).tolist(), (key_low & 0xFF).tolist(),
-                n_packets[admitted].tolist(), n_bytes[admitted].tolist(),
-                rep_ttl[admitted].tolist())]
+    n_packets = n_packets[admitted]
+    src, dst = src[rows], dst[rows]
+    addrs = _distinct(np.concatenate([src, dst]))
+    return Flows(block=block[first], src=src, dst=dst,
+                 src_port=(key_low >> 24).astype(np.uint16),
+                 dst_port=(key_low >> 8 & 0xFFFF).astype(np.uint16),
+                 proto=(key_low & 0xFF).astype(np.uint8),
+                 n_packets=n_packets, n_bytes=n_bytes[admitted],
+                 rep_ttl=rep_ttl[admitted].astype(np.uint8),
+                 is_greedy=n_packets > cfg.greedy_threshold,
+                 addrs=addrs, names=ipv4_strs(addrs))
 
 
 def greedy_throughput_equivalent(cfg: BlockingConfig, avg_packet_bytes: float) -> float:
@@ -124,13 +167,11 @@ def greedy_throughput_equivalent(cfg: BlockingConfig, avg_packet_bytes: float) -
 
 FLOWS_CSV_HEADER = ["block_index", "src_ip", "dst_ip", "src_port", "dst_port",
                     "proto", "n_packets", "n_bytes", "is_greedy", "rep_ttl"]
+_CSV_ROW = "%d,%s,%s,%d,%d,%d,%d,%d,%d,%d\r\n"
 
 
-def write_flows_csv(records: Iterable[BlockFlowRecord], path) -> None:
+def write_flows_csv(flows: Flows, path) -> None:
+    """flows.csv as csv.writer writes it: no field needs quoting, lines end in CRLF."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FLOWS_CSV_HEADER)
-        for r in records:
-            w.writerow([r.block_index, r.key.src_ip, r.key.dst_ip,
-                        r.key.src_port, r.key.dst_port, r.key.proto,
-                        r.n_packets, r.n_bytes, int(r.is_greedy), r.rep_ttl])
+        csv.writer(fh).writerow(FLOWS_CSV_HEADER)
+        fh.writelines(map(_CSV_ROW.__mod__, flows.rows()))

@@ -30,15 +30,14 @@ from __future__ import annotations
 import csv
 import enum
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .flows import BlockFlowRecord, FlowKey
-from .pcapio import Packets, SynSignature, ipv4_str
+from .flows import Flows
+from .pcapio import Packets, SynSignature, ipv4_int, ipv4_strs
 
 log = logging.getLogger(__name__)
 
@@ -200,28 +199,35 @@ class HostTtlEstimate:
     ttl_conflict: bool = False   # more than one distinct TTL seen from this host
 
 
+def _no_rows(dtype):
+    return field(default_factory=lambda: np.zeros(0, dtype=dtype))
+
+
 @dataclass
 class HostEstimates:
-    """Per-source-IP estimates plus coverage accounting.
+    """Per-source-address estimates as columns sorted by address, plus coverage.
 
     Hosts whose arithmetic lands outside [0, 64] hops are implausible
-    (usually a fallback guess one initial-TTL tier too high) and are
-    excluded from by_ip but still counted in n_hosts.
+    (usually a fallback guess one initial-TTL tier too high) and, like a
+    host whose modal TTL is 0 without a fingerprint, are left out of the
+    columns but still counted in n_hosts and listed in `rejected`.
     """
 
-    by_ip: Dict[str, HostTtlEstimate] = field(default_factory=dict)
+    addrs: np.ndarray = _no_rows(np.uint32)       # ascending
+    hops: np.ndarray = _no_rows(np.int64)         # hops to the monitor
+    initial_ttl: np.ndarray = _no_rows(np.int64)
+    ttl_conflict: np.ndarray = _no_rows(np.bool_)
+    os_labels: Dict[int, str] = field(default_factory=dict)   # of fingerprinted hosts
     n_hosts: int = 0
     rejected: Tuple[str, ...] = ()
 
     @property
     def n_fingerprint(self) -> int:
-        return sum(1 for e in self.by_ip.values()
-                   if e.method is EstimateMethod.FINGERPRINT_MATCH)
+        return len(self.os_labels)
 
     @property
     def n_fallback(self) -> int:
-        return sum(1 for e in self.by_ip.values()
-                   if e.method is EstimateMethod.NEAREST_STANDARD_TTL)
+        return len(self.addrs) - self.n_fingerprint
 
     @property
     def fingerprint_fraction(self) -> float:
@@ -231,8 +237,24 @@ class HostEstimates:
     def fallback_fraction(self) -> float:
         return self.n_fallback / self.n_hosts if self.n_hosts else 0.0
 
+    def hops_of(self, addrs: np.ndarray) -> np.ndarray:
+        """Hops to the monitor of each address; -1 where there is no estimate."""
+        if not len(self.addrs):
+            return np.full(len(addrs), -1, dtype=np.int64)
+        i = np.searchsorted(self.addrs, addrs).clip(max=len(self.addrs) - 1)
+        return np.where(self.addrs[i] == addrs, self.hops[i], -1)
+
     def get(self, ip: str) -> Optional[HostTtlEstimate]:
-        return self.by_ip.get(ip)
+        addr = ipv4_int(ip)
+        i = int(np.searchsorted(self.addrs, addr))
+        if i == len(self.addrs) or self.addrs[i] != addr:
+            return None
+        method = (EstimateMethod.FINGERPRINT_MATCH if addr in self.os_labels
+                  else EstimateMethod.NEAREST_STANDARD_TTL)
+        return HostTtlEstimate(ip=ip, initial_ttl=int(self.initial_ttl[i]),
+                               hops_to_monitor=int(self.hops[i]), method=method,
+                               os_label=self.os_labels.get(addr),
+                               ttl_conflict=bool(self.ttl_conflict[i]))
 
 
 def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
@@ -241,8 +263,10 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
     The modal TTL is the anchor (ties toward the larger TTL, i.e. the
     shorter path); a host emitting several distinct TTLs is flagged since
     its route apparently changed mid-trace. A host's fingerprint is the
-    first of its SYNs, in row order, that matches the database. Hosts are
-    visited, and `rejected` listed, in order of first appearance.
+    first of its SYNs, in row order, that matches the database; without
+    one, its initial TTL is the smallest standard value at or above the
+    modal TTL. `rejected` lists hosts in order of first appearance, and
+    one warning per call counts them by reason.
     """
     if not len(packets):
         return HostEstimates()
@@ -250,8 +274,8 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
     # every (host, ttl) pair with its count, host-major: one run per host
     pairs, counts = np.unique(host.astype(np.int64) << 8 | packets.ttl, return_counts=True)
     runs = np.flatnonzero(np.append(True, pairs[1:] >> 8 != pairs[:-1] >> 8))
-    modal = (np.maximum.reduceat(counts << 8 | (pairs & 0xFF), runs) & 0xFF).tolist()
-    n_ttls = np.diff(np.append(runs, len(pairs))).tolist()
+    modal = np.maximum.reduceat(counts << 8 | (pairs & 0xFF), runs) & 0xFF
+    conflict = np.diff(np.append(runs, len(pairs))) > 1
 
     matched: Dict[int, FingerprintEntry] = {}
     for h, sig in zip(host[packets.syn_rows].tolist(), packets.syn_sigs):
@@ -260,68 +284,41 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
             if entry is not None:
                 matched[h] = entry
 
-    result = HostEstimates(n_hosts=len(addrs))
-    rejected = []
-    for h in np.argsort(first_row, kind="stable").tolist():
-        ip, modal_ttl, conflict = ipv4_str(addrs[h]), modal[h], n_ttls[h] > 1
-        entry = matched.get(h)
-        if entry is not None:
-            initial, method, label = entry.initial_ttl, EstimateMethod.FINGERPRINT_MATCH, entry.os_label
-        else:
-            if modal_ttl < 1:
-                log.warning("host %s: modal TTL 0, rejected", ip)
-                rejected.append(ip)
-                continue
-            initial, method, label = infer_initial_ttl(modal_ttl), EstimateMethod.NEAREST_STANDARD_TTL, None
-        hops = initial - modal_ttl
-        if hops < 0 or hops > MAX_PLAUSIBLE_HOPS:
-            log.warning("host %s: implausible hop estimate %d (initial %d, modal TTL %d), rejected",
-                        ip, hops, initial, modal_ttl)
-            rejected.append(ip)
-            continue
-        result.by_ip[ip] = HostTtlEstimate(ip=ip, initial_ttl=initial,
-                                           hops_to_monitor=hops, method=method,
-                                           os_label=label, ttl_conflict=conflict)
-    result.rejected = tuple(rejected)
-    return result
+    standard = np.array(STANDARD_INITIAL_TTLS)
+    initial = standard[np.searchsorted(standard, modal)]
+    fingerprint = np.zeros(len(addrs), dtype=bool)
+    fingerprint[list(matched)] = True
+    initial[list(matched)] = [entry.initial_ttl for entry in matched.values()]
+    hops = initial - modal
+    ttl_zero = ~fingerprint & (modal == 0)
+    implausible = ~ttl_zero & ((hops < 0) | (hops > MAX_PLAUSIBLE_HOPS))
+    ok = ~(ttl_zero | implausible)
+
+    rejected = np.flatnonzero(~ok)
+    if len(rejected):
+        log.warning("%d of %d hosts rejected: %d with modal TTL 0, "
+                    "%d with an implausible hop estimate", len(rejected), len(addrs),
+                    np.count_nonzero(ttl_zero), np.count_nonzero(implausible))
+    rejected = rejected[np.argsort(first_row[rejected], kind="stable")]
+    return HostEstimates(
+        addrs=addrs[ok], hops=hops[ok], initial_ttl=initial[ok], ttl_conflict=conflict[ok],
+        os_labels={int(addrs[h]): entry.os_label
+                   for h, entry in matched.items() if ok[h]},
+        n_hosts=len(addrs),
+        rejected=ipv4_strs(addrs[rejected]))
 
 
-@dataclass(frozen=True)
-class HopEstimate:
-    key: FlowKey
-    src_hops: int
-    dst_hops: int
-    path_hops: int   # always src_hops + dst_hops (symmetric-routing assumption)
+def flow_hop_estimates(flows: Flows, host_map_fwd: HostEstimates,
+                       host_map_rev: HostEstimates) -> np.ndarray:
+    """Path hop count of each flow row; -1 unless both endpoints are estimated.
 
-
-def path_hops(key: FlowKey, host_map_fwd: HostEstimates,
-              host_map_rev: HostEstimates) -> Optional[HopEstimate]:
-    """Path hop count for one flow; None unless both endpoints are estimated.
-
-    The destination's distance comes from reverse-direction traffic, where
-    that host appears as a source.
+    The source's distance comes from forward traffic, the destination's from
+    reverse-direction traffic, where that host appears as a source. The path
+    is their sum, under the symmetric-routing assumption.
     """
-    src = host_map_fwd.get(key.src_ip)
-    dst = host_map_rev.get(key.dst_ip)
-    if src is None or dst is None:
-        return None
-    return HopEstimate(key=key, src_hops=src.hops_to_monitor,
-                       dst_hops=dst.hops_to_monitor,
-                       path_hops=src.hops_to_monitor + dst.hops_to_monitor)
-
-
-def flow_hop_estimates(records: Iterable[BlockFlowRecord],
-                       host_map_fwd: HostEstimates,
-                       host_map_rev: HostEstimates) -> Dict[FlowKey, HopEstimate]:
-    """Resolve every distinct flow key in the records to a path estimate."""
-    out: Dict[FlowKey, HopEstimate] = {}
-    for r in records:
-        if r.key in out:
-            continue
-        est = path_hops(r.key, host_map_fwd, host_map_rev)
-        if est is not None:
-            out[r.key] = est
-    return out
+    src = host_map_fwd.hops_of(flows.src)
+    dst = host_map_rev.hops_of(flows.dst)
+    return np.where((src >= 0) & (dst >= 0), src + dst, -1)
 
 
 @dataclass(frozen=True)
@@ -334,31 +331,27 @@ class HopHistogram:
         return dict(self.counts)
 
 
-def hop_histogram(records: Iterable[BlockFlowRecord],
-                  estimates: Mapping[FlowKey, HopEstimate],
+def hop_histogram(flows: Flows, path_hops: np.ndarray,
                   greedy_only: bool = False) -> HopHistogram:
     """Histogram of path hop counts, one entry per per-block flow record.
 
-    Weighting is per flow instance: a 5-tuple active in ten blocks
-    contributes ten entries (weighting unique keys once would be the other
-    option). Records without an estimate are skipped; the caller reports
-    coverage alongside.
+    `path_hops` is flow_hop_estimates' column. Weighting is per flow
+    instance: a 5-tuple active in ten blocks contributes ten entries
+    (weighting unique keys once would be the other option). Records without
+    an estimate are skipped; the caller reports coverage alongside.
     """
-    counter: Counter = Counter()
-    for r in records:
-        if greedy_only and not r.is_greedy:
-            continue
-        est = estimates.get(r.key)
-        if est is None:
-            continue
-        counter[est.path_hops] += 1
-    n = sum(counter.values())
+    chosen = path_hops >= 0
+    if greedy_only:
+        chosen &= flows.is_greedy
+    freq = np.bincount(path_hops[chosen])
+    counts = tuple((h, c) for h, c in enumerate(freq.tolist()) if c)
+    n = sum(c for _, c in counts)
     if n == 0:
         log.warning("hop histogram is empty (no estimable %sflows)",
                     "greedy " if greedy_only else "")
         return HopHistogram(counts=(), mean=None, n=0)
-    mean = sum(h * c for h, c in counter.items()) / n
-    return HopHistogram(counts=tuple(sorted(counter.items())), mean=mean, n=n)
+    mean = sum(h * c for h, c in counts) / n
+    return HopHistogram(counts=counts, mean=mean, n=n)
 
 
 def write_hops_csv(hist: HopHistogram, path) -> None:

@@ -113,6 +113,17 @@ def ipv4_str(value: int) -> str:
     return socket.inet_ntoa(int(value).to_bytes(4, "big"))
 
 
+def ipv4_strs(values: np.ndarray) -> Tuple[str, ...]:
+    """Dotted quads of an array of 32-bit values, as ipv4_str writes them."""
+    octets = (((values >> shift) & 0xFF).tolist() for shift in (24, 16, 8, 0))
+    return tuple(map("%d.%d.%d.%d".__mod__, zip(*octets)))
+
+
+def ipv4_int(text: str) -> int:
+    """Dotted quad to its 32-bit value, the inverse of ipv4_str."""
+    return int.from_bytes(socket.inet_aton(text), "big")
+
+
 @dataclass(eq=False)
 class Packets:
     """A trace as columns: one row per IPv4 packet, one array per field.
@@ -162,8 +173,8 @@ class Packets:
     def from_records(cls, records: Sequence[PacketRecord]) -> "Packets":
         """Columns of PacketRecords, in list order."""
         values = [[r.ts_us for r in records],
-                  [int.from_bytes(socket.inet_aton(r.src_ip), "big") for r in records],
-                  [int.from_bytes(socket.inet_aton(r.dst_ip), "big") for r in records],
+                  [ipv4_int(r.src_ip) for r in records],
+                  [ipv4_int(r.dst_ip) for r in records],
                   [r.src_port for r in records], [r.dst_port for r in records],
                   [r.proto for r in records], [r.ttl for r in records],
                   [r.ip_len for r in records], [r.is_fragment for r in records]]

@@ -12,9 +12,11 @@ import csv
 import datetime
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Optional
+from typing import FrozenSet, Optional
+
+import numpy as np
 
 from . import apps, flows, hops, ingest, tail, variability
 
@@ -68,11 +70,11 @@ class AnalysisResult:
     series: variability.ThroughputSeries
     gate_kept: bool
     analyzed: bool                      # downstream sections were computed
-    records: list = field(default_factory=list)
+    records: Optional[flows.Flows] = None
     curve: Optional[tail.LlcdCurve] = None
     fit: Optional[tail.TailFit] = None
     fit_reason: Optional[str] = None    # why fit is absent
-    flow_estimates: Dict = field(default_factory=dict)
+    flow_hops: Optional[np.ndarray] = None   # path hops per record, -1 if unknown
     hist_all: Optional[hops.HopHistogram] = None
     hist_greedy: Optional[hops.HopHistogram] = None
     app_all: Optional[apps.AppBreakdown] = None
@@ -116,8 +118,8 @@ def analyze_trace(pcap_path, params: AnalysisParams,
     cfg = params.blocking()
     result.records = flows.aggregate(fwd, cfg)
 
-    if result.records:
-        result.curve = tail.llcd([r.n_packets for r in result.records])
+    if len(result.records):
+        result.curve = tail.llcd(result.records.n_packets)
         try:
             result.fit = tail.fit_tail(result.curve, x_min=params.greedy_threshold)
         except tail.InsufficientTailError as exc:
@@ -127,13 +129,13 @@ def analyze_trace(pcap_path, params: AnalysisParams,
 
     fwd_est = hops.estimate_hosts(fwd, db)
     rev_est = fwd_est if rev is fwd else hops.estimate_hosts(rev, db)
-    result.flow_estimates = hops.flow_hop_estimates(result.records, fwd_est, rev_est)
-    result.hist_all = hops.hop_histogram(result.records, result.flow_estimates, False)
-    result.hist_greedy = hops.hop_histogram(result.records, result.flow_estimates, True)
+    result.flow_hops = hops.flow_hop_estimates(result.records, fwd_est, rev_est)
+    result.hist_all = hops.hop_histogram(result.records, result.flow_hops, False)
+    result.hist_greedy = hops.hop_histogram(result.records, result.flow_hops, True)
     result.fwd_host_estimates = fwd_est
     result.rev_host_estimates = rev_est
 
-    if result.records:
+    if len(result.records):
         result.app_all = apps.breakdown(result.records, False, params.http_ports)
         try:
             result.app_greedy = apps.breakdown(result.records, True, params.http_ports)
@@ -174,7 +176,7 @@ def report_dict(result: AnalysisResult, generated_at: Optional[str] = None) -> d
     rev_est = result.rev_host_estimates
     n_records = len(result.records)
     doc["flows"] = {"n_records": n_records,
-                    "n_greedy": sum(1 for r in result.records if r.is_greedy)}
+                    "n_greedy": int(np.count_nonzero(result.records.is_greedy))}
     if result.fit is not None:
         doc["llcd_fit"] = {"alpha": result.fit.alpha, "x_min": result.fit.x_min,
                            "r_squared": result.fit.r_squared,

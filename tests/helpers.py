@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 import struct
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from flowlens.flows import FlowKey, Flows
 from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              PacketRecord, SynSignature, build_ipv4_packet,
-                             build_tcp_options, wrap_ethernet)
+                             build_tcp_options, ipv4_int, ipv4_str, wrap_ethernet)
 from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
 
 SRC_NET = "10.0.0.0/8"          # all scenario src-side hosts live here
@@ -27,6 +30,35 @@ def mk_packet(ts: float, src: str = "10.0.0.1", dst: str = "203.0.113.1",
     return PacketRecord(ts_us=round(ts * 1e6), src_ip=src, dst_ip=dst,
                         src_port=sport, dst_port=dport, proto=proto, ttl=ttl,
                         ip_len=ip_len, is_fragment=is_fragment, syn_sig=sig)
+
+
+def mk_flows(rows: Sequence[Tuple[int, FlowKey, int, bool]]) -> Flows:
+    """A Flows table of (block, key, n_packets, is_greedy) rows, in the given order.
+
+    Every flow has 700 bytes a packet and a modal TTL of 60.
+    """
+    def col(values, dtype):
+        return np.array(list(values), dtype=dtype)
+
+    keys = [k for _, k, _, _ in rows]
+    addrs = np.array(sorted({ipv4_int(ip) for k in keys for ip in (k.src_ip, k.dst_ip)}),
+                     dtype=np.uint32)
+    n_packets = col((n for _, _, n, _ in rows), np.int64)
+    return Flows(block=col((b for b, *_ in rows), np.int64),
+                 src=col((ipv4_int(k.src_ip) for k in keys), np.uint32),
+                 dst=col((ipv4_int(k.dst_ip) for k in keys), np.uint32),
+                 src_port=col((k.src_port for k in keys), np.uint16),
+                 dst_port=col((k.dst_port for k in keys), np.uint16),
+                 proto=col((k.proto for k in keys), np.uint8),
+                 n_packets=n_packets, n_bytes=n_packets * 700,
+                 rep_ttl=np.full(len(rows), 60, dtype=np.uint8),
+                 is_greedy=col((g for *_, g in rows), bool),
+                 addrs=addrs, names=tuple(ipv4_str(a) for a in addrs.tolist()))
+
+
+def flow_keys(flows: Flows) -> List[Tuple[int, FlowKey]]:
+    """(block, key) of every row, read back from the flows.csv fields."""
+    return [(row[0], FlowKey(*row[1:6])) for row in flows.rows()]
 
 
 def write_pcap(records: Sequence[PacketRecord], path,

@@ -23,8 +23,8 @@ from flowlens.tail import LlcdCurve, fit_tail, llcd
 from flowlens.variability import (TraceGate, gate_trace, skewness,
                                   throughput_series)
 
-from helpers import SRC_NET, hop_means_scenario, mk_packet, random_scenario, \
-    table1_scenario
+from helpers import SRC_NET, flow_keys, hop_means_scenario, mk_packet, \
+    random_scenario, table1_scenario
 
 
 @contextmanager
@@ -45,17 +45,19 @@ def test_criterion_1_closed_loop_oracle(tmp_path):
             spec = random_scenario(seed)
             path, gt = generate(spec, tmp_path / f"s{seed}.pcap")
             result = analyze_trace(path, params)
-            got = {(r.block_index, r.key): (r.n_packets, r.is_greedy, classify(r.key))
-                   for r in result.records}
+            keys = flow_keys(result.records)
+            got = {(b, k): (n, g, classify(k)) for (b, k), n, g in zip(
+                keys, result.records.n_packets.tolist(), result.records.is_greedy.tolist())}
             want = {(f.block, f.key): (f.n_packets, f.n_packets > 20, f.category)
                     for f in gt.flows if f.n_packets >= 2}
             assert got == want, f"scenario seed {seed}: flow recovery mismatch"
+            path_hops = dict(zip(keys, result.flow_hops.tolist()))
             for f in gt.flows:
                 if not (f.hops_exact and f.n_packets >= 2):
                     continue
-                est = result.flow_estimates.get(f.key)
-                assert est is not None, f"seed {seed}: no estimate for {f.key}"
-                assert est.path_hops == f.path_hops, f"seed {seed}: hops mismatch"
+                hops = path_hops[(f.block, f.key)]
+                assert hops != -1, f"seed {seed}: no estimate for {f.key}"
+                assert hops == f.path_hops, f"seed {seed}: hops mismatch"
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"took {elapsed:.1f} s"
 
@@ -144,15 +146,14 @@ def test_criterion_6_conservation_and_partition():
             series = throughput_series(columns, 0.1)
             assert sum(series.byte_counts) == sum(p.ip_len for p in packets)
 
-            records = aggregate(columns, cfg)
+            flows = aggregate(columns, cfg)
             per_cell = {}
             for p in packets:
                 cell = (p.ts_us // cfg.tau_us,
                         p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto)
                 per_cell[cell] = per_cell.get(cell, 0) + 1
             admitted = {c: n for c, n in per_cell.items() if n >= cfg.min_packets}
-            got = {(r.block_index, r.key.src_ip, r.key.dst_ip, r.key.src_port,
-                    r.key.dst_port, r.key.proto): r.n_packets for r in records}
+            got = {tuple(row[:6]): row[6] for row in flows.rows()}
             assert got == admitted
             assert sum(got.values()) <= len(packets)
 

@@ -2,9 +2,13 @@
 
 import pytest
 
+from collections import Counter
+
 from flowlens.apps import AppCategory, breakdown, classify
-from flowlens.flows import BlockFlowRecord, FlowKey
+from flowlens.flows import FlowKey
 from flowlens.pcapio import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+
+from helpers import mk_flows
 
 
 def key(sport=34567, dport=80, proto=PROTO_TCP):
@@ -12,7 +16,7 @@ def key(sport=34567, dport=80, proto=PROTO_TCP):
 
 
 def rec(k, n=3, greedy=False):
-    return BlockFlowRecord(0, k, n, n * 700, greedy, 60)
+    return (0, k, n, greedy)
 
 
 def test_classify_port_80_both_sides():
@@ -51,7 +55,7 @@ def _table1_records():
 
 
 def test_breakdown_planted_table():
-    b = breakdown(_table1_records())
+    b = breakdown(mk_flows(_table1_records()))
     assert b.n_flows == 100
     assert b.proportions[AppCategory.HTTP] == pytest.approx(0.54)
     assert b.proportions[AppCategory.OTHER_TCP] == pytest.approx(0.38)
@@ -60,7 +64,7 @@ def test_breakdown_planted_table():
 
 
 def test_breakdown_all_http():
-    b = breakdown([rec(key(sport=i, dport=80)) for i in range(1, 6)])
+    b = breakdown(mk_flows([rec(key(sport=i, dport=80)) for i in range(1, 6)]))
     assert b.proportions[AppCategory.HTTP] == 1.0
     assert all(b.proportions[c] == 0.0 for c in AppCategory if c is not AppCategory.HTTP)
 
@@ -69,7 +73,7 @@ def test_breakdown_greedy_only():
     records = [rec(key(sport=i, dport=80), n=25, greedy=True) for i in range(7)]
     records += [rec(key(sport=100 + i, dport=22), n=25, greedy=True) for i in range(3)]
     records += [rec(key(sport=200 + i, dport=80), n=2) for i in range(40)]
-    b = breakdown(records, greedy_only=True)
+    b = breakdown(mk_flows(records), greedy_only=True)
     assert b.n_flows == 10
     assert b.proportions[AppCategory.HTTP] == pytest.approx(0.7)
     assert b.proportions[AppCategory.OTHER_TCP] == pytest.approx(0.3)
@@ -77,27 +81,31 @@ def test_breakdown_greedy_only():
 
 def test_breakdown_empty_errors():
     with pytest.raises(ValueError, match="no flows to classify"):
-        breakdown([])
+        breakdown(mk_flows([]))
     with pytest.raises(ValueError, match="no flows to classify"):
-        breakdown([rec(key())], greedy_only=True)
+        breakdown(mk_flows([rec(key())]), greedy_only=True)
 
 
 def test_proportions_sum_to_one():
+    # and each share is classify's count over the rows, whatever the ports
     import random
     rng = random.Random(4)
     for _ in range(25):
-        records = [rec(key(sport=i, dport=rng.choice([80, 21, 53]),
+        ports = frozenset(rng.sample([80, 21, 53, 8080, 65535], rng.randint(0, 3)))
+        records = [rec(key(sport=rng.choice([i, 80, 65535]), dport=rng.choice([80, 21, 53, 8080]),
                            proto=rng.choice([PROTO_TCP, PROTO_UDP, PROTO_ICMP])),
                        n=rng.choice([2, 25]), greedy=rng.random() < 0.3)
                    for i in range(rng.randint(1, 60))]
-        b = breakdown(records)
+        b = breakdown(mk_flows(records), http_ports=ports)
         assert sum(b.proportions.values()) == pytest.approx(1.0, abs=1e-9)
+        counts = Counter(classify(k, ports) for _, k, _, _ in records)
+        assert b.proportions == {cat: counts[cat] / len(records) for cat in AppCategory}
 
 
 def test_filter_then_classify_commutes():
     records = _table1_records()
-    for r in records[:10]:
-        records[records.index(r)] = rec(r.key, n=25, greedy=True)
-    via_subset = breakdown([r for r in records if r.is_greedy])
-    via_flag = breakdown(records, greedy_only=True)
+    for i, (_, k, _, _) in enumerate(records[:10]):
+        records[i] = rec(k, n=25, greedy=True)
+    via_subset = breakdown(mk_flows([r for r in records if r[3]]))
+    via_flag = breakdown(mk_flows(records), greedy_only=True)
     assert via_subset == via_flag

@@ -145,6 +145,23 @@ def test_pipe_input_matches_file(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_analyze_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma takes about 12 ms to import and no stage needs it; a plain
+    # np.unique over an array imports it lazily
+    trace, _ = generate(random_scenario(32), tmp_path / "trace.pcap")
+    code = ("import sys\n"
+            "from flowlens.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules, code)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, "analyze", str(trace), "--force",
+                           "--keep", f"src:{SRC_NET}", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] in ("False 0", "False 2")
+    assert (tmp_path / "out" / "llcd.csv").exists()
+
+
 def test_multiple_traces_get_subdirs(kept_trace, rejected_trace, tmp_path, capsys):
     out = tmp_path / "multi"
     code = main(["analyze", str(kept_trace), str(rejected_trace),

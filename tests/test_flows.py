@@ -2,14 +2,17 @@
 
 import random
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.flows import BlockingConfig, aggregate, greedy_throughput_equivalent
-from flowlens.pcapio import PROTO_TCP, PROTO_UDP, Packets
+from flowlens.flows import (BlockingConfig, _string_order, aggregate,
+                            greedy_throughput_equivalent)
+from flowlens.pcapio import PROTO_TCP, PROTO_UDP, Packets, ipv4_str
 
 from helpers import mk_packet
 
@@ -34,38 +37,35 @@ def brute_force_group(packets, cfg):
 
 def test_single_block_three_packets():
     packets = [mk_packet(t) for t in (0.01, 0.05, 0.09)]
-    records = aggregate(Packets.from_records(packets), CFG)
-    assert len(records) == 1
-    r = records[0]
-    assert r.block_index == 0 and r.n_packets == 3 and not r.is_greedy
+    flows = aggregate(Packets.from_records(packets), CFG)
+    assert len(flows) == 1
+    assert (flows.block[0], flows.n_packets[0], flows.is_greedy[0]) == (0, 3, False)
 
 
 def test_lone_packet_dropped():
-    records = aggregate(Packets.from_records([mk_packet(0.05)]), CFG)
-    assert records == []
+    flows = aggregate(Packets.from_records([mk_packet(0.05)]), CFG)
+    assert len(flows) == 0 and list(flows.rows()) == []
 
 
 def test_per_block_independence_and_strict_threshold():
     packets = [mk_packet(i * 0.003) for i in range(25)]          # block 0: 25 pkts
     packets += [mk_packet(0.1 + i * 0.01) for i in range(3)]     # block 1: 3 pkts
-    records = aggregate(Packets.from_records(packets), CFG)
-    assert len(records) == 2
-    b0, b1 = records
-    assert (b0.block_index, b0.n_packets, b0.is_greedy) == (0, 25, True)
-    assert (b1.block_index, b1.n_packets, b1.is_greedy) == (1, 3, False)
+    flows = aggregate(Packets.from_records(packets), CFG)
+    assert list(zip(flows.block.tolist(), flows.n_packets.tolist(),
+                    flows.is_greedy.tolist())) == [(0, 25, True), (1, 3, False)]
 
 
 def test_boundary_packet_joins_later_block():
     packets = [mk_packet(0.1), mk_packet(0.15), mk_packet(0.3), mk_packet(0.31)]
-    records = aggregate(Packets.from_records(packets), CFG)
-    assert [r.block_index for r in records] == [1, 3]   # 0.3 s: block 3, not 2
+    flows = aggregate(Packets.from_records(packets), CFG)
+    assert flows.block.tolist() == [1, 3]   # 0.3 s: block 3, not 2
 
 
 def test_greedy_flag_strictly_above_20():
     packets = [mk_packet(i * 1e-4, sport=sport)
                for sport, n in ((1, 2), (2, 20), (3, 21), (4, 100)) for i in range(n)]
-    records = aggregate(Packets.from_records(sorted(packets, key=lambda p: p.ts_us)), CFG)
-    assert [(r.n_packets, r.is_greedy) for r in records] == \
+    flows = aggregate(Packets.from_records(sorted(packets, key=lambda p: p.ts_us)), CFG)
+    assert list(zip(flows.n_packets.tolist(), flows.is_greedy.tolist())) == \
         [(2, False), (20, False), (21, True), (100, True)]
 
 
@@ -83,23 +83,56 @@ def test_rep_ttl_modal_with_larger_tie():
     packets = [mk_packet(0.01, ttl=60), mk_packet(0.02, ttl=64),
                mk_packet(0.03, ttl=64), mk_packet(0.04, ttl=60),
                mk_packet(0.05, ttl=55)]
-    records = aggregate(Packets.from_records(packets), CFG)
-    assert records[0].rep_ttl == 64   # 60 and 64 tie at 2; larger wins
+    flows = aggregate(Packets.from_records(packets), CFG)
+    assert flows.rep_ttl.tolist() == [64]   # 60 and 64 tie at 2; larger wins
 
 
 def test_records_sorted_by_dotted_quad_string():
     # "10.0.0.10" sorts before "10.0.0.2" as a string, after it as a number
     packets = [mk_packet(t, src=src) for t in (0.01, 0.02)
                for src in ("10.0.0.2", "10.0.0.10", "9.0.0.1")]
-    records = aggregate(Packets.from_records(packets), CFG)
-    assert [r.key.src_ip for r in records] == ["10.0.0.10", "10.0.0.2", "9.0.0.1"]
+    flows = aggregate(Packets.from_records(packets), CFG)
+    assert [row[1] for row in flows.rows()] == ["10.0.0.10", "10.0.0.2", "9.0.0.1"]
+
+
+def test_string_order_of_addresses():
+    # every octet string, alone and next to others, at random and at the edges
+    rng = random.Random(3)
+    octets = [0, 1, 2, 9, 10, 11, 19, 20, 25, 99, 100, 101, 199, 200, 249, 250, 255]
+    addrs = [rng.getrandbits(32) for _ in range(3000)]
+    addrs += [sum(rng.choice(octets) << s for s in (24, 16, 8, 0)) for _ in range(3000)]
+    addrs += [i << 24 | i << 16 | i << 8 | i for i in range(256)]
+    arr = np.array(addrs, dtype=np.uint32)
+    by_key = arr[np.argsort(_string_order(arr), kind="stable")].tolist()
+    assert [ipv4_str(a) for a in by_key] == sorted(ipv4_str(a) for a in addrs)
+
+
+def test_table_columns_and_names():
+    packets = [mk_packet(t, src=src, dst=dst) for t in (0.01, 0.02)
+               for src, dst in (("10.0.0.2", "203.0.113.9"), ("10.0.0.10", "10.0.0.2"))]
+    packets += [mk_packet(0.03, src="192.0.2.1")]          # a lone packet: no record
+    flows = aggregate(Packets.from_records(packets), CFG)
+    assert [(f.name, getattr(flows, f.name).dtype) for f in fields(flows)
+            if f.name != "names"] == [
+        ("block", np.int64), ("src", np.uint32), ("dst", np.uint32),
+        ("src_port", np.uint16), ("dst_port", np.uint16), ("proto", np.uint8),
+        ("n_packets", np.int64), ("n_bytes", np.int64), ("rep_ttl", np.uint8),
+        ("is_greedy", np.bool_), ("addrs", np.uint32)]
+    # the addresses of the records, each named once, in ascending numeric order
+    assert [ipv4_str(a) for a in flows.addrs.tolist()] == list(flows.names) == \
+        ["10.0.0.2", "10.0.0.10", "203.0.113.9"]
+    assert list(flows.rows()) == [
+        (0, "10.0.0.10", "10.0.0.2", 1024, 80, PROTO_TCP, 2, 1400, 0, 55),
+        (0, "10.0.0.2", "203.0.113.9", 1024, 80, PROTO_TCP, 2, 1400, 0, 55)]
 
 
 def test_fragments_excluded_from_keying():
     packets = [mk_packet(0.01), mk_packet(0.02),
                mk_packet(0.03, is_fragment=True), mk_packet(0.04, is_fragment=True)]
-    records = aggregate(Packets.from_records(packets), CFG)
-    assert len(records) == 1 and records[0].n_packets == 2
+    flows = aggregate(Packets.from_records(packets), CFG)
+    assert flows.n_packets.tolist() == [2]
+    only_fragments = aggregate(Packets.from_records(packets[2:]), CFG)
+    assert len(only_fragments) == 0 and only_fragments.names == ()
 
 
 def _random_packets(rng, n):
@@ -121,14 +154,13 @@ def _random_packets(rng, n):
 def test_aggregate_matches_brute_force(seed):
     rng = random.Random(seed)
     packets = _random_packets(rng, rng.randint(1, 1000))
-    records = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(Packets.from_records(packets), CFG)
     oracle = brute_force_group(packets, CFG)
-    got = {(r.block_index, r.key.src_ip, r.key.dst_ip, r.key.src_port,
-            r.key.dst_port, r.key.proto): (r.n_packets, r.n_bytes)
-           for r in records}
+    got = {tuple(row[:6]): (row[6], row[7]) for row in flows.rows()}
     assert got == oracle
     # the greedy flag is the same predicate the oracle would use
-    assert all(r.is_greedy == (r.n_packets > CFG.greedy_threshold) for r in records)
+    assert flows.is_greedy.tolist() == [n > CFG.greedy_threshold
+                                        for n in flows.n_packets.tolist()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,9 +168,9 @@ def test_aggregate_matches_brute_force(seed):
 def test_partition_no_packet_lost_or_duplicated(seed):
     rng = random.Random(seed)
     packets = _random_packets(rng, rng.randint(1, 300))
-    records = aggregate(Packets.from_records(packets), BlockingConfig(min_packets=2))
+    flows = aggregate(Packets.from_records(packets), BlockingConfig(min_packets=2))
     # every packet maps to exactly one cell; admitted cells cover <= all packets
-    total_in_records = sum(r.n_packets for r in records)
+    total_in_records = int(flows.n_packets.sum())
     assert total_in_records <= len(packets)
     oracle = brute_force_group(packets, BlockingConfig(min_packets=2))
     assert total_in_records == sum(n for n, _ in oracle.values())
@@ -150,10 +182,9 @@ def test_concatenation_of_block_disjoint_traces():
     part_b = [replace(p, ts_us=p.ts_us + 1_000_000)
               for p in _random_packets(rng, 200)]           # blocks 10..14
     both = aggregate(Packets.from_records(part_a + part_b), CFG)
-    separate = (aggregate(Packets.from_records(part_a), CFG)
-                + aggregate(Packets.from_records(part_b), CFG))
-    assert sorted(both, key=lambda r: (r.block_index, r.key)) == \
-        sorted(separate, key=lambda r: (r.block_index, r.key))
+    separate = (list(aggregate(Packets.from_records(part_a), CFG).rows())
+                + list(aggregate(Packets.from_records(part_b), CFG).rows()))
+    assert list(both.rows()) == separate
 
 
 def test_config_validation():

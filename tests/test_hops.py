@@ -1,18 +1,24 @@
 """Fingerprint matching, initial-TTL inference, host and path hop estimation."""
 
+import logging
+from collections import Counter
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlens.flows import FlowKey
-from flowlens.hops import (EstimateMethod, FingerprintDb,
-                           FingerprintFormatError, HopEstimate, HostEstimates,
-                           HostTtlEstimate, estimate_hosts, hop_histogram,
-                           infer_initial_ttl, match_fingerprint, path_hops)
+from flowlens.hops import (MAX_PLAUSIBLE_HOPS, EstimateMethod, FingerprintDb,
+                           FingerprintFormatError, HostEstimates,
+                           HostTtlEstimate, estimate_hosts, flow_hop_estimates,
+                           hop_histogram, infer_initial_ttl, match_fingerprint)
 from flowlens.ingest import read_trace
-from flowlens.pcapio import PROTO_TCP, Packets, SynSignature
+from flowlens.pcapio import PROTO_TCP, Packets, SynSignature, ipv4_int, ipv4_strs
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 
-from helpers import hop_means_scenario, mk_packet, random_scenario
+from helpers import hop_means_scenario, mk_flows, mk_packet, random_scenario
 
 LINUX_SIG = SynSignature(window_size=5840, observed_ttl=52, df_flag=True,
                          mss=1460, options_layout=("MSS", "SACK", "TS", "NOP", "WS"))
@@ -191,60 +197,177 @@ def test_generator_ground_truth_recovered_exactly(tmp_path):
         assert est.method is EstimateMethod.FINGERPRINT_MATCH
 
 
+# --- estimate_hosts against a per-host model ---------------------------------------
+
+DIFF_SIGS = [  # (window, df, layout): Linux 2.4 (64), Solaris 8 (255), Windows 95 (32), none
+    (5840, True, ("MSS", "SACK", "TS", "NOP", "WS")),
+    (24820, True, ("NOP", "WS", "NOP", "NOP", "TS", "NOP", "NOP", "SACK", "MSS")),
+    (8192, True, ("MSS",)),
+    (1234, False, ("NOP",)),
+]
+
+
+def _host_model(packets, db):
+    """ip -> HostTtlEstimate, and the rejected ips, host by host in plain Python."""
+    ttls, entry = {}, {}
+    for p in packets:                                   # dicts keep first appearance
+        ttls.setdefault(p.src_ip, Counter())[p.ttl] += 1
+        if p.syn_sig is not None and p.src_ip not in entry:
+            found = match_fingerprint(p.syn_sig, db)    # the first *matching* SYN
+            if found is not None:
+                entry[p.src_ip] = found
+    estimates, rejected = {}, []
+    for ip, counter in ttls.items():
+        modal = max(counter, key=lambda t: (counter[t], t))    # ties: larger TTL
+        found = entry.get(ip)
+        if found is None and modal == 0:
+            rejected.append(ip)
+            continue
+        initial = found.initial_ttl if found else infer_initial_ttl(modal)
+        if not 0 <= initial - modal <= MAX_PLAUSIBLE_HOPS:
+            rejected.append(ip)
+            continue
+        estimates[ip] = HostTtlEstimate(
+            ip=ip, initial_ttl=initial, hops_to_monitor=initial - modal,
+            method=(EstimateMethod.FINGERPRINT_MATCH if found
+                    else EstimateMethod.NEAREST_STANDARD_TTL),
+            os_label=found.os_label if found else None, ttl_conflict=len(counter) > 1)
+    return estimates, rejected
+
+
+def _check_against_model(packets):
+    db = FingerprintDb.default()
+    est = estimate_hosts(Packets.from_records(packets), db)
+    want, rejected = _host_model(packets, db)
+    hosts = sorted({p.src_ip for p in packets} | {"192.0.2.99"}, key=ipv4_int)
+    assert {ip: est.get(ip) for ip in hosts} == {ip: want.get(ip) for ip in hosts}
+    assert est.rejected == tuple(rejected)
+    assert est.n_hosts == len(want) + len(rejected)
+    n_fp = sum(e.method is EstimateMethod.FINGERPRINT_MATCH for e in want.values())
+    assert (est.n_fingerprint, est.n_fallback) == (n_fp, len(want) - n_fp)
+    addrs = np.array([ipv4_int(ip) for ip in hosts], dtype=np.uint32)
+    assert est.hops_of(addrs).tolist() == [
+        want[ip].hops_to_monitor if ip in want else -1 for ip in hosts]
+    return want, rejected
+
+
+@st.composite
+def _host_packets(draw):
+    hosts = draw(st.lists(st.sampled_from(["10.0.0.2", "10.0.0.10", "9.1.1.1",
+                                           "203.0.113.7", "255.0.0.1"]),
+                          min_size=1, max_size=30))
+    packets = []
+    for i, ip in enumerate(hosts):
+        ttl = draw(st.sampled_from([0, 1, 5, 30, 60, 64, 100, 128, 130, 190, 191, 255]))
+        sig = None
+        if draw(st.integers(0, 2)) == 0:
+            window, df, layout = draw(st.sampled_from(DIFF_SIGS))
+            sig = SynSignature(window, ttl, df, 1460, layout)
+        packets.append(mk_packet(i * 1e-3, src=ip, ttl=ttl, sig=sig))
+    return packets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_host_packets())
+def test_estimate_hosts_matches_model(packets):
+    _check_against_model(packets)
+
+
+def test_estimate_hosts_model_planted_cases():
+    linux, solaris, unknown = (SynSignature(window, 60, df, 1460, layout)
+                               for window, df, layout in (DIFF_SIGS[0], DIFF_SIGS[1],
+                                                          DIFF_SIGS[3]))
+    packets = [
+        # an unmatched SYN first, then a matching one: the matching one counts
+        mk_packet(0.001, src="10.0.0.1", ttl=60, sig=unknown),
+        mk_packet(0.002, src="10.0.0.1", ttl=60, sig=linux),
+        # 50 and 60 tie twice each: modal 60, and the host is a ttl_conflict
+        *(mk_packet(0.01 + i * 1e-3, src="10.0.0.2", ttl=t)
+          for i, t in enumerate((50, 60, 60, 50))),
+        mk_packet(0.02, src="10.0.0.3", ttl=0),                      # modal 0, no SYN
+        mk_packet(0.03, src="10.0.0.4", ttl=0),                      # modal 0 ...
+        mk_packet(0.032, src="10.0.0.4", ttl=0),
+        mk_packet(0.031, src="10.0.0.4", ttl=60, sig=linux),         # ... but fingerprinted
+        mk_packet(0.04, src="10.0.0.5", ttl=130),                    # fallback 255: 125 hops
+        mk_packet(0.05, src="10.0.0.6", ttl=60, sig=solaris),        # 255 - 60: 195 hops
+        mk_packet(0.06, src="10.0.0.7", ttl=60, sig=linux),          # SYN at 60 ...
+        mk_packet(0.061, src="10.0.0.7", ttl=100),                   # ... modal 100: -36 hops
+        mk_packet(0.062, src="10.0.0.7", ttl=100),
+        mk_packet(0.07, src="10.0.0.8", ttl=191),                    # 64 hops: kept
+        mk_packet(0.08, src="10.0.0.9", ttl=190),                    # 65 hops: rejected
+    ]
+    want, rejected = _check_against_model(packets)
+    assert want["10.0.0.1"].os_label == "Linux 2.4" and want["10.0.0.1"].hops_to_monitor == 4
+    assert want["10.0.0.2"].ttl_conflict and want["10.0.0.2"].hops_to_monitor == 4
+    assert want["10.0.0.4"].hops_to_monitor == 64
+    assert want["10.0.0.8"].hops_to_monitor == 64
+    assert rejected == ["10.0.0.3", "10.0.0.5", "10.0.0.6", "10.0.0.7", "10.0.0.9"]
+
+
+def test_rejections_logged_once_per_call_by_reason(caplog):
+    packets = [mk_packet(0.01, src="10.0.0.3", ttl=0),
+               mk_packet(0.02, src="10.0.0.5", ttl=130),
+               mk_packet(0.03, src="10.0.0.6", ttl=140),
+               mk_packet(0.04, src="10.0.0.9", ttl=60)]
+    with caplog.at_level(logging.WARNING, logger="flowlens.hops"):
+        est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
+    assert est.rejected == ("10.0.0.3", "10.0.0.5", "10.0.0.6")
+    assert [r.getMessage() for r in caplog.records] == [
+        "3 of 4 hosts rejected: 1 with modal TTL 0, 2 with an implausible hop estimate"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="flowlens.hops"):
+        estimate_hosts(Packets.from_records(packets[3:]), FingerprintDb.default())
+    assert caplog.records == []
+
+
 # --- path hops --------------------------------------------------------------------
 
 def _estimates(mapping):
-    est = HostEstimates(n_hosts=len(mapping))
-    for ip, hops in mapping.items():
-        est.by_ip[ip] = HostTtlEstimate(ip=ip, initial_ttl=64, hops_to_monitor=hops,
-                                        method=EstimateMethod.NEAREST_STANDARD_TTL)
-    return est
+    """Host estimates with the given hops, each host by the fallback to 64."""
+    packets = [mk_packet(0.01, src=ip, ttl=64 - hops) for ip, hops in mapping.items()]
+    return estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
 
 
 def test_path_hops_sum():
-    key = FlowKey("10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP)
-    est = path_hops(key, _estimates({"10.0.0.1": 7}), _estimates({"203.0.113.1": 10}))
-    assert est.path_hops == 17 and est.src_hops == 7 and est.dst_hops == 10
+    flows = mk_flows([(0, FlowKey("10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP), 3, False)])
+    fwd, rev = _estimates({"10.0.0.1": 7}), _estimates({"203.0.113.1": 10})
+    assert flow_hop_estimates(flows, fwd, rev).tolist() == [17]
+    # the source is looked up in the forward map, the destination in the reverse one
+    assert flow_hop_estimates(flows, rev, fwd).tolist() == [-1]
 
 
 def test_path_hops_missing_side():
-    key = FlowKey("10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP)
-    assert path_hops(key, _estimates({"10.0.0.1": 7}), _estimates({})) is None
-    assert path_hops(key, _estimates({}), _estimates({"203.0.113.1": 3})) is None
+    flows = mk_flows([(0, FlowKey("10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP), 3, False)])
+    assert flow_hop_estimates(flows, _estimates({"10.0.0.1": 7}),
+                              _estimates({})).tolist() == [-1]
+    assert flow_hop_estimates(flows, _estimates({}),
+                              _estimates({"203.0.113.1": 3})).tolist() == [-1]
+    assert flow_hop_estimates(flows, HostEstimates(), HostEstimates()).tolist() == [-1]
 
 
 # --- histograms --------------------------------------------------------------------
 
-def _record(key, n, greedy=False):
-    from flowlens.flows import BlockFlowRecord
-    return BlockFlowRecord(0, key, n, n * 700, greedy, 60)
+def _flows(n):
+    """n non-greedy rows between two hosts, one port pair each."""
+    return mk_flows([(0, FlowKey("10.0.0.1", "10.0.0.2", 2 * i + 1, 2 * i + 2, PROTO_TCP),
+                      3, False) for i in range(n)])
 
 
 def test_histogram_counts_and_mean():
-    k1 = FlowKey("a", "b", 1, 2, PROTO_TCP)
-    k2 = FlowKey("a", "b", 3, 4, PROTO_TCP)
-    k3 = FlowKey("a", "b", 5, 6, PROTO_TCP)
-    records = [_record(k1, 3), _record(k2, 3), _record(k3, 3)]
-    estimates = {k1: HopEstimate(k1, 5, 5, 10), k2: HopEstimate(k2, 5, 5, 10),
-                 k3: HopEstimate(k3, 10, 10, 20)}
-    hist = hop_histogram(records, estimates)
-    assert hist.as_dict() == {10: 2, 20: 1}
+    hist = hop_histogram(_flows(4), np.array([10, 10, 20, -1]))
+    assert hist.as_dict() == {10: 2, 20: 1}       # the row without an estimate is skipped
     assert hist.mean == pytest.approx(40 / 3)
     assert hist.n == 3
 
 
 def test_histogram_greedy_empty():
-    k1 = FlowKey("a", "b", 1, 2, PROTO_TCP)
-    hist = hop_histogram([_record(k1, 3)], {k1: HopEstimate(k1, 1, 1, 2)},
-                         greedy_only=True)
+    hist = hop_histogram(_flows(1), np.array([2]), greedy_only=True)
     assert hist.counts == () and hist.mean is None and hist.n == 0
 
 
 def test_per_instance_weighting_across_blocks():
-    from flowlens.flows import BlockFlowRecord
-    key = FlowKey("a", "b", 1, 2, PROTO_TCP)
-    records = [BlockFlowRecord(i, key, 3, 2100, False, 60) for i in range(10)]
-    hist = hop_histogram(records, {key: HopEstimate(key, 4, 4, 8)})
+    key = FlowKey("10.0.0.1", "10.0.0.2", 1, 2, PROTO_TCP)
+    hist = hop_histogram(mk_flows([(b, key, 3, False) for b in range(10)]), np.full(10, 8))
     assert hist.as_dict() == {8: 10}    # one entry per per-block instance
 
 
@@ -292,7 +415,7 @@ def test_hop_arithmetic_identity_property():
     ttls_by_ip = {}
     for p in packets:
         ttls_by_ip.setdefault(p.src_ip, Counter())[p.ttl] += 1
-    for host in est.by_ip.values():
+    for host in map(est.get, ipv4_strs(est.addrs)):
         counter = ttls_by_ip[host.ip]
         modal = max(sorted(counter), key=lambda t: (counter[t], t))
         assert host.hops_to_monitor == host.initial_ttl - modal
@@ -304,7 +427,7 @@ def test_histogram_totals_relations(tmp_path):
     spec = random_scenario(55)
     path, _ = generate(spec, tmp_path / "t.pcap")
     result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True))
-    estimable = sum(1 for r in result.records if r.key in result.flow_estimates)
+    estimable = int(np.count_nonzero(result.flow_hops >= 0))
     assert result.hist_all.n == estimable
     assert result.hist_greedy.n <= result.hist_all.n
     assert sum(c for _, c in result.hist_all.counts) == result.hist_all.n

@@ -12,7 +12,7 @@ from flowlens.synth import (FlowPlan, GroundTruth, HostSpec, ScenarioError,
                             load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
 
-from helpers import SRC_NET, random_scenario, table1_scenario
+from helpers import SRC_NET, flow_keys, random_scenario, table1_scenario
 
 
 def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
@@ -20,19 +20,20 @@ def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
     path, gt = generate(spec, tmp_path / name)
     result = analyze_trace(path, AnalysisParams(keep=f"src:{SRC_NET}", force=True))
 
-    got = {(r.block_index, r.key): (r.n_packets, r.n_bytes, r.is_greedy,
-                                    classify(r.key))
-           for r in result.records}
+    flows = result.records
+    keys = flow_keys(flows)
+    got = {(b, k): (n, nb, g, classify(k)) for (b, k), n, nb, g in zip(
+        keys, flows.n_packets.tolist(), flows.n_bytes.tolist(), flows.is_greedy.tolist())}
     want = {(f.block, f.key): (f.n_packets, f.n_bytes, f.n_packets > 20, f.category)
             for f in gt.flows if f.n_packets >= 2}
     assert got == want
 
+    path_hops = dict(zip(keys, result.flow_hops.tolist()))
     for f in gt.flows:
         if not (f.hops_exact and f.n_packets >= 2):
             continue
-        est = result.flow_estimates.get(f.key)
-        assert est is not None, f"missing hop estimate for {f.key}"
-        assert est.path_hops == f.path_hops
+        assert path_hops[(f.block, f.key)] != -1, f"missing hop estimate for {f.key}"
+        assert path_hops[(f.block, f.key)] == f.path_hops
     return path, gt, result
 
 
@@ -80,9 +81,8 @@ def test_single_flow_example(tmp_path):
     spec = ScenarioSpec(duration=0.1, hosts=hosts, flows=flows)
     path, gt, result = assert_closed_loop(spec, tmp_path)
 
-    assert len(result.records) == 1
-    rec = result.records[0]
-    assert rec.n_packets == 25 and rec.is_greedy
+    assert result.records.n_packets.tolist() == [25]
+    assert result.records.is_greedy.tolist() == [True]
     host = result.fwd_host_estimates.get("10.0.0.1")
     assert host.hops_to_monitor == 13 and host.initial_ttl == 128
 
@@ -102,8 +102,7 @@ def test_beacon_only_when_block_zero_empty(tmp_path):
     records, _ = read_trace(path)
     assert records.ts_us[0] == 0 and ipv4_str(records.src[0]) == "192.0.2.255"
     # thanks to the beacon the flow stays in its planned block
-    recs = aggregate(records, BlockingConfig())
-    assert [r.block_index for r in recs] == [3]
+    assert aggregate(records, BlockingConfig()).block.tolist() == [3]
 
     early = [FlowPlan(0, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 5)]
     spec2 = ScenarioSpec(duration=0.5, hosts=hosts, flows=early, bidirectional=False)
