@@ -21,5 +21,5 @@ from .report import AnalysisParams, analyze_trace, write_report
 from .synth import (FlowPlan, GroundTruth, HostSpec, ScenarioError,
                     ScenarioSpec, generate, load_scenario)
 from .tail import LlcdCurve, TailFit, fit_tail, llcd
-from .variability import (DegenerateSeriesError, ThroughputSeries, TraceGate,
-                          gate_trace, skewness, throughput_series)
+from .variability import (DegenerateSeriesError, ThroughputSeries, gate_trace,
+                          skewness, throughput_series)

@@ -54,20 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"flowlens {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = AnalysisParams()
     p_an = sub.add_parser("analyze", help="analyze one or more pcap traces")
     p_an.add_argument("traces", nargs="+", metavar="TRACE")
     p_an.add_argument("--out", default="flowlens-out", help="output directory")
-    p_an.add_argument("--tau", type=float, default=0.1,
+    p_an.add_argument("--tau", type=float, default=defaults.tau,
                       help="block / rate-interval length in seconds")
-    p_an.add_argument("--min-packets", type=int, default=2,
+    p_an.add_argument("--min-packets", type=int, default=defaults.min_packets,
                       help="flow admission threshold")
-    p_an.add_argument("--greedy-threshold", type=int, default=20,
+    p_an.add_argument("--greedy-threshold", type=int, default=defaults.greedy_threshold,
                       help="packets per block strictly above which a flow is greedy")
-    p_an.add_argument("--skew-min", type=float, default=0.4,
+    p_an.add_argument("--skew-min", type=float, default=defaults.skew_min,
                       help="minimum throughput skewness to keep a trace")
-    p_an.add_argument("--keep", default="all", metavar="DIR:CIDRS",
+    p_an.add_argument("--keep", default=defaults.keep, metavar="DIR:CIDRS",
                       help="direction filter, e.g. src:10.0.0.0/8,172.16.0.0/12")
-    p_an.add_argument("--http-ports", type=_http_ports, default=frozenset({80}),
+    p_an.add_argument("--http-ports", type=_http_ports, default=defaults.http_ports,
                       metavar="P[,P...]", help="TCP ports classified as HTTP")
     p_an.add_argument("--fingerprints", default=None,
                       help="fingerprint DB path (default: $FLOWLENS_FP_DB or built-in)")

@@ -277,18 +277,18 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
     modal = np.maximum.reduceat(counts << 8 | (pairs & 0xFF), runs) & 0xFF
     conflict = np.diff(np.append(runs, len(pairs))) > 1
 
-    matched: Dict[int, FingerprintEntry] = {}
-    for h, sig in zip(host[packets.syn_rows].tolist(), packets.syn_sigs):
-        if h not in matched:
-            entry = match_fingerprint(sig, db)
-            if entry is not None:
-                matched[h] = entry
+    # each host's first SYN row, in row order, whose signature matches
+    entries = [match_fingerprint(sig, db) for sig in packets.sigs]
+    matches = np.array([entry is not None for entry in entries] + [False])  # [-1]: no SYN
+    rows = np.flatnonzero(matches[packets.sig])
+    matched, first = np.unique(host[rows], return_index=True)
+    matched_entries = [entries[i] for i in packets.sig[rows[first]].tolist()]
 
     standard = np.array(STANDARD_INITIAL_TTLS)
     initial = standard[np.searchsorted(standard, modal)]
     fingerprint = np.zeros(len(addrs), dtype=bool)
-    fingerprint[list(matched)] = True
-    initial[list(matched)] = [entry.initial_ttl for entry in matched.values()]
+    fingerprint[matched] = True
+    initial[matched] = [entry.initial_ttl for entry in matched_entries]
     hops = initial - modal
     ttl_zero = ~fingerprint & (modal == 0)
     implausible = ~ttl_zero & ((hops < 0) | (hops > MAX_PLAUSIBLE_HOPS))
@@ -302,8 +302,8 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
     rejected = rejected[np.argsort(first_row[rejected], kind="stable")]
     return HostEstimates(
         addrs=addrs[ok], hops=hops[ok], initial_ttl=initial[ok], ttl_conflict=conflict[ok],
-        os_labels={int(addrs[h]): entry.os_label
-                   for h, entry in matched.items() if ok[h]},
+        os_labels={addr: entry.os_label for addr, entry, kept in zip(
+            addrs[matched].tolist(), matched_entries, ok[matched].tolist()) if kept},
         n_hosts=len(addrs),
         rejected=ipv4_strs(addrs[rejected]))
 

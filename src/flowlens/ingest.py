@@ -85,22 +85,23 @@ def read_trace(path) -> Tuple[Packets, IngestSummary]:
     Counts frames, non-IPv4 frames and malformed IPv4 frames; direction
     filtering is left to the caller. The whole trace is buffered because
     re-sorting by timestamp requires it. Columns are joined and sorted one
-    at a time, so the peak is about one copy of the columns (25 B per
-    packet) plus the sort permutation.
+    at a time, so the peak is about one copy of the columns (29 B per
+    packet) plus the sort permutation. Each chunk's `sig` column is
+    renumbered into one table for the trace, which lists every distinct
+    SYN signature once, in order of first appearance in the file.
     """
     summary = IngestSummary()
     parts = {name: [] for name, _ in pcapio.COLUMNS}
-    syn_rows, syn_sigs, n = [], [], 0
+    sigs = {}       # SynSignature -> its index in the trace's table
     with pcapio.PcapReader(path) as reader:
         for chunk, frames, non_ipv4 in reader.packet_chunks():
             summary.total += frames
             summary.non_ipv4 += non_ipv4
             summary.malformed += frames - non_ipv4 - len(chunk)
+            lookup = [sigs.setdefault(sig, len(sigs)) for sig in chunk.sigs]
+            chunk.sig = np.array(lookup + [-1], dtype=np.int32)[chunk.sig]   # -1 stays -1
             for (name, _), col in zip(pcapio.COLUMNS, chunk.columns()):
                 parts[name].append(col)
-            syn_rows.append(chunk.syn_rows + n)
-            syn_sigs += chunk.syn_sigs
-            n += len(chunk)
 
     columns, order = [], None
     for name, dtype in pcapio.COLUMNS:
@@ -109,13 +110,6 @@ def read_trace(path) -> Tuple[Packets, IngestSummary]:
             order = np.argsort(col, kind="stable")
         columns.append(col[order])
         del col                                 # before the next column is joined
-    if n:
+    if len(order):
         columns[0] -= columns[0][0]
-    # where each SYN row went, and its signature by the old row order
-    is_syn = np.zeros(n, dtype=bool)
-    old_rows = np.concatenate(syn_rows or [np.empty(0, np.int64)])
-    is_syn[old_rows] = True
-    new_rows = np.flatnonzero(is_syn[order])
-    sig_at = np.searchsorted(old_rows, order[new_rows])
-    return Packets(*columns, syn_rows=new_rows,
-                   syn_sigs=tuple(syn_sigs[i] for i in sig_at.tolist())), summary
+    return Packets(*columns, sigs=tuple(sigs)), summary

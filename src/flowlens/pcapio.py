@@ -129,9 +129,10 @@ class Packets:
     """A trace as columns: one row per IPv4 packet, one array per field.
 
     The columns are PacketRecord's fields with narrow dtypes, addresses as
-    their 32-bit values. Pure SYNs are rare, so their signatures sit in a
-    sparse side table: `syn_rows` lists their row indices in ascending
-    order and `syn_sigs` holds one SynSignature per listed row.
+    their 32-bit values. A pure SYN's signature is the column `sig`, an
+    index into `sigs`, the table of the signatures its rows hold; `sig` is
+    -1 on every other row. Tables built by read_trace and from_records list
+    each signature once.
     """
 
     ts_us: np.ndarray           # int64 microseconds
@@ -143,51 +144,51 @@ class Packets:
     ttl: np.ndarray             # uint8
     ip_len: np.ndarray          # uint16
     is_fragment: np.ndarray     # bool: non-first fragment, excluded from flow keying
-    syn_rows: np.ndarray        # int64
-    syn_sigs: Tuple[SynSignature, ...]
+    sig: np.ndarray             # int32 index into sigs, -1 unless a pure SYN
+    sigs: Tuple[SynSignature, ...]
 
     def __len__(self) -> int:
         return len(self.ts_us)
 
     def __eq__(self, other) -> bool:
+        """Equal rows, comparing each SYN's signature rather than its index."""
         if not isinstance(other, Packets):
             return NotImplemented
         return (all(a.dtype == b.dtype and np.array_equal(a, b)
-                    for a, b in zip(self.columns(), other.columns()))
-                and np.array_equal(self.syn_rows, other.syn_rows)
-                and self.syn_sigs == other.syn_sigs)
+                    for a, b in zip(self.columns(), other.columns()) if a is not self.sig)
+                and self._row_sigs() == other._row_sigs())
 
     def columns(self) -> Tuple[np.ndarray, ...]:
         """The per-row arrays, in COLUMNS order."""
         return tuple(getattr(self, name) for name, _ in COLUMNS)
 
+    def _row_sigs(self) -> list:
+        """Each row's SynSignature, None where the row is not a pure SYN."""
+        return [None if i < 0 else self.sigs[i] for i in self.sig.tolist()]
+
     def take(self, mask: np.ndarray) -> "Packets":
-        """The rows where `mask` is true, in order, SYN table kept aligned."""
-        kept = mask[self.syn_rows]
-        new_index = np.cumsum(mask) - 1
-        return Packets(*(col[mask] for col in self.columns()),
-                       syn_rows=new_index[self.syn_rows[kept]],
-                       syn_sigs=tuple(itertools.compress(self.syn_sigs, kept)))
+        """The rows where `mask` is true, in order."""
+        return Packets(*(col[mask] for col in self.columns()), sigs=self.sigs)
 
     @classmethod
     def from_records(cls, records: Sequence[PacketRecord]) -> "Packets":
-        """Columns of PacketRecords, in list order."""
+        """Columns of PacketRecords, in list order; sigs in order of first use."""
+        index = {None: -1}      # SynSignature -> its index in sigs; no SYN -> -1
         values = [[r.ts_us for r in records],
                   [ipv4_int(r.src_ip) for r in records],
                   [ipv4_int(r.dst_ip) for r in records],
                   [r.src_port for r in records], [r.dst_port for r in records],
                   [r.proto for r in records], [r.ttl for r in records],
-                  [r.ip_len for r in records], [r.is_fragment for r in records]]
-        syn = [(i, r.syn_sig) for i, r in enumerate(records) if r.syn_sig is not None]
+                  [r.ip_len for r in records], [r.is_fragment for r in records],
+                  [index.setdefault(r.syn_sig, len(index) - 1) for r in records]]
         return cls(*(np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, COLUMNS)),
-                   syn_rows=np.array([i for i, _ in syn], dtype=np.int64),
-                   syn_sigs=tuple(sig for _, sig in syn))
+                   sigs=tuple(index)[1:])
 
 
 # (name, dtype) of every per-row array of Packets, in field order.
 COLUMNS = tuple((f.name, dtype) for f, dtype in zip(
     fields(Packets), (np.int64, np.uint32, np.uint32, np.uint16, np.uint16,
-                      np.uint8, np.uint8, np.uint16, np.bool_)))
+                      np.uint8, np.uint8, np.uint16, np.bool_, np.int32)))
 
 
 class PcapReader:
@@ -355,21 +356,22 @@ class PcapReader:
         ported = np.flatnonzero(tcp | (~fragment & (proto == PROTO_UDP) & (avail >= 4)))
         ports = np.zeros((len(rows), 2), dtype=np.uint16)
         ports[ported] = _bytes_at(buf, tp[ported], 4).view(">u2")
-        syn_rows, syn_sigs = _syn_table(image, buf, np.flatnonzero(tcp), tp, avail, ttl,
-                                        head[:, 6] & 0x40 != 0, memo)
+        sig, sigs = _syn_table(image, buf, np.flatnonzero(tcp), tp, avail, ttl,
+                               head[:, 6] & 0x40 != 0, memo)
 
         chunk = Packets(ts_us[rows], addrs[:, 0].astype(np.uint32),
                         addrs[:, 1].astype(np.uint32), ports[:, 0].copy(),
                         ports[:, 1].copy(), proto.copy(), ttl.copy(),
-                        ip_len.astype(np.uint16), fragment, syn_rows, syn_sigs)
+                        ip_len.astype(np.uint16), fragment, sig, sigs)
         return chunk, n, non_ipv4
 
 
 def _syn_table(image, buf, tcp, tp, avail, ttl, df, memo):
-    """(rows, signatures) of the pure SYNs among the TCP rows `tcp`.
+    """The chunk's sig column and its table, for the pure SYNs among the TCP rows `tcp`.
 
-    Python runs once per pure SYN; `memo` maps extract_syn_signature's
-    arguments to its result, since most SYNs repeat a few stacks.
+    Python runs once per pure SYN. The table holds one entry per distinct
+    tuple of extract_syn_signature's arguments, and `memo` maps such a
+    tuple to its result across chunks, since most SYNs repeat a few stacks.
     """
     flags = buf[tp[tcp] + 13]
     pure = (flags & TCP_SYN != 0) & (flags & TCP_ACK == 0)
@@ -379,16 +381,18 @@ def _syn_table(image, buf, tcp, tp, avail, ttl, df, memo):
     window[n >= 16] = _be16(buf, t[n >= 16] + 14)
     data_offset = (buf[t + 12] >> 4).astype(np.int64) * 4
     opt_end = np.where(data_offset > 20, t + np.minimum(data_offset, n), 0)
-    sigs = []
-    for args in zip(flags.tolist(), window.tolist(), ttl[syn].tolist(),
-                    df[syn].tolist(), (t + 20).tolist(), opt_end.tolist()):
-        flag, win, hop_ttl, dont_frag, start, end = args
+    index = {}      # extract_syn_signature's arguments -> index in the table
+    at = []
+    for flag, win, hop_ttl, dont_frag, start, end in zip(
+            flags.tolist(), window.tolist(), ttl[syn].tolist(), df[syn].tolist(),
+            (t + 20).tolist(), opt_end.tolist()):
         key = (flag, win, hop_ttl, dont_frag, image[start:end])   # b"" if end <= start
-        sig = memo.get(key)
-        if sig is None:
-            sig = memo[key] = extract_syn_signature(*key)
-        sigs.append(sig)
-    return syn, tuple(sigs)
+        at.append(index.setdefault(key, len(index)))
+    for key in index.keys() - memo.keys():
+        memo[key] = extract_syn_signature(*key)
+    sig = np.full(len(ttl), -1, dtype=np.int32)
+    sig[syn] = at
+    return sig, tuple(memo[key] for key in index)
 
 
 def _bytes_at(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:

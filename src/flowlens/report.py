@@ -107,7 +107,7 @@ def analyze_trace(pcap_path, params: AnalysisParams,
     del packets
 
     series = variability.throughput_series(fwd, params.tau)
-    gate_kept = variability.gate_trace(series, variability.TraceGate(params.skew_min))
+    gate_kept = variability.gate_trace(series, params.skew_min)
 
     result = AnalysisResult(trace_id=Path(pcap_path).stem, params=params,
                             summary=summary, series=series, gate_kept=gate_kept,

@@ -41,11 +41,6 @@ def _bps(byte_counts: Sequence[int], interval: float) -> Tuple[float, ...]:
     return tuple(8.0 * b / interval for b in byte_counts)
 
 
-@dataclass(frozen=True)
-class TraceGate:
-    min_skewness: float = 0.4
-
-
 def skewness(values: Sequence[float]) -> float:
     """g1 = m3 / m2^(3/2) with 1/n-normalized central moments."""
     v = np.asarray(values, dtype=float)
@@ -90,9 +85,9 @@ def throughput_series(packets: Packets, interval: float) -> ThroughputSeries:
                             mean_bps=mean_bps, skewness=skew)
 
 
-def gate_trace(series: ThroughputSeries, gate: TraceGate) -> bool:
+def gate_trace(series: ThroughputSeries, min_skewness: float) -> bool:
     """True when the trace is kept (skewness at or above the threshold)."""
     if series.skewness is None:
         log.warning("gating trace with undefined skewness: rejected")
         return False
-    return series.skewness >= gate.min_skewness
+    return series.skewness >= min_skewness

@@ -20,8 +20,7 @@ from flowlens.pcapio import Packets
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate, sample_flow_size
 from flowlens.tail import LlcdCurve, fit_tail, llcd
-from flowlens.variability import (TraceGate, gate_trace, skewness,
-                                  throughput_series)
+from flowlens.variability import gate_trace, skewness, throughput_series
 
 from helpers import SRC_NET, flow_keys, hop_means_scenario, mk_packet, \
     random_scenario, table1_scenario
@@ -95,13 +94,12 @@ def test_criterion_3_skewness_correctness():
         assert abs(skewness(nprng.exponential(1.0, 100_000)) - 2.0) <= 0.1
         assert abs(skewness(nprng.normal(0.0, 1.0, 100_000))) < 0.05
 
-        gate = TraceGate(min_skewness=0.4)
         from flowlens.variability import ThroughputSeries
         for _ in range(100):
             values = tuple(rng.uniform(0, 100) for _ in range(20))
             g1 = skewness(values)
             series = ThroughputSeries(0.1, (0,) * 20, float(np.mean(values)), g1)
-            assert gate_trace(series, gate) == (g1 >= 0.4)
+            assert gate_trace(series, 0.4) == (g1 >= 0.4)
 
 
 def test_criterion_4_paper_shape_reproduction(tmp_path):

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from flowlens.apps import AppCategory, classify
-from flowlens.cli import main
+from flowlens.cli import build_parser, main
 from flowlens.flows import FlowKey
+from flowlens.report import AnalysisParams
 from flowlens.synth import generate
 from flowlens.tail import LlcdCurve, fit_tail
 from flowlens.variability import skewness
@@ -279,10 +280,19 @@ def test_fingerprints_env_fallback(kept_trace, tmp_path, monkeypatch):
 
 
 def test_module_entrypoint_runs():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "flowlens", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "flowlens" in proc.stdout
+
+
+def test_analyze_defaults_are_the_analysis_defaults():
+    args = build_parser().parse_args(["analyze", "x"])
+    defaults = AnalysisParams()
+    for name in ("tau", "min_packets", "greedy_threshold", "skew_min", "keep",
+                 "http_ports", "fingerprints", "force"):
+        assert getattr(args, name) == getattr(defaults, name), name
 
 
 def _strip_timestamp(path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowlens import hops
 from flowlens.flows import FlowKey
 from flowlens.hops import (MAX_PLAUSIBLE_HOPS, EstimateMethod, FingerprintDb,
                            FingerprintFormatError, HostEstimates,
@@ -177,6 +178,26 @@ def test_implausible_hops_rejected():
     assert est.get("10.0.0.6") is None
     assert "10.0.0.6" in est.rejected
     assert est.n_hosts == 1
+
+
+def test_match_runs_once_per_distinct_signature(monkeypatch):
+    """An unmatched host's many SYNs with one signature cost one database match."""
+    unknown = SynSignature(window_size=1234, observed_ttl=52, df_flag=False, mss=None,
+                           options_layout=())
+    records = [mk_packet(0.001 * i, src="10.0.0.5", ttl=52, sig=unknown) for i in range(50)]
+    records.append(mk_packet(0.1, src="10.0.0.6", ttl=52, sig=LINUX_SIG))
+    packets = Packets.from_records(records)
+    calls = []
+
+    def counting(sig, db):
+        calls.append(sig)
+        return match_fingerprint(sig, db)
+
+    monkeypatch.setattr(hops, "match_fingerprint", counting)
+    est = estimate_hosts(packets, FingerprintDb.default())
+    assert len(calls) <= len(packets.sigs) == 2
+    assert est.get("10.0.0.5").method is EstimateMethod.NEAREST_STANDARD_TTL
+    assert est.get("10.0.0.6").os_label == "Linux 2.4"
 
 
 def test_generator_ground_truth_recovered_exactly(tmp_path):

@@ -304,6 +304,13 @@ def _mutant_bases(tmp_path):
     return bases
 
 
+def _assert_sigs_tight(packets, context):
+    """read_trace's table lists each signature once, and every entry is in use."""
+    assert len(set(packets.sigs)) == len(packets.sigs), context
+    assert set(packets.sig[packets.sig >= 0].tolist()) == set(range(len(packets.sigs))), \
+        context
+
+
 # the default chunk size, and one small enough to put chunk joins among
 # SYNs, fragments, cut frames and the file's end
 _CHUNK_ROWS = (pcapio.CHUNK_ROWS, 7)
@@ -342,6 +349,7 @@ def test_columnar_read_matches_reference_on_mutants(tmp_path, monkeypatch):
             monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
             got, summary = read_trace(path)
             assert got == Packets.from_records(expected), f"mutant seed {seed}, {rows} rows"
+            _assert_sigs_tight(got, f"mutant seed {seed}, {rows} rows")
             assert (summary.total, summary.non_ipv4, summary.malformed) == \
                 (counts["total"], counts["non_ipv4"], counts["malformed"]), \
                 f"mutant seed {seed}, {rows} rows"
@@ -377,6 +385,7 @@ def test_columnar_reads_stay_inside_each_frame(tmp_path, monkeypatch):
                 monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
                 got, summary = read_trace(path)
                 assert got == Packets.from_records(expected), (kw, filler, rows)
+                _assert_sigs_tight(got, (kw, filler, rows))
                 assert (summary.total, summary.non_ipv4, summary.malformed) == \
                     (counts["total"], counts["non_ipv4"], counts["malformed"]), \
                     (kw, filler, rows)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from flowlens.pcapio import Packets
 from flowlens.variability import (DegenerateSeriesError, ThroughputSeries,
-                                  TraceGate, gate_trace, skewness,
-                                  throughput_series)
+                                  gate_trace, skewness, throughput_series)
 
 from helpers import mk_packet
 
@@ -147,8 +146,7 @@ def _series_with_skew(value):
 
 
 def test_gate_threshold_cases():
-    gate = TraceGate(min_skewness=0.4)
-    assert gate_trace(_series_with_skew(0.41), gate) is True
-    assert gate_trace(_series_with_skew(0.39), gate) is False
-    assert gate_trace(_series_with_skew(0.4), gate) is True   # boundary kept
-    assert gate_trace(_series_with_skew(None), gate) is False
+    assert gate_trace(_series_with_skew(0.41), 0.4) is True
+    assert gate_trace(_series_with_skew(0.39), 0.4) is False
+    assert gate_trace(_series_with_skew(0.4), 0.4) is True   # boundary kept
+    assert gate_trace(_series_with_skew(None), 0.4) is False
