@@ -83,23 +83,23 @@ def read_trace(path) -> Tuple[Packets, IngestSummary]:
     """Read a pcap into timestamp-ordered Packets.
 
     Counts frames, non-IPv4 frames and malformed IPv4 frames; direction
-    filtering is left to the caller. The whole trace is buffered because
-    re-sorting by timestamp requires it. Columns are joined and sorted one
-    at a time, so the peak is about one copy of the columns (29 B per
-    packet) plus the sort permutation. Each chunk's `sig` column is
-    renumbered into one table for the trace, which lists every distinct
-    SYN signature once, in order of first appearance in the file.
+    filtering is left to the caller. The stream is read in fixed-size
+    windows, but the decoded columns of the whole trace are buffered
+    because re-sorting by timestamp requires it. Columns are joined and
+    sorted one at a time, so the peak is about one copy of the columns
+    (29 B per packet) plus the sort permutation and one read window. The
+    signature table is the reader's, which lists every distinct SYN
+    signature once, in order of first appearance in the stream.
     """
     summary = IngestSummary()
     parts = {name: [] for name, _ in pcapio.COLUMNS}
-    sigs = {}       # SynSignature -> its index in the trace's table
+    sigs = ()
     with pcapio.PcapReader(path) as reader:
         for chunk, frames, non_ipv4 in reader.packet_chunks():
             summary.total += frames
             summary.non_ipv4 += non_ipv4
             summary.malformed += frames - non_ipv4 - len(chunk)
-            lookup = [sigs.setdefault(sig, len(sigs)) for sig in chunk.sigs]
-            chunk.sig = np.array(lookup + [-1], dtype=np.int32)[chunk.sig]   # -1 stays -1
+            sigs = chunk.sigs               # the table so far: the last one is whole
             for (name, _), col in zip(pcapio.COLUMNS, chunk.columns()):
                 parts[name].append(col)
 
@@ -112,4 +112,4 @@ def read_trace(path) -> Tuple[Packets, IngestSummary]:
         del col                                 # before the next column is joined
     if len(order):
         columns[0] -= columns[0][0]
-    return Packets(*columns, sigs=tuple(sigs)), summary
+    return Packets(*columns, sigs=sigs), summary

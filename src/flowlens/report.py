@@ -34,7 +34,6 @@ class AnalysisParams:
     http_ports: FrozenSet[int] = apps.DEFAULT_HTTP_PORTS
     keep: str = "all"
     fingerprints: Optional[str] = None    # None = built-in table
-    avg_packet_bytes: float = DEFAULT_AVG_PACKET_BYTES
     force: bool = False
 
     def __post_init__(self):
@@ -55,10 +54,10 @@ class AnalysisParams:
             "http_ports": sorted(self.http_ports),
             "keep": self.keep,
             "fingerprints": self.fingerprints or "default",
-            "avg_packet_bytes": self.avg_packet_bytes,
+            "avg_packet_bytes": DEFAULT_AVG_PACKET_BYTES,
             "force": self.force,
             "greedy_equivalent_bps":
-                flows.greedy_throughput_equivalent(cfg, self.avg_packet_bytes),
+                flows.greedy_throughput_equivalent(cfg, DEFAULT_AVG_PACKET_BYTES),
         }
 
 

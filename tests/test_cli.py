@@ -125,8 +125,28 @@ def test_oversized_caplen_exits_66_under_memory_cap(kept_trace, tmp_path):
     assert (tmp_path / "out" / "kept" / "report.json").exists()   # batch went on
 
 
+def test_format_errors_name_the_trace_once(tmp_path, capsys):
+    # the CLI names the trace, so the reader's messages leave the path out
+    short = tmp_path / "short.pcap"
+    short.write_bytes(b"\xd4\xc3\xb2\xa1")
+    pcapng = tmp_path / "capture.pcapng"
+    pcapng.write_bytes(b"\x0a\x0d\x0d\x0a" + b"\x00" * 40)
+    garbage = tmp_path / "garbage.pcap"
+    garbage.write_bytes(b"\xde\xad\xbe\xef" + b"\x00" * 40)
+    huge = write_pcap([mk_packet(i * 1e-3, sport=1000 + i) for i in range(3)],
+                      tmp_path / "huge.pcap")
+    data = bytearray(huge.read_bytes())
+    struct.pack_into("<I", data, 24 + (16 + 14 + 700) + 8, 0x7FFFFFFF)
+    huge.write_bytes(bytes(data))
+    for path, message in ((short, "too short"), (pcapng, "pcapng"),
+                          (garbage, "magic"), (huge, "record 1 claims")):
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 66
+        err = capsys.readouterr().err
+        assert message in err and err.count(str(path)) == 1, err
+
+
 def test_pipe_input_matches_file(tmp_path):
-    # a pipe cannot be memory-mapped; it is read whole and analyzed the same way
+    # a pipe is read in the same fixed-size windows as a file and analyzed the same way
     trace, _ = generate(random_scenario(31), tmp_path / "trace.pcap")
     args = ["--keep", f"src:{SRC_NET}", "--force"]
     assert main(["analyze", str(trace), "--out", str(tmp_path / "file"), *args]) in (0, 2)

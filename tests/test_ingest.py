@@ -1,7 +1,10 @@
 """Trace ingestion: filtering, SYN signatures, and the write/read round trip."""
 
+import os
 import random
 import struct
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -311,14 +314,14 @@ def _assert_sigs_tight(packets, context):
         context
 
 
-# the default chunk size, and one small enough to put chunk joins among
-# SYNs, fragments, cut frames and the file's end
-_CHUNK_ROWS = (pcapio.CHUNK_ROWS, 7)
+# the default read window, and one a few records wide, which puts window
+# joins among SYNs, fragments, cut frames and the file's end
+_WINDOWS = (pcapio.WINDOW_BYTES, 512)
 
 
 def test_columnar_read_matches_reference_on_mutants(tmp_path, monkeypatch):
     """Byte flips and truncations: both readers refuse the file, or agree row for row,
-    whatever the chunk size."""
+    whatever the window size."""
     bases = _mutant_bases(tmp_path)
     path = tmp_path / "mutant.pcap"
     refused = 0
@@ -339,20 +342,20 @@ def test_columnar_read_matches_reference_on_mutants(tmp_path, monkeypatch):
         try:
             expected, counts = _reference_read(path)
         except PcapFormatError:
-            for rows in _CHUNK_ROWS:
-                monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+            for window in _WINDOWS:
+                monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
                 with pytest.raises(PcapFormatError):
                     read_trace(path)
             refused += 1
             continue
-        for rows in _CHUNK_ROWS:
-            monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+        for window in _WINDOWS:
+            monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
             got, summary = read_trace(path)
-            assert got == Packets.from_records(expected), f"mutant seed {seed}, {rows} rows"
-            _assert_sigs_tight(got, f"mutant seed {seed}, {rows} rows")
+            context = f"mutant seed {seed}, {window}-byte window"
+            assert got == Packets.from_records(expected), context
+            _assert_sigs_tight(got, context)
             assert (summary.total, summary.non_ipv4, summary.malformed) == \
-                (counts["total"], counts["non_ipv4"], counts["malformed"]), \
-                f"mutant seed {seed}, {rows} rows"
+                (counts["total"], counts["non_ipv4"], counts["malformed"]), context
     assert 0 < refused < 300      # the mutants exercise both outcomes
 
 
@@ -381,49 +384,105 @@ def test_columnar_reads_stay_inside_each_frame(tmp_path, monkeypatch):
                     out += filler + struct.pack(endian + "II", len(frame), len(frame)) + frame
             path.write_bytes(bytes(out))
             expected, counts = _reference_read(path)
-            for rows in _CHUNK_ROWS:
-                monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+            for window in (pcapio.WINDOW_BYTES, 4096):    # the default, a few records
+                monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
                 got, summary = read_trace(path)
-                assert got == Packets.from_records(expected), (kw, filler, rows)
-                _assert_sigs_tight(got, (kw, filler, rows))
+                assert got == Packets.from_records(expected), (kw, filler, window)
+                _assert_sigs_tight(got, (kw, filler, window))
                 assert (summary.total, summary.non_ipv4, summary.malformed) == \
                     (counts["total"], counts["non_ipv4"], counts["malformed"]), \
-                    (kw, filler, rows)
+                    (kw, filler, window)
 
 
 def test_chunk_joins(tmp_path, monkeypatch):
-    """Chunks that end on the file's last record, on a cut final record, and before
-    an oversized record: the same packets as the per-frame parser, the same error."""
+    """Windows smaller than a record, ending on record boundaries, and ending inside
+    a cut final record or an oversized record: the same packets as the per-frame
+    parser, the same error."""
     rng = random.Random(8)
     times = rng.sample(range(12), 12)     # rows move across chunks when sorted
     packets = [mk_packet(t * 1e-3, src=f"10.0.0.{i % 4 + 1}", ttl=50 + i,
                          sig=_SYN if i % 4 else None) for i, t in enumerate(times)]
     data = write_pcap(packets, tmp_path / "whole.pcap").read_bytes()
+    starts = [pos - 24 for pos in _records_of(data, "<")]    # offsets after the header
+    size = starts[1]
+    assert starts == [i * size for i in range(12)]           # records of one length
     path = tmp_path / "chunks.pcap"
     for image in (data, data[:-5]):
         path.write_bytes(image)
         expected, counts = _reference_read(path)
         assert len(expected) == (12 if image is data else 11)
-        for rows in (1, 2, 3, 5, 6, 11, 12, 13):
-            monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+        for window in (10, 100, size - 1, size, 2 * size, 5 * size, 11 * size + 3,
+                       12 * size, 13 * size, 1000, 3000):
+            monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
             got, summary = read_trace(path)
-            assert got == Packets.from_records(expected), rows
-            assert summary.total == counts["total"], rows
+            assert got == Packets.from_records(expected), window
+            _assert_sigs_tight(got, window)
+            assert summary.total == counts["total"], window
     oversized = bytearray(data)
-    struct.pack_into("<I", oversized, _records_of(data, "<")[7] + 8, pcapio.MAX_CAPLEN + 1)
+    struct.pack_into("<I", oversized, 24 + starts[7] + 8, pcapio.MAX_CAPLEN + 1)
     path.write_bytes(bytes(oversized))
-    for rows in (3, 7, 8):
-        monkeypatch.setattr(pcapio, "CHUNK_ROWS", rows)
+    for window in (100, size, 3 * size, starts[7] + 5, starts[7] + 12, starts[7] + 100):
+        monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
         with pytest.raises(PcapFormatError, match="record 7 claims"):
             read_trace(path)
 
 
+def test_frames_longer_than_the_window(tmp_path, monkeypatch):
+    """A frame several windows long is finished by further reads and decodes as the
+    per-frame parser decodes it."""
+    packets = [mk_packet(i * 1e-3, sport=1000 + i, ip_len=3000 if i % 3 else 60,
+                         sig=_SYN if i % 2 else None) for i in range(9)]
+    path = write_pcap(packets, tmp_path / "jumbo.pcap")
+    expected, counts = _reference_read(path)
+    assert len(expected) == 9
+    for window in (512, pcapio.WINDOW_BYTES):
+        monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
+        got, summary = read_trace(path)
+        assert got == Packets.from_records(expected), window
+        assert summary.total == counts["total"], window
+
+
+def test_pipe_is_read_in_windows(tmp_path, monkeypatch):
+    """A pipe is read a window at a time, not whole: reading a trace of over 1 MB
+    allocates well under the stream's size."""
+    records = [mk_packet(i * 1e-4, src=f"10.0.{i % 7}.{i % 200 + 1}", sport=1024 + i % 5000,
+                         ip_len=60 + i % 900, sig=_SYN if i % 10 == 0 else None)
+               for i in range(12_000)]
+    data = write_pcap(records, tmp_path / "stream.pcap", snaplen=96).read_bytes()
+    assert len(data) > 1 << 20
+    expected, _ = _reference_read(tmp_path / "stream.pcap")
+    monkeypatch.setattr(pcapio, "WINDOW_BYTES", 1 << 16)
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb", buffering=0) as fh:
+            view = memoryview(data)
+            for pos in range(0, len(data), 1 << 16):
+                fh.write(view[pos:pos + (1 << 16)])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    tracemalloc.start()
+    try:
+        writer.start()
+        got, summary = read_trace(f"/dev/fd/{r}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        os.close(r)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == Packets.from_records(expected)
+    assert summary.total == len(records)
+    assert peak < 0.75 * len(data), peak / len(data)
+
+
 def test_decode_error_comes_out_unchanged(tmp_path, monkeypatch):
-    """An error while decoding a chunk is not replaced by one from releasing the map."""
+    """An error while decoding a chunk leaves read_trace as it was raised: closing the
+    reader on the way out neither replaces nor hides it."""
     path = write_pcap([mk_packet(0, sig=_SYN)], tmp_path / "one.pcap")
 
-    def failing(self, image, buf, starts, memo):
-        raise RuntimeError("decode failed")     # its frame still holds a view of the map
+    def failing(self, *args):
+        raise RuntimeError("decode failed")
 
     monkeypatch.setattr(PcapReader, "_decode", failing)
     with pytest.raises(RuntimeError, match="decode failed"):
