@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 at least one trace rejected by the skewness gate,
 64 usage error, 65 invalid fingerprint database or a trace whose analysis
-failed, 66 unreadable input. A batch goes on past a failed trace and exits
-with the highest of its traces' codes.
+failed, 66 unreadable input or an output generate cannot write. A batch
+goes on past a failed trace and exits with the highest of its traces'
+codes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import __version__
 from .hops import FingerprintDb, FingerprintFormatError
 from .pcapio import PcapFormatError
 from .report import AnalysisParams, analyze_trace, write_report
-from .synth import ScenarioError, generate, load_scenario
+from .synth import ScenarioError, generate, ground_truth_path, load_scenario
 
 EXIT_OK = 0
 EXIT_GATE_REJECTED = 2
@@ -149,14 +150,17 @@ def _cmd_generate(args) -> int:
         print(f"flowlens generate: {exc}", file=sys.stderr)
         return EXIT_DATA
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         pcap_path, truth = generate(spec, out_dir / f"{args.name}.pcap")
+    except OSError as exc:
+        print(f"flowlens generate: {exc}", file=sys.stderr)
+        return EXIT_NOINPUT
     except ScenarioError as exc:
         print(f"flowlens generate: {exc}", file=sys.stderr)
         return EXIT_DATA
     print(json.dumps({"pcap": str(pcap_path),
-                      "ground_truth": str(pcap_path.with_name(pcap_path.stem + ".ground_truth.json")),
+                      "ground_truth": str(ground_truth_path(pcap_path)),
                       "flows": len(truth.flows),
                       "packets": truth.total_packets,
                       "bytes": truth.total_bytes}, sort_keys=True))

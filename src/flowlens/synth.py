@@ -187,36 +187,10 @@ class GroundTruth:
                       for f in self.flows],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        hosts = [TrueHost(ip=h["ip"], side=h["side"], initial_ttl=h["initial_ttl"],
-                          hops_to_monitor=h["hops"], os_label=h["os_label"],
-                          syn_emitted=h["syn_emitted"],
-                          fingerprint_effective=h["fingerprint_effective"])
-                 for h in d["hosts"]]
-        flows = [TrueFlow(block=f["block"], src_ip=f["src_ip"], dst_ip=f["dst_ip"],
-                          src_port=f["src_port"], dst_port=f["dst_port"],
-                          proto=f["proto"], n_packets=f["n_packets"],
-                          n_bytes=f["n_bytes"],
-                          category=AppCategory(f["category"]),
-                          path_hops=f["path_hops"], hops_exact=f["hops_exact"])
-                 for f in d["flows"]]
-        t = d["totals"]
-        return cls(flows=flows, hosts=hosts,
-                   total_packets=t["packets"], total_bytes=t["bytes"],
-                   forward_packets=t["forward_packets"],
-                   forward_bytes=t["forward_bytes"], beacon=t["beacon"],
-                   tau=d["tau"], duration=d["duration"], seed=d["seed"])
-
     def write_json(self, path) -> None:
+        """One compact line: ``json.dumps`` without ``indent`` runs the C encoder."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def read_json(cls, path) -> "GroundTruth":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            fh.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
 
 def sample_flow_size(rng: random.Random, alpha: float, cap: int, x_min: int = 2) -> int:
@@ -316,17 +290,17 @@ class _PlannedFlow:
     src: _ResolvedHost
     dst: _ResolvedHost
     syn_first: bool      # first packet is a fingerprint SYN
-    reverse: bool = False
 
 
 def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
-                       hosts: Dict[str, _ResolvedHost]) -> List[_PlannedFlow]:
+                       hosts: Dict[str, _ResolvedHost],
+                       flows_per_block: Tuple[str, float]) -> List[_PlannedFlow]:
     src_hosts = [h for h in hosts.values() if h.spec.side == "src"]
     dst_hosts = [h for h in hosts.values() if h.spec.side == "dst"]
     if not src_hosts or not dst_hosts:
         raise ScenarioError("random planning needs at least one src and one dst host")
 
-    mode, _, arg = spec.flows_per_block.partition(":")
+    mode, rate = flows_per_block
     cats = list(spec.app_mix.keys())
     weights = [spec.app_mix[c] for c in cats]
     ephemeral = 1024
@@ -338,7 +312,7 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
         current: List[_PlannedFlow] = []
 
         for f in prev_block:     # a flow key may persist into the next block
-            if f.reverse or rng.random() >= spec.key_repeat_prob:
+            if rng.random() >= spec.key_repeat_prob:
                 continue
             key = (f.plan.src_ip, f.plan.dst_ip, f.plan.src_port,
                    f.plan.dst_port, f.plan.proto)
@@ -351,12 +325,7 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
                                         src=f.src, dst=f.dst,
                                         syn_first=f.syn_first))
 
-        if mode == "fixed":
-            n_new = int(arg)
-        elif mode == "poisson":
-            n_new = _poisson(rng, float(arg))
-        else:
-            raise ScenarioError(f"bad flows_per_block {spec.flows_per_block!r}")
+        n_new = rate if mode == "fixed" else _poisson(rng, rate)
 
         for _ in range(n_new):
             cat = rng.choices(cats, weights=weights)[0]
@@ -436,7 +405,7 @@ def _plan_reverse_flows(flows: Sequence[_PlannedFlow]) -> List[_PlannedFlow]:
                          proto=PROTO_TCP, n_packets=2)
         out.append(_PlannedFlow(plan=rplan, category=AppCategory.OTHER_TCP,
                                 src=f.dst, dst=f.src,
-                                syn_first=f.dst.entry is not None, reverse=True))
+                                syn_first=f.dst.entry is not None))
     return out
 
 
@@ -444,14 +413,14 @@ def generate(spec: ScenarioSpec, pcap_path,
              db: Optional[FingerprintDb] = None) -> Tuple[Path, GroundTruth]:
     """Emit the scenario as a pcap plus a ground-truth JSON next to it."""
     db = db or FingerprintDb.default()
-    _validate_spec(spec)
+    flows_per_block = _validate_spec(spec)
     rng = random.Random(spec.seed)
     hosts = _resolve_hosts(spec, db)
 
     if spec.flows is not None:
         flows = _plan_explicit_flows(spec, hosts)
     else:
-        flows = _plan_random_flows(spec, rng, hosts)
+        flows = _plan_random_flows(spec, rng, hosts, flows_per_block)
     reverse = _plan_reverse_flows(flows) if spec.bidirectional else []
 
     # Feasibility: every packet needs its own microsecond slot in its block.
@@ -466,70 +435,54 @@ def generate(spec: ScenarioSpec, pcap_path,
                 f"block {block} needs {total} packet slots but tau holds only {tau_us}")
 
     beacon = bool(per_block) and 0 not in per_block
+    link = wrap_ethernet(b"") if spec.linktype == LINKTYPE_ETHERNET else b""
 
     pcap_path = Path(pcap_path)
-    total_packets = total_bytes = 0
-    fwd_packets = fwd_bytes = 0
-    syn_emitted: Dict[str, bool] = {}
-    ip_max = spec.snaplen - 14 if spec.linktype == LINKTYPE_ETHERNET else spec.snaplen
-
     with PcapWriter(pcap_path, linktype=spec.linktype, snaplen=spec.snaplen) as writer:
-        def emit(ts_us: int, flow: Optional[_PlannedFlow], pkt_idx: int):
-            nonlocal total_packets, total_bytes, fwd_packets, fwd_bytes
-            if flow is None:   # beacon
-                ip = build_ipv4_packet(BEACON_SRC, BEACON_DST, PROTO_ICMP,
-                                       ttl=64, ip_len=BEACON_LEN, max_bytes=ip_max)
-                ip_len = BEACON_LEN
-            else:
-                p = flow.plan
-                is_syn = flow.syn_first and pkt_idx == 0
-                entry = flow.src.entry
-                if is_syn:
-                    opts = build_tcp_options(entry.options_layout, _craft_mss(entry))
-                    ip = build_ipv4_packet(
-                        p.src_ip, p.dst_ip, PROTO_TCP, ttl=flow.src.observed_ttl,
-                        ip_len=spec.packet_bytes,
-                        df=True if entry.df_flag is None else entry.df_flag,
-                        src_port=p.src_port, dst_port=p.dst_port,
-                        tcp_flags=TCP_SYN, tcp_window=entry.window_size,
-                        tcp_options=opts, max_bytes=ip_max)
-                    syn_emitted[p.src_ip] = True
-                else:
-                    ip = build_ipv4_packet(
-                        p.src_ip, p.dst_ip, p.proto, ttl=flow.src.observed_ttl,
-                        ip_len=spec.packet_bytes,
-                        src_port=p.src_port, dst_port=p.dst_port,
-                        tcp_flags=TCP_ACK, tcp_window=16384, max_bytes=ip_max)
-                ip_len = spec.packet_bytes
-            if spec.linktype == LINKTYPE_ETHERNET:
-                writer.write(ts_us, wrap_ethernet(ip), orig_len=14 + ip_len)
-            else:
-                writer.write(ts_us, ip, orig_len=ip_len)
-            total_packets += 1
-            total_bytes += ip_len
-            if flow is not None and not flow.reverse:
-                fwd_packets += 1
-                fwd_bytes += ip_len
-
         if beacon:
-            emit(0, None, 0)
+            ip = build_ipv4_packet(BEACON_SRC, BEACON_DST, PROTO_ICMP, ttl=64,
+                                   ip_len=BEACON_LEN, max_bytes=spec.snaplen - len(link))
+            writer.write(0, link + ip, orig_len=len(link) + BEACON_LEN)
+        orig_len = len(link) + spec.packet_bytes
         for block, fl in sorted(per_block.items()):
             entries = []
             for seq, f in enumerate(fl):
+                data, first = _flow_frames(spec, f, link)
                 n = f.plan.n_packets
                 for j in range(n):
                     ideal = round((j + 0.5) / n * tau_us)
-                    entries.append((ideal, seq, j, f))
-            entries.sort(key=lambda e: (e[0], e[1], e[2]))
+                    entries.append((ideal, seq, j, data if j else first))
+            entries.sort()      # (seq, j) is unique, so frames are never compared
             total = len(entries)
             base = block * tau_us
-            for k, (_, _, j, f) in enumerate(entries):
-                emit(base + (k * tau_us) // total, f, j)
+            for k, e in enumerate(entries):
+                writer.write(base + (k * tau_us) // total, e[3], orig_len=orig_len)
 
-    truth = _build_truth(spec, hosts, flows, syn_emitted,
-                         total_packets, total_bytes, fwd_packets, fwd_bytes, beacon)
+    truth = _build_truth(spec, hosts, flows, reverse, beacon)
     truth.write_json(ground_truth_path(pcap_path))
     return pcap_path, truth
+
+
+def _flow_frames(spec: ScenarioSpec, flow: _PlannedFlow,
+                 link: bytes) -> Tuple[bytes, bytes]:
+    """A flow's data frame and first frame (its SYN, if it opens with one),
+    each led by ``link``: all of the flow's packets are one of the two."""
+    p = flow.plan
+    common = dict(ttl=flow.src.observed_ttl, ip_len=spec.packet_bytes,
+                  src_port=p.src_port, dst_port=p.dst_port,
+                  max_bytes=spec.snaplen - len(link))
+    data = link + build_ipv4_packet(p.src_ip, p.dst_ip, p.proto, tcp_flags=TCP_ACK,
+                                    tcp_window=16384, **common)
+    if not flow.syn_first:
+        return data, data
+    entry = flow.src.entry
+    syn = build_ipv4_packet(
+        p.src_ip, p.dst_ip, PROTO_TCP,
+        df=True if entry.df_flag is None else entry.df_flag,
+        tcp_flags=TCP_SYN, tcp_window=entry.window_size,
+        tcp_options=build_tcp_options(entry.options_layout, _craft_mss(entry)),
+        **common)
+    return data, link + syn
 
 
 def ground_truth_path(pcap_path) -> Path:
@@ -537,20 +490,24 @@ def ground_truth_path(pcap_path) -> Path:
     return p.with_name(p.stem + ".ground_truth.json")
 
 
-def _build_truth(spec, hosts, flows, syn_emitted, total_packets, total_bytes,
-                 fwd_packets, fwd_bytes, beacon) -> GroundTruth:
-    true_hosts = []
-    effective = {}
-    for rh in hosts.values():
-        emitted = syn_emitted.get(rh.spec.ip, False)
-        eff = rh.entry is not None and emitted
-        effective[rh.spec.ip] = eff
-        true_hosts.append(TrueHost(ip=rh.spec.ip, side=rh.spec.side,
-                                   initial_ttl=rh.initial_ttl,
-                                   hops_to_monitor=rh.spec.hops_to_monitor,
-                                   os_label=rh.spec.os_label,
-                                   syn_emitted=emitted,
-                                   fingerprint_effective=eff))
+def _build_truth(spec, hosts, flows, reverse, beacon) -> GroundTruth:
+    """The ground truth, totals included, read off the plan.
+
+    Every planned flow emits >= 1 packet (explicit plans are validated to,
+    random sizes are >= 2, reverse flows have 2), so each ``syn_first`` flow
+    sends its SYN; only fingerprinted hosts plan one, so a host's
+    fingerprint is effective exactly when it sent a SYN.
+    """
+    fwd_packets = sum(f.plan.n_packets for f in flows)
+    flow_packets = fwd_packets + sum(f.plan.n_packets for f in reverse)
+    syn_emitted = {f.plan.src_ip for f in flows + reverse if f.syn_first}
+    true_hosts = [TrueHost(ip=rh.spec.ip, side=rh.spec.side,
+                           initial_ttl=rh.initial_ttl,
+                           hops_to_monitor=rh.spec.hops_to_monitor,
+                           os_label=rh.spec.os_label,
+                           syn_emitted=rh.spec.ip in syn_emitted,
+                           fingerprint_effective=rh.spec.ip in syn_emitted)
+                  for rh in hosts.values()]
     true_flows = []
     for f in flows:
         p = f.plan
@@ -560,15 +517,19 @@ def _build_truth(spec, hosts, flows, syn_emitted, total_packets, total_bytes,
             n_packets=p.n_packets, n_bytes=p.n_packets * spec.packet_bytes,
             category=f.category,
             path_hops=f.src.spec.hops_to_monitor + f.dst.spec.hops_to_monitor,
-            hops_exact=effective[p.src_ip] and effective[p.dst_ip]))
+            hops_exact=p.src_ip in syn_emitted and p.dst_ip in syn_emitted))
     return GroundTruth(flows=true_flows, hosts=true_hosts,
-                       total_packets=total_packets, total_bytes=total_bytes,
-                       forward_packets=fwd_packets, forward_bytes=fwd_bytes,
+                       total_packets=flow_packets + int(beacon),
+                       total_bytes=(flow_packets * spec.packet_bytes
+                                    + int(beacon) * BEACON_LEN),
+                       forward_packets=fwd_packets,
+                       forward_bytes=fwd_packets * spec.packet_bytes,
                        beacon=beacon, tau=spec.tau, duration=spec.duration,
                        seed=spec.seed)
 
 
-def _validate_spec(spec: ScenarioSpec) -> None:
+def _validate_spec(spec: ScenarioSpec) -> Tuple[str, float]:
+    """Reject an invalid spec; return ``flows_per_block`` as (mode, rate)."""
     if spec.tau <= 0 or spec.tau_us < 1:
         raise ScenarioError("tau must be at least one microsecond")
     if spec.n_blocks < 1:
@@ -588,6 +549,14 @@ def _validate_spec(spec: ScenarioSpec) -> None:
         raise ScenarioError("snaplen too small to keep transport headers")
     if spec.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
         raise ScenarioError(f"unsupported linktype {spec.linktype}")
+    mode, _, arg = spec.flows_per_block.partition(":")
+    try:
+        rate = int(arg) if mode == "fixed" else float(arg)
+    except ValueError:
+        rate = -1
+    if mode not in ("fixed", "poisson") or not 0 <= rate < math.inf:
+        raise ScenarioError(f"bad flows_per_block {spec.flows_per_block!r}")
+    return mode, rate
 
 
 # ---------------------------------------------------------------------------

@@ -268,12 +268,25 @@ def test_generate_subcommand(tmp_path, capsys):
     assert code in (0, 2)
 
 
-def test_generate_bad_scenario(tmp_path):
+def test_generate_bad_scenario(tmp_path, capsys):
+    hosts = "[hosts]\n10.0.0.1 5 src ttl:64\n203.0.113.1 5 dst ttl:64\n"
     bad = tmp_path / "bad.scenario"
-    bad.write_text("duration = -1\n")
-    assert main(["generate", "--scenario", str(bad), "--out", str(tmp_path)]) == 65
+    for line, why in (("duration = -1", "duration"),
+                      ("flows_per_block = fixed:two", "bad flows_per_block"),
+                      ("flows_per_block = poisson:lots", "bad flows_per_block")):
+        bad.write_text(line + "\n" + hosts)
+        assert main(["generate", "--scenario", str(bad), "--out", str(tmp_path)]) == 65
+        assert why in capsys.readouterr().err
     assert main(["generate", "--scenario", str(tmp_path / "nope"), "--out",
                  str(tmp_path)]) == 66
+    # a valid scenario, but --out names an existing file
+    good = tmp_path / "good.scenario"
+    good.write_text("duration = 0.5\n" + hosts)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    assert main(["generate", "--scenario", str(good), "--out", str(taken)]) == 66
+    assert capsys.readouterr().err.startswith("flowlens generate: ")
 
 
 def test_fingerprint_db_check(tmp_path, capsys):

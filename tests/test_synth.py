@@ -1,13 +1,17 @@
 """Generator contracts: determinism, feasibility, closed-loop ground truth."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from flowlens.apps import classify
 from flowlens.flows import BlockingConfig, aggregate
 from flowlens.ingest import read_trace
-from flowlens.pcapio import PROTO_TCP, ipv4_str
+from flowlens.pcapio import LINKTYPE_RAW_IP, PROTO_TCP, ipv4_str
 from flowlens.report import AnalysisParams, analyze_trace
-from flowlens.synth import (FlowPlan, GroundTruth, HostSpec, ScenarioError,
+from flowlens.synth import (FlowPlan, HostSpec, ScenarioError,
                             ScenarioSpec, generate, ground_truth_path,
                             load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
@@ -44,6 +48,39 @@ def test_deterministic_output_bytes(tmp_path):
     path_b, _ = generate(spec_b, tmp_path / "b.pcap")
     assert path_a.read_bytes() == path_b.read_bytes()
     assert ground_truth_path(path_a).read_text() == ground_truth_path(path_b).read_text()
+
+
+def _late_flow_scenario():
+    hosts = [HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
+             HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
+    late = [FlowPlan(3, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 5)]
+    return ScenarioSpec(duration=0.5, hosts=hosts, flows=late, bidirectional=False)
+
+
+@pytest.mark.parametrize("make_spec, pcap_sha, truth_sha", [
+    # Ethernet, random planning, reverse flows
+    (lambda: random_scenario(5),
+     "6e4eb16c2d26cf5b5b1d3f1dce455386d276adf2157ea36abd38967537d441bb",
+     "ce9963c11b3457f2ad2bb529ce9607b3418ca4364000a26230697cacc1e016f8"),
+    # explicit plan, every source opening with a fingerprint SYN
+    (table1_scenario,
+     "63a439351842a3d0971f2af5ba36ba337c91545ce8fcbee4fd5333c4aa96be85",
+     "d6374feccf058c921afbf8adcb4fa93371e7b9274f9b6cca9dc824721bd68e25"),
+    # raw IP link type: same plan, no Ethernet header
+    (lambda: dataclasses.replace(random_scenario(5), linktype=LINKTYPE_RAW_IP),
+     "93cba975b0f9a05cd36d3902130ef07c0c6a1a97c9faa384ef3f73653322229a",
+     "ce9963c11b3457f2ad2bb529ce9607b3418ca4364000a26230697cacc1e016f8"),
+    # block 0 empty: the t=0 beacon
+    (_late_flow_scenario,
+     "34ac7fafc818ba8bd830af98bf1390c2bea284e4a240a8dcffed1951751a48b3",
+     "1c5b5f9c196ee1f5f67619a8ea91f376fbadae99ae865a1ebf4acfc9d24ac779"),
+], ids=["random", "table1", "raw-ip", "beacon"])
+def test_generated_bytes_are_pinned(make_spec, pcap_sha, truth_sha, tmp_path):
+    """The pcap's bytes and the ground truth's content, not its layout."""
+    path, gt = generate(make_spec(), tmp_path / "pinned.pcap")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pcap_sha
+    content = json.dumps(gt.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(content).hexdigest() == truth_sha
 
 
 def test_different_seed_different_bytes(tmp_path):
@@ -93,11 +130,7 @@ def test_randomized_closed_loop(seed, tmp_path):
 
 
 def test_beacon_only_when_block_zero_empty(tmp_path):
-    hosts = [HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
-             HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
-    late = [FlowPlan(3, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 5)]
-    spec = ScenarioSpec(duration=0.5, hosts=hosts, flows=late, bidirectional=False)
-    path, gt = generate(spec, tmp_path / "late.pcap")
+    path, gt = generate(_late_flow_scenario(), tmp_path / "late.pcap")
     assert gt.beacon
     records, _ = read_trace(path)
     assert records.ts_us[0] == 0 and ipv4_str(records.src[0]) == "192.0.2.255"
@@ -105,7 +138,7 @@ def test_beacon_only_when_block_zero_empty(tmp_path):
     assert aggregate(records, BlockingConfig()).block.tolist() == [3]
 
     early = [FlowPlan(0, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 5)]
-    spec2 = ScenarioSpec(duration=0.5, hosts=hosts, flows=early, bidirectional=False)
+    spec2 = dataclasses.replace(_late_flow_scenario(), flows=early)
     _, gt2 = generate(spec2, tmp_path / "early.pcap")
     assert not gt2.beacon
 
@@ -113,8 +146,7 @@ def test_beacon_only_when_block_zero_empty(tmp_path):
 def test_ground_truth_json_round_trip(tmp_path):
     spec = table1_scenario()
     path, gt = generate(spec, tmp_path / "t1.pcap")
-    loaded = GroundTruth.read_json(ground_truth_path(path))
-    assert loaded == gt
+    assert json.loads(ground_truth_path(path).read_text()) == gt.to_dict()
 
 
 def test_table1_scenario_breakdown(tmp_path):
