@@ -20,7 +20,6 @@ from . import __version__
 from .hops import FingerprintDb, FingerprintFormatError
 from .pcapio import PcapFormatError
 from .report import AnalysisParams, analyze_trace, write_report
-from .synth import ScenarioError, generate, ground_truth_path, load_scenario
 
 EXIT_OK = 0
 EXIT_GATE_REJECTED = 2
@@ -141,6 +140,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # imported here: analyze never needs the generator, whose import would
+    # slow every CLI start
+    from .synth import ScenarioError, generate, ground_truth_path, load_scenario
     try:
         spec = load_scenario(args.scenario)
     except OSError as exc:
@@ -149,10 +151,8 @@ def _cmd_generate(args) -> int:
     except ScenarioError as exc:
         print(f"flowlens generate: {exc}", file=sys.stderr)
         return EXIT_DATA
-    out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        pcap_path, truth = generate(spec, out_dir / f"{args.name}.pcap")
+        pcap_path, truth = generate(spec, Path(args.out) / f"{args.name}.pcap")
     except OSError as exc:
         print(f"flowlens generate: {exc}", file=sys.stderr)
         return EXIT_NOINPUT

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class Flows:
     """Per-(block, 5-tuple) flow records as columns, one row per record.
 
     Rows come in (block, FlowKey) order. The address columns hold 32-bit
-    values; `addrs` lists the distinct ones in ascending order and `names`
-    their dotted quads, formatted once per address.
+    values.
     """
 
     block: np.ndarray           # int64 block index
@@ -67,18 +66,13 @@ class Flows:
     n_bytes: np.ndarray         # int64
     rep_ttl: np.ndarray         # uint8: modal observed TTL, ties toward the larger value
     is_greedy: np.ndarray       # bool
-    addrs: np.ndarray           # uint32, ascending
-    names: Tuple[str, ...]      # dotted quad of each of addrs
 
     def __len__(self) -> int:
         return len(self.block)
 
     def rows(self) -> Iterator[tuple]:
-        """The flows.csv rows: names for addresses, 0/1 for the greedy flag."""
-        names = np.array(self.names, dtype=object)
-        return zip(self.block.tolist(),
-                   names[np.searchsorted(self.addrs, self.src)].tolist(),
-                   names[np.searchsorted(self.addrs, self.dst)].tolist(),
+        """The flows.csv rows: dotted quads for addresses, 0/1 for the greedy flag."""
+        return zip(self.block.tolist(), ipv4_strs(self.src), ipv4_strs(self.dst),
                    self.src_port.tolist(), self.dst_port.tolist(), self.proto.tolist(),
                    self.n_packets.tolist(), self.n_bytes.tolist(),
                    self.is_greedy.view(np.uint8).tolist(), self.rep_ttl.tolist())
@@ -95,14 +89,6 @@ def _string_order(addrs: np.ndarray) -> np.ndarray:
     """A uint32 per address whose numeric order is the dotted quads' string order."""
     return (_OCTET_RANK[addrs >> 24] << 24 | _OCTET_RANK[addrs >> 16 & 0xFF] << 16
             | _OCTET_RANK[addrs >> 8 & 0xFF] << 8 | _OCTET_RANK[addrs & 0xFF])
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values in ascending order (sort and cut the runs)."""
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
 
 
 def aggregate(packets: Packets, cfg: BlockingConfig) -> Flows:
@@ -146,16 +132,13 @@ def aggregate(packets: Packets, cfg: BlockingConfig) -> Flows:
     first = starts[admitted]
     key_low, rows = low[first] >> 8, order[first]
     n_packets = n_packets[admitted]
-    src, dst = src[rows], dst[rows]
-    addrs = _distinct(np.concatenate([src, dst]))
-    return Flows(block=block[first], src=src, dst=dst,
+    return Flows(block=block[first], src=src[rows], dst=dst[rows],
                  src_port=(key_low >> 24).astype(np.uint16),
                  dst_port=(key_low >> 8 & 0xFFFF).astype(np.uint16),
                  proto=(key_low & 0xFF).astype(np.uint8),
                  n_packets=n_packets, n_bytes=n_bytes[admitted],
                  rep_ttl=rep_ttl[admitted].astype(np.uint8),
-                 is_greedy=n_packets > cfg.greedy_threshold,
-                 addrs=addrs, names=ipv4_strs(addrs))
+                 is_greedy=n_packets > cfg.greedy_threshold)
 
 
 def greedy_throughput_equivalent(cfg: BlockingConfig, avg_packet_bytes: float) -> float:
@@ -167,11 +150,67 @@ def greedy_throughput_equivalent(cfg: BlockingConfig, avg_packet_bytes: float) -
 
 FLOWS_CSV_HEADER = ["block_index", "src_ip", "dst_ip", "src_port", "dst_port",
                     "proto", "n_packets", "n_bytes", "is_greedy", "rep_ttl"]
-_CSV_ROW = "%d,%s,%s,%d,%d,%d,%d,%d,%d,%d\r\n"
+
+
+def _digit_cells() -> np.ndarray:
+    """Three-digit groups as 4-byte cells, digits first and 0 bytes as padding:
+    row i holds "%03d" % i, row 1000 + i holds "%d" % i right-aligned, row
+    2000 nothing. A cell's last byte stays free for a separator."""
+    i = np.arange(1000)[:, None]
+    digits = i // [100, 10, 1] % 10 + ord("0")
+    cells = np.zeros((2001, 4), dtype=np.uint8)
+    cells[:1000, :3] = digits
+    cells[1000:2000, :3] = digits * (i >= [100, 10, 0])
+    return cells.view(np.uint32)[:, 0]
+
+
+_CELLS = _digit_cells()
+
+
+def _last_byte(char: bytes) -> np.uint32:
+    """A cell holding `char` in its free last byte, to OR into a digit cell."""
+    return np.frombuffer(b"\0\0\0" + char, dtype=np.uint32)[0]
+
+
+def _number_cells(values: np.ndarray, end: bytes) -> list:
+    """Non-negative integers as "%d" writes them and then `end`: one cell column
+    per three digits of the widest value."""
+    v = values.astype(np.int64)
+    groups = -(-len(str(int(v.max()))) // 3) if len(v) else 1
+    columns = []
+    for k in range(groups - 1, -1, -1):
+        q = v // 1000 ** k      # the value above its k lowest groups
+        row = q % 1000 + 1000 * (q < 1000)      # leading zeros are padding
+        if k:
+            row[q == 0] = 2000
+        columns.append(_CELLS[row])
+    columns[-1] |= _last_byte(end)
+    return columns
+
+
+def _ipv4_cells(values: np.ndarray, end: bytes) -> list:
+    """32-bit addresses as their dotted quads and then `end`: a cell column per octet."""
+    return [_CELLS[1000 + (values >> shift & 0xFF)] | _last_byte(char)
+            for shift, char in ((24, b"."), (16, b"."), (8, b"."), (0, end))]
 
 
 def write_flows_csv(flows: Flows, path) -> None:
-    """flows.csv as csv.writer writes it: no field needs quoting, lines end in CRLF."""
+    """flows.csv as csv.writer writes it: no field needs quoting, lines end in CRLF.
+
+    The body is one table with a row per line, built from the columns in
+    4-byte cells of up to three digits and a separator, with 0 bytes as
+    padding; deleting those bytes leaves the lines.
+    """
+    columns = [*_number_cells(flows.block, b","),
+               *_ipv4_cells(flows.src, b","), *_ipv4_cells(flows.dst, b","),
+               *_number_cells(flows.src_port, b","), *_number_cells(flows.dst_port, b","),
+               *_number_cells(flows.proto, b","), *_number_cells(flows.n_packets, b","),
+               *_number_cells(flows.n_bytes, b","),
+               *_number_cells(flows.is_greedy.view(np.uint8), b","),
+               *_number_cells(flows.rep_ttl, b"\r"),
+               np.full(len(flows), _last_byte(b"\n"))]
+    body = np.column_stack(columns).tobytes().translate(None, b"\0")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(FLOWS_CSV_HEADER)
-        fh.writelines(map(_CSV_ROW.__mod__, flows.rows()))
+        fh.flush()
+        fh.buffer.write(body)

@@ -219,7 +219,7 @@ class PcapReader:
         _, _, _, _, _, network = struct.unpack(self._endian + "HHiIII", header[4:])
         self.linktype = network
         self._rec_hdr = struct.Struct(self._endian + "IIII")
-        self._caplen = struct.Struct(self._endian + "I")
+        self._native = struct.pack(self._endian + "I", 1) == struct.pack("=I", 1)
         self._path = path
 
     def __enter__(self):
@@ -243,8 +243,7 @@ class PcapReader:
                 return
             ts_sec, ts_frac, caplen, _ = unpack(hdr)
             if caplen > MAX_CAPLEN:
-                raise PcapFormatError(f"record {index} claims {caplen} "
-                                      f"captured bytes (limit {MAX_CAPLEN})")
+                raise _oversized(index, caplen)
             data = read(caplen)
             if len(data) < caplen:
                 log.warning("%s: truncated final record (%d of %d bytes)",
@@ -271,44 +270,72 @@ class PcapReader:
             more = self._fh.read(WINDOW_BYTES)
             image = rest + more
             starts, end = self._walk(image, index, final=not more)
-            if starts:
+            if len(starts):
                 if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
                     raise PcapFormatError(f"unsupported link type {self.linktype}")
                 index += len(starts)
-                yield self._decode(image, np.frombuffer(starts, dtype=np.int64), keys, table)
+                yield self._decode(image, starts, keys, table)
             if not more:
                 return
             rest = image[end:]
 
-    def _walk(self, image: bytes, index: int, final: bool) -> Tuple[array.array, int]:
+    def _walk(self, image: bytes, index: int, final: bool) -> Tuple[np.ndarray, int]:
         """Header offsets of every whole record in `image`, and the offset after them.
 
-        `index` is the number of records before `image`, for the MAX_CAPLEN
-        message. A cut header or record at the end is logged only when the
-        stream has ended (`final`); otherwise the next read completes it.
+        Each caplen is read from one of four word views of `image`, one per
+        byte alignment; the walk ends where a caplen lies past the image or
+        its record runs past it. MAX_CAPLEN is checked after the walk, over
+        the walked records and then the cut one, so the refusal still names
+        the first record that claims too much. `index` is the number of
+        records before `image`, for that message. A cut header or record at
+        the end is logged only when the stream has ended (`final`); otherwise
+        the next read completes it.
         """
         size = len(image)
-        caplen_at = self._caplen.unpack_from
-        starts = array.array("q")
-        append = starts.append
+        words = self._word_views(image)
+        walked = []         # a list appends faster than an array.array
+        append = walked.append
         pos = 0
-        while True:     # `while pos + 16 <= size:` walked ~25% slower on CPython 3.11
-            if pos + 16 > size:
-                if final and pos < size:
-                    log.warning("%s: truncated record header at end of file", self._path)
-                return starts, pos
-            caplen, = caplen_at(image, pos + 8)
-            end = pos + 16 + caplen
-            if caplen > MAX_CAPLEN:
-                raise PcapFormatError(f"record {index + len(starts)} claims {caplen} "
-                                      f"captured bytes (limit {MAX_CAPLEN})")
-            if end > size:
-                if final:
-                    log.warning("%s: truncated final record (%d of %d bytes)",
-                                self._path, size - pos - 16, caplen)
-                return starts, pos
-            append(pos)
-            pos = end
+        try:
+            while True:
+                end = pos + 16 + words[pos & 3][pos + 8 >> 2]
+                if end > size:
+                    break
+                append(pos)
+                pos = end
+        except IndexError:  # the caplen field is cut
+            pass
+        starts = np.array(walked, dtype=np.int64)
+        caplen = np.diff(starts, append=pos) - 16
+        over = np.flatnonzero(caplen > MAX_CAPLEN)
+        if len(over):
+            raise _oversized(index + int(over[0]), int(caplen[over[0]]))
+        if pos + 16 <= size:
+            cut = words[pos & 3][pos + 8 >> 2]
+            if cut > MAX_CAPLEN:
+                raise _oversized(index + len(starts), cut)
+            if final:
+                log.warning("%s: truncated final record (%d of %d bytes)",
+                            self._path, size - pos - 16, cut)
+        elif final and pos < size:
+            log.warning("%s: truncated record header at end of file", self._path)
+        return starts, pos
+
+    def _word_views(self, image: bytes) -> list:
+        """32-bit words of `image` in the file's byte order: view k holds those
+        at byte offsets 4i + k, so the word at offset q is views[q & 3][q >> 2].
+        Native-order files are read in place, others through swapped copies."""
+        whole, views = memoryview(image), []
+        for k in range(4):
+            aligned = whole[k:k + max(0, (len(image) - k) // 4) * 4]
+            if self._native:
+                views.append(aligned.cast("I"))
+            else:
+                swapped = array.array("I")
+                swapped.frombytes(aligned)
+                swapped.byteswap()
+                views.append(swapped)
+        return views
 
     def _decode(self, image: bytes, starts: np.ndarray, keys: dict,
                 table: dict) -> Tuple[Packets, int, int]:
@@ -352,7 +379,7 @@ class PcapReader:
         ported = np.flatnonzero(tcp | (~fragment & (proto == PROTO_UDP) & (avail >= 4)))
         ports = np.zeros((len(rows), 2), dtype=np.uint16)
         ports[ported] = _bytes_at(buf, tp[ported], 4).view(">u2")
-        sig, sigs = _syn_table(image, buf, np.flatnonzero(tcp), tp, avail, ttl,
+        sig, sigs = _syn_table(buf, np.flatnonzero(tcp), tp, avail, ttl,
                                head[:, 6] & 0x40 != 0, keys, table)
 
         chunk = Packets(ts_us[rows], addrs[:, 0].astype(np.uint32),
@@ -362,34 +389,64 @@ class PcapReader:
         return chunk, n, non_ipv4
 
 
-def _syn_table(image, buf, tcp, tp, avail, ttl, df, keys, table):
+def _oversized(index: int, caplen: int) -> PcapFormatError:
+    """The refusal of record `index` (counted from 0), which claims `caplen` bytes."""
+    return PcapFormatError(f"record {index} claims {caplen} "
+                           f"captured bytes (limit {MAX_CAPLEN})")
+
+
+def _syn_table(buf, tcp, tp, avail, ttl, df, keys, table):
     """The chunk's sig column, for the pure SYNs among the TCP rows `tcp`, and the table.
 
-    The two dicts hold the trace's table across chunks: `keys` maps a tuple
-    of extract_syn_signature's arguments to its index, and `table` maps a
-    SynSignature to that index, in order of first appearance. Python runs
-    once per pure SYN, but extract_syn_signature and the SynSignature hash
-    only once per new tuple, since most SYNs repeat a few stacks.
+    A pure SYN's key is 48 bytes: its option bytes zero-padded to 40, their
+    length, the flags, window, TTL and DF bit, all that extract_syn_signature
+    reads. The chunk's SYNs are grouped by key with a sort, so Python runs
+    once per distinct key. The two dicts hold the trace's table across
+    chunks: `keys` maps a key to its index, and `table` maps a SynSignature
+    to that index, in order of first appearance; extract_syn_signature runs
+    once per new key.
     """
     flags = buf[tp[tcp] + 13]
     pure = (flags & TCP_SYN != 0) & (flags & TCP_ACK == 0)
     syn, flags = tcp[pure], flags[pure]
+    sig = np.full(len(ttl), -1, dtype=np.int32)
+    if not len(syn):    # a window may then be shorter than the 40 bytes read below
+        return sig, tuple(table)
     t, n = tp[syn], avail[syn]
     window = np.zeros(len(syn), dtype=np.int64)
     window[n >= 16] = _be16(buf, t[n >= 16] + 14)
-    data_offset = (buf[t + 12] >> 4).astype(np.int64) * 4
-    opt_end = np.where(data_offset > 20, t + np.minimum(data_offset, n), 0)
-    at = []
-    for flag, win, hop_ttl, dont_frag, start, end in zip(
-            flags.tolist(), window.tolist(), ttl[syn].tolist(), df[syn].tolist(),
-            (t + 20).tolist(), opt_end.tolist()):
-        key = (flag, win, hop_ttl, dont_frag, image[start:end])   # b"" if end <= start
-        i = keys.get(key)
+    # the options are the bytes from t + 20 to t + data_offset that were captured.
+    # 40 bytes are read from each SYN's (clamped) option offset, and where they
+    # would run past the window, from a zero-padded copy of its last 40 bytes.
+    opt_len = np.clip(np.minimum((buf[t + 12] >> 4).astype(np.int64) * 4, n) - 20, 0, 40)
+    at = np.minimum(t + 20, len(buf))
+    edge = len(buf) - 40
+    tail = np.concatenate((buf[edge:], np.zeros(40, dtype=np.uint8)))
+    options = np.where((at > edge)[:, None], _bytes_at(tail, np.maximum(at - edge, 0), 40),
+                       _bytes_at(buf, np.minimum(at, edge), 40))
+    key = np.zeros((len(syn), 48), dtype=np.uint8)
+    key[:, :40] = options * (np.arange(40) < opt_len[:, None])
+    key[:, 40], key[:, 41], key[:, 42] = opt_len, flags, ttl[syn]
+    key[:, 43], key[:, 44], key[:, 45] = df[syn], window >> 8, window & 0xFF
+    words = key.view(np.uint64)
+    order = np.lexsort(words.T)
+    words = words[order]
+    first = np.ones(len(syn), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    firsts = order[first]       # the sort is stable: each key's first row
+    distinct = words[first].tobytes()
+    appear = np.argsort(firsts)
+    found = []
+    for g in appear.tolist():
+        k = distinct[48 * g:48 * g + 48]
+        i = keys.get(k)
         if i is None:
-            i = keys[key] = table.setdefault(extract_syn_signature(*key), len(table))
-        at.append(i)
-    sig = np.full(len(ttl), -1, dtype=np.int32)
-    sig[syn] = at
+            i = keys[k] = table.setdefault(extract_syn_signature(
+                k[41], k[44] << 8 | k[45], k[42], bool(k[43]), k[:k[40]]), len(table))
+        found.append(i)
+    index = np.empty(len(firsts), dtype=np.int32)
+    index[appear] = found
+    sig[syn[order]] = index[np.cumsum(first) - 1]
     return sig, tuple(table)
 
 

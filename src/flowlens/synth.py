@@ -203,14 +203,21 @@ def sample_flow_size(rng: random.Random, alpha: float, cap: int, x_min: int = 2)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
-    # Knuth's method; fine for the small lambdas scenarios use.
-    limit = math.exp(-lam)
-    k, p = 0, 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
+    # Knuth's method, whose exp(-lam) underflows above about 745: a larger
+    # lam is split into equal parts of at most 500, and a sum of Poisson
+    # draws is a Poisson draw with the summed rate.
+    parts = max(1, math.ceil(lam / 500))
+    total = 0
+    for _ in range(parts):
+        limit = math.exp(-lam / parts)
+        k, p = 0, 1.0
+        while True:
+            p *= rng.random()
+            if p <= limit:
+                break
+            k += 1
+        total += k
+    return total
 
 
 @dataclass(frozen=True)
@@ -411,7 +418,11 @@ def _plan_reverse_flows(flows: Sequence[_PlannedFlow]) -> List[_PlannedFlow]:
 
 def generate(spec: ScenarioSpec, pcap_path,
              db: Optional[FingerprintDb] = None) -> Tuple[Path, GroundTruth]:
-    """Emit the scenario as a pcap plus a ground-truth JSON next to it."""
+    """Emit the scenario as a pcap plus a ground-truth JSON next to it.
+
+    The pcap's directory is made, if missing, only once the scenario has
+    been checked and planned, so a rejected scenario leaves nothing behind.
+    """
     db = db or FingerprintDb.default()
     flows_per_block = _validate_spec(spec)
     rng = random.Random(spec.seed)
@@ -438,6 +449,7 @@ def generate(spec: ScenarioSpec, pcap_path,
     link = wrap_ethernet(b"") if spec.linktype == LINKTYPE_ETHERNET else b""
 
     pcap_path = Path(pcap_path)
+    pcap_path.parent.mkdir(parents=True, exist_ok=True)
     with PcapWriter(pcap_path, linktype=spec.linktype, snaplen=spec.snaplen) as writer:
         if beacon:
             ip = build_ipv4_packet(BEACON_SRC, BEACON_DST, PROTO_ICMP, ttl=64,

@@ -13,7 +13,7 @@ from flowlens.flows import FlowKey, Flows
 from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              PacketRecord, SynSignature, build_ipv4_packet,
-                             build_tcp_options, ipv4_int, ipv4_str, wrap_ethernet)
+                             build_tcp_options, ipv4_int, wrap_ethernet)
 from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
 
 SRC_NET = "10.0.0.0/8"          # all scenario src-side hosts live here
@@ -41,8 +41,6 @@ def mk_flows(rows: Sequence[Tuple[int, FlowKey, int, bool]]) -> Flows:
         return np.array(list(values), dtype=dtype)
 
     keys = [k for _, k, _, _ in rows]
-    addrs = np.array(sorted({ipv4_int(ip) for k in keys for ip in (k.src_ip, k.dst_ip)}),
-                     dtype=np.uint32)
     n_packets = col((n for _, _, n, _ in rows), np.int64)
     return Flows(block=col((b for b, *_ in rows), np.int64),
                  src=col((ipv4_int(k.src_ip) for k in keys), np.uint32),
@@ -52,8 +50,7 @@ def mk_flows(rows: Sequence[Tuple[int, FlowKey, int, bool]]) -> Flows:
                  proto=col((k.proto for k in keys), np.uint8),
                  n_packets=n_packets, n_bytes=n_packets * 700,
                  rep_ttl=np.full(len(rows), 60, dtype=np.uint8),
-                 is_greedy=col((g for *_, g in rows), bool),
-                 addrs=addrs, names=tuple(ipv4_str(a) for a in addrs.tolist()))
+                 is_greedy=col((g for *_, g in rows), bool))
 
 
 def flow_keys(flows: Flows) -> List[Tuple[int, FlowKey]]:

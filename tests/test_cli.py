@@ -275,8 +275,10 @@ def test_generate_bad_scenario(tmp_path, capsys):
                       ("flows_per_block = fixed:two", "bad flows_per_block"),
                       ("flows_per_block = poisson:lots", "bad flows_per_block")):
         bad.write_text(line + "\n" + hosts)
-        assert main(["generate", "--scenario", str(bad), "--out", str(tmp_path)]) == 65
+        out = tmp_path / "new" / "dir"
+        assert main(["generate", "--scenario", str(bad), "--out", str(out)]) == 65
         assert why in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()      # rejected before anything is made
     assert main(["generate", "--scenario", str(tmp_path / "nope"), "--out",
                  str(tmp_path)]) == 66
     # a valid scenario, but --out names an existing file
@@ -287,6 +289,27 @@ def test_generate_bad_scenario(tmp_path, capsys):
     capsys.readouterr()
     assert main(["generate", "--scenario", str(good), "--out", str(taken)]) == 66
     assert capsys.readouterr().err.startswith("flowlens generate: ")
+
+
+def test_cli_import_leaves_the_generator_unimported(tmp_path):
+    # analyze never calls the generator, so the CLI imports it only for generate
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text("duration = 0.5\nseed = 3\nflows_per_block = fixed:2\n"
+                        "[hosts]\n10.0.0.1 9 src ttl:64\n203.0.113.1 8 dst ttl:128\n")
+    code = ("import sys\n"
+            "import flowlens.cli\n"
+            "print('flowlens.synth' in sys.modules)\n"
+            "code = flowlens.cli.main(sys.argv[1:])\n"
+            "print('flowlens.synth' in sys.modules, code)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, "generate", "--scenario",
+                           str(scenario), "--out", str(tmp_path / "gen")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "True 0", proc.stdout
+    assert json.loads(lines[1])["packets"] > 0
+    assert (tmp_path / "gen" / "trace.pcap").exists()
 
 
 def test_fingerprint_db_check(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Per-block flow aggregation against a brute-force grouping oracle."""
 
+import csv
+import io
 import random
 from collections import defaultdict
 from dataclasses import fields, replace
@@ -10,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.flows import (BlockingConfig, _string_order, aggregate,
-                            greedy_throughput_equivalent)
-from flowlens.pcapio import PROTO_TCP, PROTO_UDP, Packets, ipv4_str
+from flowlens.flows import (FLOWS_CSV_HEADER, BlockingConfig, Flows, _string_order,
+                            aggregate, greedy_throughput_equivalent, write_flows_csv)
+from flowlens.pcapio import PROTO_TCP, PROTO_UDP, Packets, ipv4_int, ipv4_str
 
 from helpers import mk_packet
 
@@ -112,15 +114,11 @@ def test_table_columns_and_names():
                for src, dst in (("10.0.0.2", "203.0.113.9"), ("10.0.0.10", "10.0.0.2"))]
     packets += [mk_packet(0.03, src="192.0.2.1")]          # a lone packet: no record
     flows = aggregate(Packets.from_records(packets), CFG)
-    assert [(f.name, getattr(flows, f.name).dtype) for f in fields(flows)
-            if f.name != "names"] == [
+    assert [(f.name, getattr(flows, f.name).dtype) for f in fields(flows)] == [
         ("block", np.int64), ("src", np.uint32), ("dst", np.uint32),
         ("src_port", np.uint16), ("dst_port", np.uint16), ("proto", np.uint8),
         ("n_packets", np.int64), ("n_bytes", np.int64), ("rep_ttl", np.uint8),
-        ("is_greedy", np.bool_), ("addrs", np.uint32)]
-    # the addresses of the records, each named once, in ascending numeric order
-    assert [ipv4_str(a) for a in flows.addrs.tolist()] == list(flows.names) == \
-        ["10.0.0.2", "10.0.0.10", "203.0.113.9"]
+        ("is_greedy", np.bool_)]
     assert list(flows.rows()) == [
         (0, "10.0.0.10", "10.0.0.2", 1024, 80, PROTO_TCP, 2, 1400, 0, 55),
         (0, "10.0.0.2", "203.0.113.9", 1024, 80, PROTO_TCP, 2, 1400, 0, 55)]
@@ -132,7 +130,7 @@ def test_fragments_excluded_from_keying():
     flows = aggregate(Packets.from_records(packets), CFG)
     assert flows.n_packets.tolist() == [2]
     only_fragments = aggregate(Packets.from_records(packets[2:]), CFG)
-    assert len(only_fragments) == 0 and only_fragments.names == ()
+    assert len(only_fragments) == 0 and list(only_fragments.rows()) == []
 
 
 def _random_packets(rng, n):
@@ -195,3 +193,96 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BlockingConfig(greedy_threshold=1)
     assert BlockingConfig(tau=0.2).tau_us == 200_000
+
+
+# --- flows.csv against the per-row `%`-format writer ----------------------------
+
+_CSV_ROW = "%d,%s,%s,%d,%d,%d,%d,%d,%d,%d\r\n"
+
+
+def _reference_flows_csv(flows):
+    """flows.csv as the writer formatted it before, one `%`-format per row."""
+    head = io.StringIO()
+    csv.writer(head).writerow(FLOWS_CSV_HEADER)
+    return (head.getvalue() + "".join(map(_CSV_ROW.__mod__, flows.rows()))).encode()
+
+
+def _flow_table(src, dst, **columns):
+    """A Flows table of the given columns; addresses as dotted quads."""
+    dtypes = {"block": np.int64, "src_port": np.uint16, "dst_port": np.uint16,
+              "proto": np.uint8, "n_packets": np.int64, "n_bytes": np.int64,
+              "rep_ttl": np.uint8, "is_greedy": np.bool_}
+    return Flows(src=np.array([ipv4_int(a) for a in src], dtype=np.uint32),
+                 dst=np.array([ipv4_int(a) for a in dst], dtype=np.uint32),
+                 **{name: np.array(columns[name], dtype=dtype)
+                    for name, dtype in dtypes.items()})
+
+
+def _assert_csv_matches(flows, path):
+    write_flows_csv(flows, path)
+    assert path.read_bytes() == _reference_flows_csv(flows)
+
+
+# one more digit, and one more three-digit group, at each step
+_EDGES = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000, 999999,
+          1000000, 10 ** 7]
+_QUADS = ["1.2.3.4", "255.255.255.255", "0.0.0.0", "10.0.0.1", "9.99.100.255",
+          "100.20.3.45"]
+
+
+def test_flows_csv_empty_table(tmp_path):
+    flows = _flow_table([], [], **{name: [] for name in (
+        "block", "src_port", "dst_port", "proto", "n_packets", "n_bytes", "rep_ttl",
+        "is_greedy")})
+    _assert_csv_matches(flows, tmp_path / "flows.csv")
+    assert (tmp_path / "flows.csv").read_bytes().count(b"\r\n") == 1
+
+
+def test_flows_csv_digit_boundaries(tmp_path):
+    """Every column runs through the 9/10, 99/100, 999/1000 ... boundaries its type
+    holds, next to other columns of other widths."""
+    def edges(top, *more):
+        return [v for v in _EDGES if v <= top] + list(more)
+
+    columns = {"block": edges(10 ** 7, 123456789, 10 ** 12),
+               "src_port": edges(65535, 65535), "dst_port": edges(65535, 65535, 443),
+               "proto": edges(255, 255, 6, 17), "n_packets": edges(10 ** 7, 2),
+               "n_bytes": edges(10 ** 7, 10 ** 9, 999999999, 10 ** 12, 2 ** 63 - 1),
+               "rep_ttl": edges(255, 255, 64), "is_greedy": [0, 1, 1]}
+    n = 3 * max(len(v) for v in columns.values())
+    rows = {name: [values[(3 * r + i) % len(values)] for r in range(n)]
+            for i, (name, values) in enumerate(columns.items())}
+    src = [_QUADS[r % len(_QUADS)] for r in range(n)]
+    dst = [_QUADS[(r + 2) % len(_QUADS)] for r in range(n)]
+    flows = _flow_table(src, dst, **rows)
+    _assert_csv_matches(flows, tmp_path / "flows.csv")
+    lines = (tmp_path / "flows.csv").read_bytes().split(b"\r\n")
+    assert lines[1 + src.index("255.255.255.255")].split(b",")[1] == b"255.255.255.255"
+    assert b"9223372036854775807" in lines[1 + rows["n_bytes"].index(2 ** 63 - 1)]
+    # one row alone: every column one digit wide
+    one = _flow_table(["1.2.3.4"], ["0.0.0.0"], **{name: [0] for name in columns})
+    _assert_csv_matches(one, tmp_path / "one.csv")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flows_csv_random_tables(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    n = 500
+
+    def spread(top_digits, size=n):
+        return (10 ** rng.integers(0, top_digits, size=size) * rng.random(size)).astype(np.int64)
+
+    quads = [ipv4_str(a) for a in rng.integers(0, 2 ** 32, size=40, dtype=np.uint64)]
+    flows = _flow_table(
+        [quads[i] for i in rng.integers(0, 40, n)], [quads[i] for i in rng.integers(0, 40, n)],
+        block=spread(8), src_port=spread(5) % 65536, dst_port=spread(5) % 65536,
+        proto=spread(3) % 256, n_packets=spread(7), n_bytes=spread(15),
+        rep_ttl=spread(3) % 256, is_greedy=rng.random(n) < 0.5)
+    _assert_csv_matches(flows, tmp_path / "flows.csv")
+
+
+def test_flows_csv_of_aggregated_records(tmp_path):
+    rng = random.Random(11)
+    flows = aggregate(Packets.from_records(_random_packets(rng, 3000)), CFG)
+    assert len(flows) > 100
+    _assert_csv_matches(flows, tmp_path / "flows.csv")

@@ -16,9 +16,10 @@ from flowlens.ingest import DirectionFilter, read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              PacketRecord, Packets, PcapFormatError, PcapReader,
-                             SynSignature, build_tcp_options,
+                             SynSignature, build_ipv4_packet, build_tcp_options,
                              extract_syn_signature, ipv4_payload, parse_ipv4,
                              parse_tcp_options)
+from flowlens.cli import main
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
 from helpers import mk_packet, write_pcap
@@ -487,3 +488,137 @@ def test_decode_error_comes_out_unchanged(tmp_path, monkeypatch):
     monkeypatch.setattr(PcapReader, "_decode", failing)
     with pytest.raises(RuntimeError, match="decode failed"):
         read_trace(path)
+
+
+# --- SYN keys: grouped per chunk, against the per-frame parser -----------------
+
+_ECE = 0x40
+
+
+def _syn_frame(options=LINUX_OPTS, flags=TCP_SYN, window=5840, ttl=55, df=True,
+               data_offset=None, src="10.0.0.1"):
+    """A raw-IP TCP SYN with the given option bytes; `data_offset` overrides the
+    header's (in bytes), whatever the options are."""
+    ip = bytearray(build_ipv4_packet(src, "203.0.113.1", PROTO_TCP, ttl=ttl,
+                                     ip_len=40 + len(options), df=df, src_port=1024,
+                                     dst_port=80, tcp_flags=flags, tcp_window=window,
+                                     tcp_options=options))
+    if data_offset is not None:
+        ip[32] = data_offset // 4 << 4
+    return bytes(ip)
+
+
+def _raw_pcap(frames, path):
+    """A raw-IP pcap of (frame, caplen) pairs, 1 ms apart in stream order."""
+    out = bytearray(struct.pack("<IHHiIII", pcapio.MAGIC_US, 2, 4, 0, 0, 65535,
+                                LINKTYPE_RAW_IP))
+    for i, (frame, caplen) in enumerate(frames):
+        out += struct.pack("<IIII", 0, 1000 * i, caplen, len(frame)) + frame[:caplen]
+    path.write_bytes(bytes(out))
+    return path
+
+
+def test_syn_keys_match_the_per_frame_parser(tmp_path, monkeypatch):
+    """Short data offsets, options cut by caplen, 40-byte options, flags that do not
+    change the signature and a signature first seen late: the same sig column and
+    table, in order of first appearance, as parse_ipv4 gives frame by frame."""
+    forty = LINUX_OPTS + b"\x13\x12" + bytes(16) + b"\x01\x00"      # MD5, NOP, EOL
+    tail_zeros = b"\x01\x01\x00\x00"
+    frames = []
+    for i in range(6):
+        frames.append((_syn_frame(window=5840 + i % 2), 60))
+        frames.append((_syn_frame(flags=TCP_SYN | _ECE, window=5840), 60))
+        frames.append((_syn_frame(flags=TCP_SYN | TCP_ACK), 60))
+        frames.append((_syn_frame(LINUX_OPTS, data_offset=12), 60))     # < 20: no options
+        frames.append((_syn_frame(LINUX_OPTS, data_offset=0), 60))
+        for cut in (34, 35, 36, 40, 41, 45, 52, 59):    # inside the header, then options
+            frames.append((_syn_frame(), cut))
+        frames.append((_syn_frame(forty, ttl=60), 80))
+        frames.append((_syn_frame(forty, ttl=60), 79))
+        # the same bytes once zero-padded: only the option length tells them apart
+        frames.append((_syn_frame(tail_zeros, df=False), 44))
+        frames.append((_syn_frame(tail_zeros, df=False), 43))
+        frames.append((_syn_frame(tail_zeros, df=False), 42))
+        frames.append((_syn_frame(window=i, ttl=30 + i), 60))
+    frames.append((_syn_frame(window=4321, ttl=7), 60))              # new in the last chunk
+    path = _raw_pcap(frames, tmp_path / "syns.pcap")
+    expected, _ = _reference_read(path)
+    want = Packets.from_records(expected)
+    assert len(want.sigs) > 15
+    for window in (pcapio.WINDOW_BYTES, 300):
+        monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
+        got, _ = read_trace(path)
+        assert got.sigs == want.sigs, window
+        assert got.sig.tolist() == want.sig.tolist(), window
+    with PcapReader(path) as reader:
+        tables = [len(chunk.sigs) for chunk, _, _ in reader.packet_chunks()]
+    assert len(tables) > 10 and tables[-2] < tables[-1] == len(want.sigs)
+
+
+def test_windows_shorter_than_a_syn_key(tmp_path, monkeypatch):
+    """Windows holding fewer bytes than the 40 option bytes a SYN's key spans:
+    a header-only datagram alone, and SYNs cut inside their TCP header."""
+    bare = build_ipv4_packet("10.0.0.1", "10.0.0.2", 99, ttl=64, ip_len=20)
+    cases = [[(bare, 20)], [(_syn_frame(), 60), (bare, 20)],
+             [(_syn_frame(), 34)], [(_syn_frame(), 60), (_syn_frame(window=7), 36)]]
+    for i, frames in enumerate(cases):
+        path = _raw_pcap(frames, tmp_path / f"short{i}.pcap")
+        expected, counts = _reference_read(path)
+        for window in (pcapio.WINDOW_BYTES, 76):      # 76: one 60-byte record a window
+            monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
+            got, summary = read_trace(path)
+            assert got == Packets.from_records(expected), (i, window)
+            assert summary.total == counts["total"] == len(frames), (i, window)
+
+
+# --- the record walk ----------------------------------------------------------
+
+def _walk_trace(path, n=60, endian="<", snaplen=65535):
+    """Records of odd and even lengths, so their headers sit at every alignment."""
+    records = [mk_packet(i * 1e-3, src=f"10.0.0.{i % 5 + 1}", sport=1000 + i,
+                         ip_len=61 + i % 7, sig=_SYN if i % 4 == 0 else None)
+               for i in range(n)]
+    return write_pcap(records, path, endian=endian, snaplen=snaplen)
+
+
+def test_big_endian_twin_reads_the_same(tmp_path, monkeypatch):
+    little = _walk_trace(tmp_path / "little.pcap")
+    big = _walk_trace(tmp_path / "big.pcap", endian=">")
+    snapped = _walk_trace(tmp_path / "snapped.pcap", endian=">", snaplen=67)
+    assert little.read_bytes() != big.read_bytes()
+    expected, _ = _reference_read(little)
+    for window in (pcapio.WINDOW_BYTES, 333, 64):
+        monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
+        got, summary = read_trace(big)
+        assert got == read_trace(little)[0] == Packets.from_records(expected), window
+        assert summary.total == 60
+        assert read_trace(snapped)[0] == Packets.from_records(_reference_read(snapped)[0])
+
+
+def _with_caplen(path, record, caplen):
+    """The pcap with record `record`'s caplen field set to `caplen`."""
+    data = bytearray(path.read_bytes())
+    pos = 24
+    for _ in range(record):
+        pos += 16 + struct.unpack_from("<I", data, pos + 8)[0]
+    struct.pack_into("<I", data, pos + 8, caplen)
+    path.write_bytes(bytes(data))
+
+
+def test_oversized_caplen_mid_window_and_at_its_cut(tmp_path, capsys):
+    """A record claiming more than MAX_CAPLEN is refused with its index, whether
+    the window holds as many bytes as it claims (the walk goes on past it) or
+    it is the record the window cuts."""
+    n = (pcapio.MAX_CAPLEN + 20_000) // 100      # enough bytes after record 30
+    for name, caplen in (("mid", pcapio.MAX_CAPLEN + 1), ("cut", 0x7FFFFFFF)):
+        path = tmp_path / f"{name}.pcap"
+        write_pcap([mk_packet(i * 1e-4, sport=1000 + i % 50000, ip_len=70)
+                    for i in range(n)], path)
+        _with_caplen(path, 30, caplen)
+        if name == "mid":
+            assert path.stat().st_size - 24 < pcapio.WINDOW_BYTES
+            assert path.stat().st_size > 24 + 31 * 100 + pcapio.MAX_CAPLEN + 16
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 66
+        err = capsys.readouterr().err
+        assert f"record 30 claims {caplen} captured bytes (limit {pcapio.MAX_CAPLEN})" \
+            in err, err

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import math
+import random
+import statistics
 
 import pytest
 
@@ -12,7 +15,7 @@ from flowlens.ingest import read_trace
 from flowlens.pcapio import LINKTYPE_RAW_IP, PROTO_TCP, ipv4_str
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import (FlowPlan, HostSpec, ScenarioError,
-                            ScenarioSpec, generate, ground_truth_path,
+                            ScenarioSpec, _poisson, generate, ground_truth_path,
                             load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
 
@@ -166,6 +169,21 @@ def test_flow_size_sampler_bounds():
     rng = _random.Random(9)
     sizes = [sample_flow_size(rng, 1.5, cap=50) for _ in range(5000)]
     assert min(sizes) >= 2 and max(sizes) <= 50
+
+
+def test_poisson_draws_at_large_rates():
+    # exp(-1000) underflows; Knuth's method alone stalled near 745
+    rng = random.Random(2)
+    assert abs(statistics.mean(_poisson(rng, 1000) for _ in range(200)) / 1000 - 1) < 0.05
+    # up to 500 the draws are Knuth's method's own, so generated traces keep their bytes
+    for lam in (0, 3.5, 40, 120, 500):
+        knuth, ours = random.Random(lam), random.Random(lam)
+        for _ in range(20):
+            limit, k, p = math.exp(-lam), 0, knuth.random()
+            while p > limit:
+                k += 1
+                p *= knuth.random()
+            assert _poisson(ours, lam) == k, lam
 
 
 def test_large_scenario_alpha_recovery(tmp_path):
