@@ -34,8 +34,8 @@ class BlockingConfig:
     greedy_threshold: int = 20  # strictly more packets than this => greedy
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (self.tau > 0 and np.isfinite(self.tau)):
+            raise ValueError("tau must be positive and finite")
         if round(self.tau * 1e6) < 1:
             raise ValueError("tau must be at least one microsecond")
         if self.min_packets < 2:

@@ -210,7 +210,8 @@ class HostEstimates:
     Hosts whose arithmetic lands outside [0, 64] hops are implausible
     (usually a fallback guess one initial-TTL tier too high) and, like a
     host whose modal TTL is 0 without a fingerprint, are left out of the
-    columns but still counted in n_hosts and listed in `rejected`.
+    columns but still counted in n_hosts and listed in `rejected`, in
+    address order.
     """
 
     addrs: np.ndarray = _no_rows(np.uint32)       # ascending
@@ -262,25 +263,27 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
 
     The modal TTL is the anchor (ties toward the larger TTL, i.e. the
     shorter path); a host emitting several distinct TTLs is flagged since
-    its route apparently changed mid-trace. A host's fingerprint is the
-    first of its SYNs, in row order, that matches the database; without
-    one, its initial TTL is the smallest standard value at or above the
-    modal TTL. `rejected` lists hosts in order of first appearance, and
-    one warning per call counts them by reason.
+    its route apparently changed mid-trace. A host's fingerprint is its
+    earliest SYN by `ts_us` that matches the database, ties going to the
+    earlier row; without one, its initial TTL is the smallest standard
+    value at or above the modal TTL. No result depends on row order.
+    `rejected` lists hosts in address order, and one warning per call
+    counts them by reason.
     """
     if not len(packets):
         return HostEstimates()
-    addrs, first_row, host = np.unique(packets.src, return_index=True, return_inverse=True)
+    addrs, host = np.unique(packets.src, return_inverse=True)
     # every (host, ttl) pair with its count, host-major: one run per host
     pairs, counts = np.unique(host.astype(np.int64) << 8 | packets.ttl, return_counts=True)
     runs = np.flatnonzero(np.append(True, pairs[1:] >> 8 != pairs[:-1] >> 8))
     modal = np.maximum.reduceat(counts << 8 | (pairs & 0xFF), runs) & 0xFF
     conflict = np.diff(np.append(runs, len(pairs))) > 1
 
-    # each host's first SYN row, in row order, whose signature matches
+    # each host's earliest matching SYN row; the stable sort keeps time ties in row order
     entries = [match_fingerprint(sig, db) for sig in packets.sigs]
     matches = np.array([entry is not None for entry in entries] + [False])  # [-1]: no SYN
     rows = np.flatnonzero(matches[packets.sig])
+    rows = rows[np.argsort(packets.ts_us[rows], kind="stable")]
     matched, first = np.unique(host[rows], return_index=True)
     matched_entries = [entries[i] for i in packets.sig[rows[first]].tolist()]
 
@@ -299,7 +302,6 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
         log.warning("%d of %d hosts rejected: %d with modal TTL 0, "
                     "%d with an implausible hop estimate", len(rejected), len(addrs),
                     np.count_nonzero(ttl_zero), np.count_nonzero(implausible))
-    rejected = rejected[np.argsort(first_row[rejected], kind="stable")]
     return HostEstimates(
         addrs=addrs[ok], hops=hops[ok], initial_ttl=initial[ok], ttl_conflict=conflict[ok],
         os_labels={addr: entry.os_label for addr, entry, kept in zip(

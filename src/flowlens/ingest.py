@@ -1,10 +1,10 @@
 """Trace ingestion: pcap files to normalized Packets columns, and direction filters.
 
 Timestamps are re-based to the trace's earliest valid IPv4 packet so block
-indices are trace-relative, and packets are re-sorted by timestamp. Only
-IPv4 is handled; anything else is counted and skipped. A non-first IP
-fragment has no transport header, so it keeps its byte count for rate
-statistics but is flagged and never contributes to flow keys.
+indices are trace-relative. Rows keep the file's order, on which no stage
+depends. Only IPv4 is handled; anything else is counted and skipped. A
+non-first IP fragment has no transport header, so it keeps its byte count
+for rate statistics but is flagged and never contributes to flow keys.
 """
 
 from __future__ import annotations
@@ -80,16 +80,15 @@ class IngestSummary:
 
 
 def read_trace(path) -> Tuple[Packets, IngestSummary]:
-    """Read a pcap into timestamp-ordered Packets.
+    """Read a pcap into Packets, one row per IPv4 packet in file order.
 
     Counts frames, non-IPv4 frames and malformed IPv4 frames; direction
     filtering is left to the caller. The stream is read in fixed-size
-    windows, but the decoded columns of the whole trace are buffered
-    because re-sorting by timestamp requires it. Columns are joined and
-    sorted one at a time, so the peak is about one copy of the columns
-    (29 B per packet) plus the sort permutation and one read window. The
-    signature table is the reader's, which lists every distinct SYN
-    signature once, in order of first appearance in the stream.
+    windows and the decoded columns of the whole trace are kept. Columns
+    are joined one at a time, so the peak is about one copy of the
+    columns (29 B per packet) plus the column being joined and one read
+    window. The signature table is the reader's, which lists every
+    distinct SYN signature once, in order of first appearance.
     """
     summary = IngestSummary()
     parts = {name: [] for name, _ in pcapio.COLUMNS}
@@ -103,13 +102,8 @@ def read_trace(path) -> Tuple[Packets, IngestSummary]:
             for (name, _), col in zip(pcapio.COLUMNS, chunk.columns()):
                 parts[name].append(col)
 
-    columns, order = [], None
-    for name, dtype in pcapio.COLUMNS:
-        col = np.concatenate(parts.pop(name) or [np.empty(0, dtype)])
-        if order is None:                       # ts_us comes first
-            order = np.argsort(col, kind="stable")
-        columns.append(col[order])
-        del col                                 # before the next column is joined
-    if len(order):
-        columns[0] -= columns[0][0]
+    columns = [np.concatenate(parts.pop(name) or [np.empty(0, dtype)])
+               for name, dtype in pcapio.COLUMNS]
+    if len(columns[0]):
+        columns[0] -= columns[0].min()
     return Packets(*columns, sigs=sigs), summary

@@ -128,10 +128,11 @@ class Packets:
     """A trace as columns: one row per IPv4 packet, one array per field.
 
     The columns are PacketRecord's fields with narrow dtypes, addresses as
-    their 32-bit values. A pure SYN's signature is the column `sig`, an
-    index into `sigs`, the table of the signatures its rows hold; `sig` is
-    -1 on every other row. Tables built by read_trace and from_records list
-    each signature once.
+    their 32-bit values. Rows may come in any order (read_trace keeps the
+    file's): no stage's result depends on it. A pure SYN's signature is
+    the column `sig`, an index into `sigs`, the table of the signatures
+    its rows hold; `sig` is -1 on every other row. Tables built by
+    read_trace and from_records list each signature once.
     """
 
     ts_us: np.ndarray           # int64 microseconds

@@ -38,6 +38,8 @@ class AnalysisParams:
 
     def __post_init__(self):
         self.blocking()                          # tau and the thresholds
+        if np.isnan(self.skew_min):
+            raise ValueError("skew_min must be a number")
         ingest.DirectionFilter.parse(self.keep)
 
     def blocking(self) -> flows.BlockingConfig:

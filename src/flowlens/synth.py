@@ -542,13 +542,13 @@ def _build_truth(spec, hosts, flows, reverse, beacon) -> GroundTruth:
 
 def _validate_spec(spec: ScenarioSpec) -> Tuple[str, float]:
     """Reject an invalid spec; return ``flows_per_block`` as (mode, rate)."""
-    if spec.tau <= 0 or spec.tau_us < 1:
-        raise ScenarioError("tau must be at least one microsecond")
-    if spec.n_blocks < 1:
+    if not (spec.tau > 0 and math.isfinite(spec.tau)) or spec.tau_us < 1:
+        raise ScenarioError("tau must be finite and at least one microsecond")
+    if not math.isfinite(spec.duration) or spec.n_blocks < 1:
         raise ScenarioError("duration must cover at least one block")
     if spec.packet_bytes < MIN_PACKET_BYTES:
         raise ScenarioError(f"packet_bytes must be >= {MIN_PACKET_BYTES}")
-    if spec.flow_size_alpha <= 0:
+    if not spec.flow_size_alpha > 0:               # also refuses NaN
         raise ScenarioError("flow_size_alpha must be positive")
     if spec.flow_size_cap < 2:
         raise ScenarioError("flow_size_cap must be >= 2")

@@ -104,6 +104,22 @@ def write_pcap(records: Sequence[PacketRecord], path,
     return path
 
 
+def shuffle_records(src, dst, seed: int) -> Path:
+    """Copy the pcap `src` to `dst` with its records in a seeded random order."""
+    data = Path(src).read_bytes()
+    endian = "<" if struct.unpack("<I", data[:4])[0] in (MAGIC_US, MAGIC_NS) else ">"
+    records, pos = [], 24
+    while pos < len(data):
+        end = pos + 16 + struct.unpack_from(endian + "I", data, pos + 8)[0]
+        records.append(data[pos:end])
+        pos = end
+    random.Random(seed).shuffle(records)
+    dst = Path(dst)
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_bytes(data[:24] + b"".join(records))
+    return dst
+
+
 def skewed_trace(path, block_weights: Sequence[int]) -> Path:
     """One packet per weight unit: block i carries block_weights[i] packets.
 

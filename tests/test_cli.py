@@ -92,6 +92,12 @@ def test_usage_error_exit_64(capsys):
     assert exc.value.code == 64
     assert main(["analyze", "x.pcap", "--keep", "bogus::"]) == 64
     assert main(["analyze", "x.pcap", "--tau", "-1"]) == 64
+    capsys.readouterr()
+    for bad in (["--tau", "inf"], ["--tau", "1e400"], ["--tau", "nan"],
+                ["--skew-min", "nan"]):
+        assert main(["analyze", "x.pcap", *bad]) == 64, bad
+        err = capsys.readouterr().err
+        assert "bad arguments:" in err and "Traceback" not in err, bad
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "x.pcap", "--jobs", "2"])   # traces run one after another
     assert exc.value.code == 64
@@ -272,6 +278,9 @@ def test_generate_bad_scenario(tmp_path, capsys):
     hosts = "[hosts]\n10.0.0.1 5 src ttl:64\n203.0.113.1 5 dst ttl:64\n"
     bad = tmp_path / "bad.scenario"
     for line, why in (("duration = -1", "duration"),
+                      ("duration = inf", "duration"), ("duration = nan", "duration"),
+                      ("tau = inf", "tau"), ("tau = nan", "tau"),
+                      ("flow_size_alpha = nan", "flow_size_alpha"),
                       ("flows_per_block = fixed:two", "bad flows_per_block"),
                       ("flows_per_block = poisson:lots", "bad flows_per_block")):
         bad.write_text(line + "\n" + hosts)

@@ -2,6 +2,8 @@
 
 Small seeded traces cover a dst-side keep filter, a gate-rejected trace
 without --force, a forced trace with no flow records and a two-trace batch.
+No output depends on record order, so the dst-side trace with its records
+shuffled, under the same file name, must give the in-order digests.
 report.json is hashed with its generated_at line removed; every other file
 is hashed as written. A change that moves any output byte fails here. If a
 change means to alter the output, recompute the digests with
@@ -17,12 +19,19 @@ import pytest
 from flowlens.cli import main
 from flowlens.synth import generate
 
-from helpers import SRC_NET, random_scenario, skewed_trace
+from helpers import SRC_NET, random_scenario, shuffle_records, skewed_trace
 
 
 def _keep_dst(tmp):
     pcap, _ = generate(random_scenario(11), tmp / "dst.pcap")
     return [pcap], ["--keep", "dst:203.0.113.0/24", "--force"]
+
+
+def _keep_dst_shuffled(tmp):
+    [pcap], args = _keep_dst(tmp)
+    shuffled = shuffle_records(pcap, tmp / "shuffled" / pcap.name, seed=3)
+    assert shuffled.read_bytes() != pcap.read_bytes()
+    return [shuffled], args
 
 
 def _rejected(tmp):
@@ -39,8 +48,8 @@ def _batch(tmp):
     return [a, b], ["--keep", f"src:{SRC_NET}"]
 
 
-CASES = {"keep-dst": _keep_dst, "rejected": _rejected,
-         "no-records": _no_records, "batch": _batch}
+CASES = {"keep-dst": _keep_dst, "keep-dst-shuffled": _keep_dst_shuffled,
+         "rejected": _rejected, "no-records": _no_records, "batch": _batch}
 
 
 def _sha256(data: bytes) -> str:
@@ -101,6 +110,7 @@ GOLDEN = {
         "throughput.csv": "e88c31f1d3feec09074091d9e226bfbfc05cd8e61354cee596cca6e67a8e1282",
     }),
 }
+GOLDEN["keep-dst-shuffled"] = GOLDEN["keep-dst"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

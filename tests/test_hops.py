@@ -200,6 +200,21 @@ def test_match_runs_once_per_distinct_signature(monkeypatch):
     assert est.get("10.0.0.6").os_label == "Linux 2.4"
 
 
+def test_earliest_matching_syn_fingerprints_the_host():
+    """The SYN earliest in time wins, wherever its row is; at equal times the
+    earlier row wins."""
+    db = FingerprintDb.loads("1000|32|*|*|*|early\n2000|64|*|*|*|late\n")
+    early, late = (SynSignature(window, 30, True, 1460, ("MSS",)) for window in (1000, 2000))
+    packets = [mk_packet(0.2, src="10.0.0.1", ttl=30, sig=late),
+               mk_packet(0.1, src="10.0.0.1", ttl=30, sig=early),
+               mk_packet(0.3, src="10.0.0.2", ttl=30, sig=late),
+               mk_packet(0.3, src="10.0.0.2", ttl=30, sig=early)]
+    est = estimate_hosts(Packets.from_records(packets), db)
+    first, second = est.get("10.0.0.1"), est.get("10.0.0.2")
+    assert (first.os_label, first.initial_ttl, first.hops_to_monitor) == ("early", 32, 2)
+    assert (second.os_label, second.initial_ttl, second.hops_to_monitor) == ("late", 64, 34)
+
+
 def test_generator_ground_truth_recovered_exactly(tmp_path):
     spec = random_scenario(123)
     path, gt = generate(spec, tmp_path / "t.pcap")
@@ -229,16 +244,18 @@ DIFF_SIGS = [  # (window, df, layout): Linux 2.4 (64), Solaris 8 (255), Windows 
 
 
 def _host_model(packets, db):
-    """ip -> HostTtlEstimate, and the rejected ips, host by host in plain Python."""
+    """ip -> HostTtlEstimate, and the rejected ips in address order, host by host
+    in plain Python."""
     ttls, entry = {}, {}
-    for p in packets:                                   # dicts keep first appearance
+    for p in sorted(packets, key=lambda p: p.ts_us):    # stable: time ties in list order
         ttls.setdefault(p.src_ip, Counter())[p.ttl] += 1
         if p.syn_sig is not None and p.src_ip not in entry:
-            found = match_fingerprint(p.syn_sig, db)    # the first *matching* SYN
+            found = match_fingerprint(p.syn_sig, db)    # the earliest *matching* SYN
             if found is not None:
                 entry[p.src_ip] = found
     estimates, rejected = {}, []
-    for ip, counter in ttls.items():
+    for ip in sorted(ttls, key=ipv4_int):
+        counter = ttls[ip]
         modal = max(counter, key=lambda t: (counter[t], t))    # ties: larger TTL
         found = entry.get(ip)
         if found is None and modal == 0:
@@ -284,13 +301,15 @@ def _host_packets(draw):
         if draw(st.integers(0, 2)) == 0:
             window, df, layout = draw(st.sampled_from(DIFF_SIGS))
             sig = SynSignature(window, ttl, df, 1460, layout)
-        packets.append(mk_packet(i * 1e-3, src=ip, ttl=ttl, sig=sig))
+        packets.append(mk_packet(i // 2 * 1e-3, src=ip, ttl=ttl, sig=sig))   # ties in pairs
     return packets
 
 
 @settings(max_examples=200, deadline=None)
-@given(_host_packets())
+@given(_host_packets().flatmap(st.permutations))
 def test_estimate_hosts_matches_model(packets):
+    """Rows in any order, times tied in pairs: the model picks the earliest
+    matching SYN by time, ties in row order."""
     _check_against_model(packets)
 
 

@@ -66,12 +66,12 @@ def test_prefix_filter_counts_by_construction(tmp_path):
     assert summary.kept == 400 and summary.filtered == 600 and summary.skipped == 600
 
 
-def test_timestamps_rebased_and_sorted(tmp_path):
+def test_rows_keep_file_order_rebased_to_earliest(tmp_path):
     records = [mk_packet(0.5, sport=1), mk_packet(0.2, sport=2), mk_packet(0.9, sport=3)]
     path = write_pcap(records, tmp_path / "t.pcap")
     got, _ = read_trace(path)
-    assert got.ts_us.tolist() == [0, 300_000, 700_000]
-    assert got.src_port.tolist() == [2, 1, 3]
+    assert got.ts_us.tolist() == [300_000, 0, 700_000]
+    assert got.src_port.tolist() == [1, 2, 3]
 
 
 _SYN = SynSignature(window_size=5840, observed_ttl=55, df_flag=True, mss=1460,
@@ -247,7 +247,7 @@ def test_encoding_does_not_change_outputs(tmp_path_factory, records, data, link,
 
 def _reference_read(path):
     """read_trace's result by way of PcapReader -> ipv4_payload -> parse_ipv4,
-    then a stable sort on time and a re-base on the first packet."""
+    in file order, re-based on the earliest packet."""
     counts = {"total": 0, "non_ipv4": 0, "malformed": 0}
     records = []
     with PcapReader(path) as reader:
@@ -260,8 +260,7 @@ def _reference_read(path):
                 continue
             record.ts_us = frame.ts_us
             records.append(record)
-    records.sort(key=lambda r: r.ts_us)
-    t0 = records[0].ts_us if records else 0
+    t0 = min((r.ts_us for r in records), default=0)
     return [replace(r, ts_us=r.ts_us - t0) for r in records], counts
 
 
@@ -400,7 +399,7 @@ def test_chunk_joins(tmp_path, monkeypatch):
     a cut final record or an oversized record: the same packets as the per-frame
     parser, the same error."""
     rng = random.Random(8)
-    times = rng.sample(range(12), 12)     # rows move across chunks when sorted
+    times = rng.sample(range(12), 12)     # out of time order: t0 may lie in any chunk
     packets = [mk_packet(t * 1e-3, src=f"10.0.0.{i % 4 + 1}", ttl=50 + i,
                          sig=_SYN if i % 4 else None) for i, t in enumerate(times)]
     data = write_pcap(packets, tmp_path / "whole.pcap").read_bytes()

@@ -82,7 +82,7 @@ def _hosts(packets):
     for p in packets:
         ttls[p.src_ip][p.ttl] += 1
         if p.syn_sig and p.src_ip not in entry:
-            found = match_fingerprint(p.syn_sig, DB)     # the first matching SYN
+            found = match_fingerprint(p.syn_sig, DB)     # the earliest matching SYN
             if found:
                 entry[p.src_ip] = found
     out = {}
