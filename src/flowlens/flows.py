@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .pcapio import Packets, ipv4_strs
+from .pcapio import Packets
 
 
 @dataclass(frozen=True, order=True)
@@ -36,8 +35,8 @@ class BlockingConfig:
     def __post_init__(self):
         if not (self.tau > 0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite")
-        if round(self.tau * 1e6) < 1:
-            raise ValueError("tau must be at least one microsecond")
+        if not 1 <= round(self.tau * 1e6) <= np.iinfo(np.int64).max:    # ts_us is int64
+            raise ValueError("tau must be between 1 and 2**63 - 1 microseconds")
         if self.min_packets < 2:
             raise ValueError("min_packets must be >= 2")
         if self.greedy_threshold < self.min_packets:
@@ -69,13 +68,6 @@ class Flows:
 
     def __len__(self) -> int:
         return len(self.block)
-
-    def rows(self) -> Iterator[tuple]:
-        """The flows.csv rows: dotted quads for addresses, 0/1 for the greedy flag."""
-        return zip(self.block.tolist(), ipv4_strs(self.src), ipv4_strs(self.dst),
-                   self.src_port.tolist(), self.dst_port.tolist(), self.proto.tolist(),
-                   self.n_packets.tolist(), self.n_bytes.tolist(),
-                   self.is_greedy.view(np.uint8).tolist(), self.rep_ttl.tolist())
 
 
 # Rank of each octet's decimal string among those of 0..255. Comparing two

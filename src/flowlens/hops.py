@@ -12,14 +12,15 @@ Fingerprint database file format (UTF-8 text, one entry per line):
 
     window|initial_ttl|df|options|mss|os_label
 
-  window   exact decimal window size, or * for any
+  window   exact decimal window size (0-65535), or * for any
   initial_ttl   one of 32, 64, 128, 255
   df       1, 0, or *
   options  comma-separated option kinds in on-wire order
-           (MSS, SACK, TS, NOP, WS, EOL, or a decimal kind number),
-           `-` for an empty option list, or * for any layout
-  mss      exact decimal value, * for any, or `mtu` for the usual
-           MTU-derived values (536, 966, 1452, 1460)
+           (MSS, SACK, TS, NOP, WS, EOL, or the decimal number, 0-255,
+           of any other kind), `-` for an empty option list, or * for
+           any layout
+  mss      exact decimal value (0-65535), * for any, or `mtu` for the
+           usual MTU-derived values (536, 966, 1452, 1460)
   os_label free text
 
 `#` starts a comment; blank lines are ignored; the first matching line wins.
@@ -28,7 +29,6 @@ Fingerprint database file format (UTF-8 text, one entry per line):
 from __future__ import annotations
 
 import csv
-import enum
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from .flows import Flows
-from .pcapio import Packets, SynSignature, ipv4_int, ipv4_strs
+from .pcapio import OPTION_TOKENS, Packets, SynSignature, ipv4_strs
 
 log = logging.getLogger(__name__)
 
@@ -87,12 +87,19 @@ class FingerprintEntry:
         return True
 
 
+def _u16(text: str, name: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 0xFFFF:
+        raise ValueError(f"{name} must be in 0..65535, got {value}")
+    return value
+
+
 def _parse_entry(line: str) -> FingerprintEntry:
     parts = line.split("|")
     if len(parts) != 6:
         raise ValueError(f"expected 6 |-separated fields, got {len(parts)}")
     win_s, ttl_s, df_s, opt_s, mss_s, label = (p.strip() for p in parts)
-    window = None if win_s == WILDCARD else int(win_s)
+    window = None if win_s == WILDCARD else _u16(win_s, "window")
     initial_ttl = int(ttl_s)
     if df_s == WILDCARD:
         df = None
@@ -106,13 +113,16 @@ def _parse_entry(line: str) -> FingerprintEntry:
         layout = ()
     else:
         layout = tuple(tok.strip() for tok in opt_s.split(","))
+        unknown = [tok for tok in layout if tok not in OPTION_TOKENS]
+        if unknown:     # parse_tcp_options never emits it, so the entry never matches
+            raise ValueError(f"unknown option token {unknown[0]!r}")
     mss: Union[int, str, None]
     if mss_s == WILDCARD:
         mss = None
     elif mss_s == MTU_TOKEN:
         mss = MTU_TOKEN
     else:
-        mss = int(mss_s)
+        mss = _u16(mss_s, "mss")
     if not label:
         raise ValueError("os_label must not be empty")
     return FingerprintEntry(os_label=label, initial_ttl=initial_ttl,
@@ -172,33 +182,6 @@ def match_fingerprint(sig: SynSignature, db: FingerprintDb) -> Optional[Fingerpr
     return None
 
 
-def infer_initial_ttl(observed_ttl: int) -> int:
-    """Smallest standard initial TTL at or above the observed value."""
-    if observed_ttl < 1:
-        raise ValueError("observed TTL of 0 cannot have reached the monitor")
-    if observed_ttl > 255:
-        raise ValueError(f"TTL {observed_ttl} out of range")
-    for candidate in STANDARD_INITIAL_TTLS:
-        if candidate >= observed_ttl:
-            return candidate
-    raise AssertionError("unreachable: 255 covers the full range")
-
-
-class EstimateMethod(enum.Enum):
-    FINGERPRINT_MATCH = "fingerprint"
-    NEAREST_STANDARD_TTL = "nearest_standard"
-
-
-@dataclass(frozen=True)
-class HostTtlEstimate:
-    ip: str
-    initial_ttl: int
-    hops_to_monitor: int
-    method: EstimateMethod
-    os_label: Optional[str] = None
-    ttl_conflict: bool = False   # more than one distinct TTL seen from this host
-
-
 def _no_rows(dtype):
     return field(default_factory=lambda: np.zeros(0, dtype=dtype))
 
@@ -244,18 +227,6 @@ class HostEstimates:
             return np.full(len(addrs), -1, dtype=np.int64)
         i = np.searchsorted(self.addrs, addrs).clip(max=len(self.addrs) - 1)
         return np.where(self.addrs[i] == addrs, self.hops[i], -1)
-
-    def get(self, ip: str) -> Optional[HostTtlEstimate]:
-        addr = ipv4_int(ip)
-        i = int(np.searchsorted(self.addrs, addr))
-        if i == len(self.addrs) or self.addrs[i] != addr:
-            return None
-        method = (EstimateMethod.FINGERPRINT_MATCH if addr in self.os_labels
-                  else EstimateMethod.NEAREST_STANDARD_TTL)
-        return HostTtlEstimate(ip=ip, initial_ttl=int(self.initial_ttl[i]),
-                               hops_to_monitor=int(self.hops[i]), method=method,
-                               os_label=self.os_labels.get(addr),
-                               ttl_conflict=bool(self.ttl_conflict[i]))
 
 
 def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
@@ -328,9 +299,6 @@ class HopHistogram:
     counts: Tuple[Tuple[int, int], ...]   # (hop count, frequency), hops increasing
     mean: Optional[float]
     n: int
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.counts)
 
 
 def hop_histogram(flows: Flows, path_hops: np.ndarray,

@@ -1,10 +1,13 @@
 """Minimal classic-pcap reader/writer and IPv4 packet parsing/crafting.
 
 Supported on the read side:
-  * a frame-at-a-time iterator (PcapReader.__iter__ -> ipv4_payload ->
-    parse_ipv4), and a columnar one (PcapReader.packet_chunks) that reads a
-    file or a pipe in fixed-size windows and decodes each window's frame
-    headers at once into Packets columns; the two give the same packets
+  * the columnar reader (PcapReader.packet_chunks) that analyze uses: it
+    reads a file or a pipe in fixed-size windows and decodes each window's
+    frame headers at once into Packets columns
+  * a frame-at-a-time path (PcapReader.__iter__ -> ipv4_payload ->
+    parse_ipv4), kept only for the benchmark's pcapio passes and as the
+    oracle the tests compare the columnar reader against; the two give the
+    same packets
   * classic pcap global header, magic 0xa1b2c3d4 (microseconds) or
     0xa1b23c4d (nanoseconds), in either byte order
   * link types: Ethernet (1, optionally one 802.1Q tag) and raw IPv4 (101)
@@ -25,7 +28,7 @@ import logging
 import socket
 import struct
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,11 +85,9 @@ class SynSignature:
 
 @dataclass(slots=True)
 class PacketRecord:
-    """One captured IPv4 packet, the only per-packet object of a run.
+    """One IPv4 packet as parse_ipv4 gives it, frame by frame.
 
-    parse_ipv4 leaves ts_us at 0; ingest.read_trace stamps it with the
-    frame's capture time and then re-bases it to the trace's earliest
-    valid IPv4 packet.
+    parse_ipv4 leaves ts_us at 0 for the caller to set.
     """
 
     ts_us: int              # integer microseconds
@@ -107,20 +108,10 @@ class PacketRecord:
             raise ValueError(f"ip_len {self.ip_len} below IPv4 minimum")
 
 
-def ipv4_str(value: int) -> str:
-    """32-bit value to its dotted quad, as socket.inet_ntoa writes it."""
-    return socket.inet_ntoa(int(value).to_bytes(4, "big"))
-
-
 def ipv4_strs(values: np.ndarray) -> Tuple[str, ...]:
-    """Dotted quads of an array of 32-bit values, as ipv4_str writes them."""
+    """Dotted quads of an array of 32-bit values, as socket.inet_ntoa writes them."""
     octets = (((values >> shift) & 0xFF).tolist() for shift in (24, 16, 8, 0))
     return tuple(map("%d.%d.%d.%d".__mod__, zip(*octets)))
-
-
-def ipv4_int(text: str) -> int:
-    """Dotted quad to its 32-bit value, the inverse of ipv4_str."""
-    return int.from_bytes(socket.inet_aton(text), "big")
 
 
 @dataclass(eq=False)
@@ -131,8 +122,8 @@ class Packets:
     their 32-bit values. Rows may come in any order (read_trace keeps the
     file's): no stage's result depends on it. A pure SYN's signature is
     the column `sig`, an index into `sigs`, the table of the signatures
-    its rows hold; `sig` is -1 on every other row. Tables built by
-    read_trace and from_records list each signature once.
+    its rows hold; `sig` is -1 on every other row. read_trace's table
+    lists each signature once.
     """
 
     ts_us: np.ndarray           # int64 microseconds
@@ -150,39 +141,13 @@ class Packets:
     def __len__(self) -> int:
         return len(self.ts_us)
 
-    def __eq__(self, other) -> bool:
-        """Equal rows, comparing each SYN's signature rather than its index."""
-        if not isinstance(other, Packets):
-            return NotImplemented
-        return (all(a.dtype == b.dtype and np.array_equal(a, b)
-                    for a, b in zip(self.columns(), other.columns()) if a is not self.sig)
-                and self._row_sigs() == other._row_sigs())
-
     def columns(self) -> Tuple[np.ndarray, ...]:
         """The per-row arrays, in COLUMNS order."""
         return tuple(getattr(self, name) for name, _ in COLUMNS)
 
-    def _row_sigs(self) -> list:
-        """Each row's SynSignature, None where the row is not a pure SYN."""
-        return [None if i < 0 else self.sigs[i] for i in self.sig.tolist()]
-
     def take(self, mask: np.ndarray) -> "Packets":
         """The rows where `mask` is true, in order."""
         return Packets(*(col[mask] for col in self.columns()), sigs=self.sigs)
-
-    @classmethod
-    def from_records(cls, records: Sequence[PacketRecord]) -> "Packets":
-        """Columns of PacketRecords, in list order; sigs in order of first use."""
-        index = {None: -1}      # SynSignature -> its index in sigs; no SYN -> -1
-        values = [[r.ts_us for r in records],
-                  [ipv4_int(r.src_ip) for r in records],
-                  [ipv4_int(r.dst_ip) for r in records],
-                  [r.src_port for r in records], [r.dst_port for r in records],
-                  [r.proto for r in records], [r.ttl for r in records],
-                  [r.ip_len for r in records], [r.is_fragment for r in records],
-                  [index.setdefault(r.syn_sig, len(index) - 1) for r in records]]
-        return cls(*(np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, COLUMNS)),
-                   sigs=tuple(index)[1:])
 
 
 # (name, dtype) of every per-row array of Packets, in field order.
@@ -191,34 +156,33 @@ COLUMNS = tuple((f.name, dtype) for f, dtype in zip(
                       np.uint8, np.uint8, np.uint16, np.bool_, np.int32)))
 
 
+# The magic's bytes as they lie in the file -> (byte order, divisor of the
+# timestamp fraction to microseconds).
+_MAGICS = {MAGIC_US.to_bytes(4, "little"): ("<", 1), MAGIC_US.to_bytes(4, "big"): (">", 1),
+           MAGIC_NS.to_bytes(4, "little"): ("<", 1000), MAGIC_NS.to_bytes(4, "big"): (">", 1000)}
+
+
 class PcapReader:
     """Reads a classic pcap file: frame by frame, or as Packets columns."""
 
     def __init__(self, path):
         self._fh = open(path, "rb")
-        header = self._fh.read(24)
-        if len(header) < 24:
+        try:
+            header = self._fh.read(24)
+            if len(header) < 24:
+                raise PcapFormatError("too short to be a pcap file")
+            magic = header[:4]
+            # the pcapng magic's bytes read the same in either byte order
+            if magic == PCAPNG_MAGIC.to_bytes(4, "little"):
+                raise PcapFormatError("pcapng is not supported; convert to classic pcap first")
+            if magic not in _MAGICS:
+                raise PcapFormatError(
+                    f"unrecognized magic 0x{int.from_bytes(magic, 'little'):08x}")
+        except PcapFormatError:
             self._fh.close()
-            raise PcapFormatError("too short to be a pcap file")
-        magic = struct.unpack("<I", header[:4])[0]
-        if magic == PCAPNG_MAGIC or struct.unpack(">I", header[:4])[0] == PCAPNG_MAGIC:
-            self._fh.close()
-            raise PcapFormatError("pcapng is not supported; convert to classic pcap first")
-        if magic == MAGIC_US:
-            self._endian, self._ts_divisor = "<", 1
-        elif magic == MAGIC_NS:
-            self._endian, self._ts_divisor = "<", 1000
-        else:
-            magic_be = struct.unpack(">I", header[:4])[0]
-            if magic_be == MAGIC_US:
-                self._endian, self._ts_divisor = ">", 1
-            elif magic_be == MAGIC_NS:
-                self._endian, self._ts_divisor = ">", 1000
-            else:
-                self._fh.close()
-                raise PcapFormatError(f"unrecognized magic 0x{magic:08x}")
-        _, _, _, _, _, network = struct.unpack(self._endian + "HHiIII", header[4:])
-        self.linktype = network
+            raise
+        self._endian, self._ts_divisor = _MAGICS[magic]
+        self.linktype = struct.unpack_from(self._endian + "I", header, 20)[0]
         self._rec_hdr = struct.Struct(self._endian + "IIII")
         self._native = struct.pack(self._endian + "I", 1) == struct.pack("=I", 1)
         self._path = path
@@ -532,6 +496,9 @@ def parse_ipv4(buf: bytes) -> Optional[PacketRecord]:
 _OPT_KIND = {"EOL": 0, "NOP": 1, "MSS": 2, "WS": 3, "SACK": 4, "TS": 8}
 _OPT_NAMES = {kind: name for name, kind in _OPT_KIND.items()}
 _OPT_FIXED_LEN = {2: 4, 3: 3, 4: 2, 8: 10}
+# Every layout token parse_tcp_options can emit: a kind's name, or the
+# decimal of a kind without one.
+OPTION_TOKENS = frozenset(_OPT_NAMES.get(kind, str(kind)) for kind in range(256))
 
 
 def parse_tcp_options(buf: bytes) -> Tuple[Tuple[str, ...], Optional[int], bool]:

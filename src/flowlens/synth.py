@@ -162,10 +162,6 @@ class GroundTruth:
     duration: float
     seed: int
 
-    @property
-    def flow_sizes(self) -> List[int]:
-        return [f.n_packets for f in self.flows]
-
     def to_dict(self) -> dict:
         return {
             "version": 1,

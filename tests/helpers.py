@@ -13,8 +13,10 @@ from flowlens.flows import FlowKey, Flows
 from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              PacketRecord, SynSignature, build_ipv4_packet,
-                             build_tcp_options, ipv4_int, wrap_ethernet)
+                             build_tcp_options, wrap_ethernet)
 from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
+
+from reference import flow_rows, ipv4_int
 
 SRC_NET = "10.0.0.0/8"          # all scenario src-side hosts live here
 FP_LABELS = ["Linux 2.4", "Windows 2000", "FreeBSD 4.x", "Solaris 8",
@@ -55,7 +57,7 @@ def mk_flows(rows: Sequence[Tuple[int, FlowKey, int, bool]]) -> Flows:
 
 def flow_keys(flows: Flows) -> List[Tuple[int, FlowKey]]:
     """(block, key) of every row, read back from the flows.csv fields."""
-    return [(row[0], FlowKey(*row[1:6])) for row in flows.rows()]
+    return [(row[0], FlowKey(*row[1:6])) for row in flow_rows(flows)]
 
 
 def write_pcap(records: Sequence[PacketRecord], path,

@@ -16,7 +16,6 @@ import pytest
 from flowlens.apps import AppCategory, classify
 from flowlens.cli import main
 from flowlens.flows import BlockingConfig, aggregate, greedy_throughput_equivalent
-from flowlens.pcapio import Packets
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate, sample_flow_size
 from flowlens.tail import LlcdCurve, fit_tail, llcd
@@ -24,6 +23,7 @@ from flowlens.variability import gate_trace, skewness, throughput_series
 
 from helpers import SRC_NET, flow_keys, hop_means_scenario, mk_packet, \
     random_scenario, table1_scenario
+from reference import flow_rows, from_records
 
 
 @contextmanager
@@ -140,7 +140,7 @@ def test_criterion_6_conservation_and_partition():
                                  dport=rng.choice([80, 53]),
                                  ip_len=rng.randint(20, 1500))
                        for _ in range(rng.randint(1, 300))]
-            columns = Packets.from_records(packets)
+            columns = from_records(packets)
             series = throughput_series(columns, 0.1)
             assert sum(series.byte_counts) == sum(p.ip_len for p in packets)
 
@@ -151,7 +151,7 @@ def test_criterion_6_conservation_and_partition():
                         p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto)
                 per_cell[cell] = per_cell.get(cell, 0) + 1
             admitted = {c: n for c, n in per_cell.items() if n >= cfg.min_packets}
-            got = {tuple(row[:6]): row[6] for row in flows.rows()}
+            got = {tuple(row[:6]): row[6] for row in flow_rows(flows)}
             assert got == admitted
             assert sum(got.values()) <= len(packets)
 

@@ -93,8 +93,9 @@ def test_usage_error_exit_64(capsys):
     assert main(["analyze", "x.pcap", "--keep", "bogus::"]) == 64
     assert main(["analyze", "x.pcap", "--tau", "-1"]) == 64
     capsys.readouterr()
+    # block and bin indices are ts_us // tau_us in int64 microseconds
     for bad in (["--tau", "inf"], ["--tau", "1e400"], ["--tau", "nan"],
-                ["--skew-min", "nan"]):
+                ["--tau", "1e300"], ["--tau", "9.3e12"], ["--skew-min", "nan"]):
         assert main(["analyze", "x.pcap", *bad]) == 64, bad
         err = capsys.readouterr().err
         assert "bad arguments:" in err and "Traceback" not in err, bad

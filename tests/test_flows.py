@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from flowlens.flows import (FLOWS_CSV_HEADER, BlockingConfig, Flows, _string_order,
                             aggregate, greedy_throughput_equivalent, write_flows_csv)
-from flowlens.pcapio import PROTO_TCP, PROTO_UDP, Packets, ipv4_int, ipv4_str
+from flowlens.pcapio import PROTO_TCP, PROTO_UDP
 
 from helpers import mk_packet
+from reference import flow_rows, from_records, ipv4_int, ipv4_str
 
 CFG = BlockingConfig()
 
@@ -39,34 +40,34 @@ def brute_force_group(packets, cfg):
 
 def test_single_block_three_packets():
     packets = [mk_packet(t) for t in (0.01, 0.05, 0.09)]
-    flows = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(from_records(packets), CFG)
     assert len(flows) == 1
     assert (flows.block[0], flows.n_packets[0], flows.is_greedy[0]) == (0, 3, False)
 
 
 def test_lone_packet_dropped():
-    flows = aggregate(Packets.from_records([mk_packet(0.05)]), CFG)
-    assert len(flows) == 0 and list(flows.rows()) == []
+    flows = aggregate(from_records([mk_packet(0.05)]), CFG)
+    assert len(flows) == 0 and list(flow_rows(flows)) == []
 
 
 def test_per_block_independence_and_strict_threshold():
     packets = [mk_packet(i * 0.003) for i in range(25)]          # block 0: 25 pkts
     packets += [mk_packet(0.1 + i * 0.01) for i in range(3)]     # block 1: 3 pkts
-    flows = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(from_records(packets), CFG)
     assert list(zip(flows.block.tolist(), flows.n_packets.tolist(),
                     flows.is_greedy.tolist())) == [(0, 25, True), (1, 3, False)]
 
 
 def test_boundary_packet_joins_later_block():
     packets = [mk_packet(0.1), mk_packet(0.15), mk_packet(0.3), mk_packet(0.31)]
-    flows = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(from_records(packets), CFG)
     assert flows.block.tolist() == [1, 3]   # 0.3 s: block 3, not 2
 
 
 def test_greedy_flag_strictly_above_20():
     packets = [mk_packet(i * 1e-4, sport=sport)
                for sport, n in ((1, 2), (2, 20), (3, 21), (4, 100)) for i in range(n)]
-    flows = aggregate(Packets.from_records(sorted(packets, key=lambda p: p.ts_us)), CFG)
+    flows = aggregate(from_records(sorted(packets, key=lambda p: p.ts_us)), CFG)
     assert list(zip(flows.n_packets.tolist(), flows.is_greedy.tolist())) == \
         [(2, False), (20, False), (21, True), (100, True)]
 
@@ -85,7 +86,7 @@ def test_rep_ttl_modal_with_larger_tie():
     packets = [mk_packet(0.01, ttl=60), mk_packet(0.02, ttl=64),
                mk_packet(0.03, ttl=64), mk_packet(0.04, ttl=60),
                mk_packet(0.05, ttl=55)]
-    flows = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(from_records(packets), CFG)
     assert flows.rep_ttl.tolist() == [64]   # 60 and 64 tie at 2; larger wins
 
 
@@ -93,8 +94,8 @@ def test_records_sorted_by_dotted_quad_string():
     # "10.0.0.10" sorts before "10.0.0.2" as a string, after it as a number
     packets = [mk_packet(t, src=src) for t in (0.01, 0.02)
                for src in ("10.0.0.2", "10.0.0.10", "9.0.0.1")]
-    flows = aggregate(Packets.from_records(packets), CFG)
-    assert [row[1] for row in flows.rows()] == ["10.0.0.10", "10.0.0.2", "9.0.0.1"]
+    flows = aggregate(from_records(packets), CFG)
+    assert [row[1] for row in flow_rows(flows)] == ["10.0.0.10", "10.0.0.2", "9.0.0.1"]
 
 
 def test_string_order_of_addresses():
@@ -113,13 +114,13 @@ def test_table_columns_and_names():
     packets = [mk_packet(t, src=src, dst=dst) for t in (0.01, 0.02)
                for src, dst in (("10.0.0.2", "203.0.113.9"), ("10.0.0.10", "10.0.0.2"))]
     packets += [mk_packet(0.03, src="192.0.2.1")]          # a lone packet: no record
-    flows = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(from_records(packets), CFG)
     assert [(f.name, getattr(flows, f.name).dtype) for f in fields(flows)] == [
         ("block", np.int64), ("src", np.uint32), ("dst", np.uint32),
         ("src_port", np.uint16), ("dst_port", np.uint16), ("proto", np.uint8),
         ("n_packets", np.int64), ("n_bytes", np.int64), ("rep_ttl", np.uint8),
         ("is_greedy", np.bool_)]
-    assert list(flows.rows()) == [
+    assert list(flow_rows(flows)) == [
         (0, "10.0.0.10", "10.0.0.2", 1024, 80, PROTO_TCP, 2, 1400, 0, 55),
         (0, "10.0.0.2", "203.0.113.9", 1024, 80, PROTO_TCP, 2, 1400, 0, 55)]
 
@@ -127,10 +128,10 @@ def test_table_columns_and_names():
 def test_fragments_excluded_from_keying():
     packets = [mk_packet(0.01), mk_packet(0.02),
                mk_packet(0.03, is_fragment=True), mk_packet(0.04, is_fragment=True)]
-    flows = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(from_records(packets), CFG)
     assert flows.n_packets.tolist() == [2]
-    only_fragments = aggregate(Packets.from_records(packets[2:]), CFG)
-    assert len(only_fragments) == 0 and list(only_fragments.rows()) == []
+    only_fragments = aggregate(from_records(packets[2:]), CFG)
+    assert len(only_fragments) == 0 and list(flow_rows(only_fragments)) == []
 
 
 def _random_packets(rng, n):
@@ -152,9 +153,9 @@ def _random_packets(rng, n):
 def test_aggregate_matches_brute_force(seed):
     rng = random.Random(seed)
     packets = _random_packets(rng, rng.randint(1, 1000))
-    flows = aggregate(Packets.from_records(packets), CFG)
+    flows = aggregate(from_records(packets), CFG)
     oracle = brute_force_group(packets, CFG)
-    got = {tuple(row[:6]): (row[6], row[7]) for row in flows.rows()}
+    got = {tuple(row[:6]): (row[6], row[7]) for row in flow_rows(flows)}
     assert got == oracle
     # the greedy flag is the same predicate the oracle would use
     assert flows.is_greedy.tolist() == [n > CFG.greedy_threshold
@@ -166,7 +167,7 @@ def test_aggregate_matches_brute_force(seed):
 def test_partition_no_packet_lost_or_duplicated(seed):
     rng = random.Random(seed)
     packets = _random_packets(rng, rng.randint(1, 300))
-    flows = aggregate(Packets.from_records(packets), BlockingConfig(min_packets=2))
+    flows = aggregate(from_records(packets), BlockingConfig(min_packets=2))
     # every packet maps to exactly one cell; admitted cells cover <= all packets
     total_in_records = int(flows.n_packets.sum())
     assert total_in_records <= len(packets)
@@ -179,10 +180,10 @@ def test_concatenation_of_block_disjoint_traces():
     part_a = _random_packets(rng, 200)                      # blocks 0..4
     part_b = [replace(p, ts_us=p.ts_us + 1_000_000)
               for p in _random_packets(rng, 200)]           # blocks 10..14
-    both = aggregate(Packets.from_records(part_a + part_b), CFG)
-    separate = (list(aggregate(Packets.from_records(part_a), CFG).rows())
-                + list(aggregate(Packets.from_records(part_b), CFG).rows()))
-    assert list(both.rows()) == separate
+    both = aggregate(from_records(part_a + part_b), CFG)
+    separate = (list(flow_rows(aggregate(from_records(part_a), CFG)))
+                + list(flow_rows(aggregate(from_records(part_b), CFG))))
+    assert list(flow_rows(both)) == separate
 
 
 def test_config_validation():
@@ -204,7 +205,7 @@ def _reference_flows_csv(flows):
     """flows.csv as the writer formatted it before, one `%`-format per row."""
     head = io.StringIO()
     csv.writer(head).writerow(FLOWS_CSV_HEADER)
-    return (head.getvalue() + "".join(map(_CSV_ROW.__mod__, flows.rows()))).encode()
+    return (head.getvalue() + "".join(map(_CSV_ROW.__mod__, flow_rows(flows)))).encode()
 
 
 def _flow_table(src, dst, **columns):
@@ -283,6 +284,6 @@ def test_flows_csv_random_tables(seed, tmp_path):
 
 def test_flows_csv_of_aggregated_records(tmp_path):
     rng = random.Random(11)
-    flows = aggregate(Packets.from_records(_random_packets(rng, 3000)), CFG)
+    flows = aggregate(from_records(_random_packets(rng, 3000)), CFG)
     assert len(flows) > 100
     _assert_csv_matches(flows, tmp_path / "flows.csv")

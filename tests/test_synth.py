@@ -12,7 +12,7 @@ import pytest
 from flowlens.apps import classify
 from flowlens.flows import BlockingConfig, aggregate
 from flowlens.ingest import read_trace
-from flowlens.pcapio import LINKTYPE_RAW_IP, PROTO_TCP, ipv4_str
+from flowlens.pcapio import LINKTYPE_RAW_IP, PROTO_TCP
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import (FlowPlan, HostSpec, ScenarioError,
                             ScenarioSpec, _poisson, generate, ground_truth_path,
@@ -20,6 +20,7 @@ from flowlens.synth import (FlowPlan, HostSpec, ScenarioError,
 from flowlens.tail import fit_tail, llcd
 
 from helpers import SRC_NET, flow_keys, random_scenario, table1_scenario
+from reference import host_row, ipv4_str
 
 
 def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
@@ -123,8 +124,8 @@ def test_single_flow_example(tmp_path):
 
     assert result.records.n_packets.tolist() == [25]
     assert result.records.is_greedy.tolist() == [True]
-    host = result.fwd_host_estimates.get("10.0.0.1")
-    assert host.hops_to_monitor == 13 and host.initial_ttl == 128
+    est = host_row(result.fwd_host_estimates, "10.0.0.1")
+    assert est.hops == 13 and est.initial_ttl == 128
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -197,7 +198,7 @@ def test_large_scenario_alpha_recovery(tmp_path):
                         key_repeat_prob=0.0, bidirectional=False)
     _, gt = generate(spec, tmp_path / "big.pcap")
     assert len(gt.flows) > 90_000
-    fit = fit_tail(llcd(gt.flow_sizes), x_min=20)
+    fit = fit_tail(llcd([f.n_packets for f in gt.flows]), x_min=20)
     assert fit.alpha == pytest.approx(1.5, abs=0.1)
 
 
