@@ -572,6 +572,23 @@ class PcapWriter:
                                           len(data), orig_len))
         self._fh.write(data)
 
+    def write_frames(self, ts_us: np.ndarray, frames: np.ndarray, orig_len: int):
+        """Write row i of ``frames``, a uint8 matrix of equal-length frames, at ``ts_us[i]``.
+
+        The records are assembled as one array and written at once; bytes
+        beyond the snap length are dropped.
+        """
+        data = frames[:, : self.snaplen]
+        sec, usec = np.divmod(ts_us, 1_000_000)
+        if len(sec) and not (sec.min() >= 0 and sec.max() <= 0xFFFFFFFF):
+            raise ValueError("timestamp outside a pcap record's 32-bit seconds")
+        head = np.empty((len(data), 4), dtype=self._endian + "u4")
+        head[:, 0] = sec
+        head[:, 1] = usec
+        head[:, 2] = data.shape[1]
+        head[:, 3] = orig_len
+        self._fh.write(np.hstack([head.view(np.uint8), data]))
+
 
 def _checksum16(data: bytes) -> int:
     if len(data) % 2:

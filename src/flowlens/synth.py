@@ -13,6 +13,14 @@ a non-empty trace always sits at t=0 (a one-packet beacon is inserted when
 block 0 would otherwise be empty) so that re-based timestamps on the read
 side reproduce the planned block indices.
 
+Emission works on columns, not on frames. The plan is a table with one
+row per flow. All flow frames have one length, so each flow's two frames
+(its data frame, and its first frame, a crafted SYN or the data frame
+again) are two rows of one uint8 table, patched from a few templates.
+One sort of every packet's (block, ideal slot, flow, index) gives the
+write order and the timestamps, and the records (a 16-byte header plus a
+frame, a fixed width) are written a slice of rows at a time.
+
 Scenario files are flat key-value lines plus a host table and an optional
 explicit flow table:
 
@@ -41,12 +49,16 @@ Same seed, same spec: byte-identical pcap (the only randomness source is
 
 from __future__ import annotations
 
+import ipaddress
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .apps import AppCategory, classify
 from .flows import FlowKey
@@ -61,6 +73,9 @@ BEACON_DST = "192.0.2.254"
 BEACON_LEN = 28
 
 MIN_PACKET_BYTES = 64        # room for IP + TCP + the longest crafted options
+MAX_END_US = 2**32 * 1_000_000   # a pcap record's seconds field is 32 bits
+WRITE_ROWS = 1 << 13         # pcap records assembled per write
+_ANY = "0.0.0.0"             # template address; each row gets its flow's
 
 _OTHER_TCP_PORTS = (21, 22, 25, 110, 119, 6667)
 _UDP_PORTS = (53, 123, 514, 27015)
@@ -129,8 +144,11 @@ class TrueHost:
     fingerprint_effective: bool     # labeled and actually emitted a SYN
 
 
-@dataclass(frozen=True)
-class TrueFlow:
+class TrueFlow(NamedTuple):
+    """One planned forward flow. A named tuple, so that a trace's tens of
+    thousands of flows are built by ``TrueFlow._make`` without Python code
+    per flow."""
+
     block: int
     src_ip: str
     dst_ip: str
@@ -219,6 +237,7 @@ def _poisson(rng: random.Random, lam: float) -> int:
 @dataclass(frozen=True)
 class _ResolvedHost:
     spec: HostSpec
+    addr: int                            # the IPv4 address as a 32-bit value
     initial_ttl: int
     entry: Optional[FingerprintEntry]    # the DB entry to craft SYNs from
 
@@ -227,11 +246,22 @@ class _ResolvedHost:
         return self.initial_ttl - self.spec.hops_to_monitor
 
 
-def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> Dict[str, _ResolvedHost]:
-    resolved: Dict[str, _ResolvedHost] = {}
+def _ipv4(text: str) -> int:
+    """A dotted quad's 32-bit value; ValueError for anything else, IPv6 included."""
+    return int(ipaddress.IPv4Address(text))
+
+
+def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> List[_ResolvedHost]:
+    resolved: List[_ResolvedHost] = []
+    seen = set()
     for h in spec.hosts:
-        if h.ip in resolved:
+        if h.ip in seen:
             raise ScenarioError(f"duplicate host ip {h.ip}")
+        seen.add(h.ip)
+        try:
+            addr = _ipv4(h.ip)
+        except ValueError as exc:
+            raise ScenarioError(f"host {h.ip}: {exc}") from exc
         if h.ip in (BEACON_SRC, BEACON_DST):
             raise ScenarioError(f"host ip {h.ip} is reserved for the t=0 beacon")
         if h.side not in ("src", "dst"):
@@ -260,7 +290,7 @@ def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> Dict[str, _Resolved
             raise ScenarioError(f"host {h.ip}: initial_ttl {initial} out of range")
         if h.hops_to_monitor >= initial:
             raise ScenarioError(f"host {h.ip}: hops {h.hops_to_monitor} >= initial TTL {initial}")
-        rh = _ResolvedHost(spec=h, initial_ttl=initial, entry=entry)
+        rh = _ResolvedHost(spec=h, addr=addr, initial_ttl=initial, entry=entry)
         if entry is not None:
             # The SYN this host will send must match back to an entry with
             # the same initial TTL, or hop recovery would be silently wrong.
@@ -274,7 +304,7 @@ def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> Dict[str, _Resolved
                 raise ScenarioError(
                     f"host {h.ip}: crafted SYN for {h.os_label!r} resolves to "
                     f"{hit.os_label if hit else 'no entry'}; ambiguous database")
-        resolved[h.ip] = rh
+        resolved.append(rh)
     return resolved
 
 
@@ -287,51 +317,71 @@ def _craft_mss(entry: FingerprintEntry) -> Optional[int]:
 
 
 @dataclass
-class _PlannedFlow:
-    plan: FlowPlan
-    category: AppCategory
-    src: _ResolvedHost
-    dst: _ResolvedHost
-    syn_first: bool      # first packet is a fingerprint SYN
+class _Plan:
+    """Every planned flow as int64 columns, one row per flow.
+
+    ``src`` and ``dst`` index the resolved hosts. The first ``n_forward``
+    rows are the forward flows, whose categories ``category`` lists; any
+    rows after them are reverse flows.
+    """
+
+    block: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    proto: np.ndarray
+    n_packets: np.ndarray
+    category: List[AppCategory]
+    n_forward: int
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[tuple], category: List[AppCategory]) -> "_Plan":
+        """From (block, src, dst, src_port, dst_port, proto, n_packets) rows."""
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
+        return cls(*cols, category=category, n_forward=len(rows))
+
+    def syn_first(self, hosts: Sequence[_ResolvedHost]) -> np.ndarray:
+        """Which flows open with a fingerprint SYN: TCP from a labeled host."""
+        labeled = np.array([h.entry is not None for h in hosts], dtype=bool)
+        return (self.proto == PROTO_TCP) & labeled[self.src]
 
 
 def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
-                       hosts: Dict[str, _ResolvedHost],
-                       flows_per_block: Tuple[str, float]) -> List[_PlannedFlow]:
-    src_hosts = [h for h in hosts.values() if h.spec.side == "src"]
-    dst_hosts = [h for h in hosts.values() if h.spec.side == "dst"]
+                       hosts: Sequence[_ResolvedHost],
+                       flows_per_block: Tuple[str, float]) -> _Plan:
+    src_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "src"]
+    dst_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "dst"]
     if not src_hosts or not dst_hosts:
         raise ScenarioError("random planning needs at least one src and one dst host")
 
     mode, rate = flows_per_block
     cats = list(spec.app_mix.keys())
-    weights = [spec.app_mix[c] for c in cats]
+    cum_weights = list(itertools.accumulate(spec.app_mix[c] for c in cats))
+    alpha, cap, repeat_prob = spec.flow_size_alpha, spec.flow_size_cap, spec.key_repeat_prob
     ephemeral = 1024
 
-    flows: List[_PlannedFlow] = []
-    prev_block: List[_PlannedFlow] = []
+    rows: List[tuple] = []       # (block, src, dst, sport, dport, proto, n_packets)
+    category: List[AppCategory] = []
+    prev_block = range(0)        # row indices of the previous block's flows
     for block in range(spec.n_blocks):
         seen = set()
-        current: List[_PlannedFlow] = []
+        first = len(rows)
 
-        for f in prev_block:     # a flow key may persist into the next block
-            if rng.random() >= spec.key_repeat_prob:
+        for i in prev_block:     # a flow key may persist into the next block
+            if rng.random() >= repeat_prob:
                 continue
-            key = (f.plan.src_ip, f.plan.dst_ip, f.plan.src_port,
-                   f.plan.dst_port, f.plan.proto)
+            key = rows[i][1:6]
             if key in seen:
                 continue
             seen.add(key)
-            size = sample_flow_size(rng, spec.flow_size_alpha, spec.flow_size_cap)
-            plan = FlowPlan(block, *key[:2], key[2], key[3], key[4], size)
-            current.append(_PlannedFlow(plan=plan, category=f.category,
-                                        src=f.src, dst=f.dst,
-                                        syn_first=f.syn_first))
+            rows.append((block, *key, sample_flow_size(rng, alpha, cap)))
+            category.append(category[i])
 
         n_new = rate if mode == "fixed" else _poisson(rng, rate)
 
         for _ in range(n_new):
-            cat = rng.choices(cats, weights=weights)[0]
+            cat = rng.choices(cats, cum_weights=cum_weights)[0]
             for _attempt in range(16):
                 src = rng.choice(src_hosts)
                 dst = rng.choice(dst_hosts)
@@ -345,71 +395,101 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
                     proto, sport, dport = PROTO_TCP, ephemeral, rng.choice(_OTHER_TCP_PORTS)
                 if proto != PROTO_ICMP:
                     ephemeral = ephemeral + 1 if ephemeral < 60000 else 1024
-                key = (src.spec.ip, dst.spec.ip, sport, dport, proto)
+                key = (src, dst, sport, dport, proto)
                 if key not in seen:
                     seen.add(key)
-                    size = sample_flow_size(rng, spec.flow_size_alpha, spec.flow_size_cap)
-                    plan = FlowPlan(block, *key[:2], key[2], key[3], key[4], size)
-                    current.append(_PlannedFlow(
-                        plan=plan, category=cat, src=src, dst=dst,
-                        syn_first=(proto == PROTO_TCP and src.entry is not None)))
+                    rows.append((block, *key, sample_flow_size(rng, alpha, cap)))
+                    category.append(cat)
                     break
                 # collision (practically only ICMP host pairs): redraw
 
-        flows.extend(current)
-        prev_block = current
-    return flows
+        prev_block = range(first, len(rows))
+    return _Plan.of_rows(rows, category)
 
 
 def _plan_explicit_flows(spec: ScenarioSpec,
-                         hosts: Dict[str, _ResolvedHost]) -> List[_PlannedFlow]:
+                         hosts: Sequence[_ResolvedHost]) -> _Plan:
+    index = {h.spec.ip: i for i, h in enumerate(hosts)}
+    tau_us = spec.tau_us
     seen = set()
-    out = []
+    rows = []
+    category = []
     for plan in spec.flows:
         if not 0 <= plan.block < spec.n_blocks:
             raise ScenarioError(f"flow block {plan.block} outside 0..{spec.n_blocks - 1}")
         if plan.n_packets < 1:
             raise ScenarioError("flow must have at least one packet")
+        if plan.n_packets > tau_us:
+            raise ScenarioError(f"block {plan.block} needs {plan.n_packets} packet "
+                                f"slots but tau holds only {tau_us}")
+        if not (0 <= plan.src_port <= 0xFFFF and 0 <= plan.dst_port <= 0xFFFF):
+            raise ScenarioError(f"flow ports {plan.src_port}/{plan.dst_port} "
+                                "outside 0..65535")
+        if not 0 <= plan.proto <= 0xFF:
+            raise ScenarioError(f"flow protocol {plan.proto} outside 0..255")
         cell = (plan.block, plan.src_ip, plan.dst_ip, plan.src_port,
                 plan.dst_port, plan.proto)
         if cell in seen:
             raise ScenarioError(f"duplicate flow in block {plan.block}: {cell[1:]}")
         seen.add(cell)
-        src = hosts.get(plan.src_ip)
-        dst = hosts.get(plan.dst_ip)
+        src = index.get(plan.src_ip)
+        dst = index.get(plan.dst_ip)
         if src is None or dst is None:
             raise ScenarioError(f"flow references unknown host {plan.src_ip}/{plan.dst_ip}")
-        if src.spec.side != "src" or dst.spec.side != "dst":
+        if hosts[src].spec.side != "src" or hosts[dst].spec.side != "dst":
             raise ScenarioError(
                 f"flow {plan.src_ip}->{plan.dst_ip} crosses host sides; "
                 "forward flows go src-side to dst-side")
-        key = FlowKey(plan.src_ip, plan.dst_ip, plan.src_port, plan.dst_port, plan.proto)
-        out.append(_PlannedFlow(plan=plan, category=classify(key), src=src, dst=dst,
-                                syn_first=(plan.proto == PROTO_TCP and src.entry is not None)))
-    return out
+        rows.append((plan.block, src, dst, plan.src_port, plan.dst_port,
+                     plan.proto, plan.n_packets))
+        category.append(classify(FlowKey(plan.src_ip, plan.dst_ip, plan.src_port,
+                                         plan.dst_port, plan.proto)))
+    return _Plan.of_rows(rows, category)
 
 
-def _plan_reverse_flows(flows: Sequence[_PlannedFlow]) -> List[_PlannedFlow]:
-    """One small reverse-direction TCP flow per destination host.
+def _with_reverse_flows(plan: _Plan) -> _Plan:
+    """Append one small reverse-direction TCP flow per destination host.
 
     Placed in the block of the host's first forward flow, with that flow's
-    ports swapped; carries a SYN when the host has a fingerprint so the
-    reverse host map can resolve it.
+    ports swapped; it carries a SYN when the host has a fingerprint, so
+    the reverse host map can resolve it.
     """
-    out = []
-    seen_dst = set()
-    for f in flows:
-        dst_ip = f.plan.dst_ip
-        if dst_ip in seen_dst:
-            continue
-        seen_dst.add(dst_ip)
-        rplan = FlowPlan(block=f.plan.block, src_ip=dst_ip, dst_ip=f.plan.src_ip,
-                         src_port=f.plan.dst_port, dst_port=f.plan.src_port,
-                         proto=PROTO_TCP, n_packets=2)
-        out.append(_PlannedFlow(plan=rplan, category=AppCategory.OTHER_TCP,
-                                src=f.dst, dst=f.src,
-                                syn_first=f.dst.entry is not None))
-    return out
+    _, first = np.unique(plan.dst, return_index=True)
+    r = np.sort(first)
+    tcp = np.full(len(r), PROTO_TCP, dtype=np.int64)
+    return _Plan(*(np.concatenate([col, rev]) for col, rev in (
+                     (plan.block, plan.block[r]), (plan.src, plan.dst[r]),
+                     (plan.dst, plan.src[r]), (plan.src_port, plan.dst_port[r]),
+                     (plan.dst_port, plan.src_port[r]), (plan.proto, tcp),
+                     (plan.n_packets, np.full(len(r), 2, dtype=np.int64)))),
+                 category=plan.category, n_forward=plan.n_forward)
+
+
+def _plan_scenario(spec: ScenarioSpec,
+                   db: FingerprintDb) -> Tuple[List[_ResolvedHost], _Plan]:
+    """Check the scenario and plan every flow; raise ScenarioError if infeasible."""
+    flows_per_block = _validate_spec(spec)
+    rng = random.Random(spec.seed)
+    hosts = _resolve_hosts(spec, db)
+    if spec.flows is not None:
+        plan = _plan_explicit_flows(spec, hosts)
+    else:
+        plan = _plan_random_flows(spec, rng, hosts, flows_per_block)
+    if spec.bidirectional:
+        plan = _with_reverse_flows(plan)
+
+    # Feasibility: every packet needs its own microsecond slot in its block.
+    # The sums are Python ints, which cannot wrap as int64 ones could.
+    order = np.argsort(plan.block, kind="stable")
+    blocks, starts = np.unique(plan.block[order], return_index=True)
+    if len(blocks):
+        totals = np.add.reduceat(plan.n_packets[order].astype(object), starts)
+        over = np.flatnonzero(totals > spec.tau_us)
+        if len(over):
+            b = over[0]
+            raise ScenarioError(f"block {blocks[b]} needs {totals[b]} packet slots "
+                                f"but tau holds only {spec.tau_us}")
+    return hosts, plan
 
 
 def generate(spec: ScenarioSpec, pcap_path,
@@ -419,30 +499,12 @@ def generate(spec: ScenarioSpec, pcap_path,
     The pcap's directory is made, if missing, only once the scenario has
     been checked and planned, so a rejected scenario leaves nothing behind.
     """
-    db = db or FingerprintDb.default()
-    flows_per_block = _validate_spec(spec)
-    rng = random.Random(spec.seed)
-    hosts = _resolve_hosts(spec, db)
-
-    if spec.flows is not None:
-        flows = _plan_explicit_flows(spec, hosts)
-    else:
-        flows = _plan_random_flows(spec, rng, hosts, flows_per_block)
-    reverse = _plan_reverse_flows(flows) if spec.bidirectional else []
-
-    # Feasibility: every packet needs its own microsecond slot in its block.
-    per_block: Dict[int, List[_PlannedFlow]] = {}
-    for f in flows + reverse:
-        per_block.setdefault(f.plan.block, []).append(f)
-    tau_us = spec.tau_us
-    for block, fl in sorted(per_block.items()):
-        total = sum(f.plan.n_packets for f in fl)
-        if total > tau_us:
-            raise ScenarioError(
-                f"block {block} needs {total} packet slots but tau holds only {tau_us}")
-
-    beacon = bool(per_block) and 0 not in per_block
+    hosts, plan = _plan_scenario(spec, db or FingerprintDb.default())
     link = wrap_ethernet(b"") if spec.linktype == LINKTYPE_ETHERNET else b""
+    beacon = len(plan.block) > 0 and not (plan.block == 0).any()
+    syn_first = plan.syn_first(hosts)
+    table = _frame_table(spec, hosts, plan, syn_first, link)
+    ts_us, rows = _schedule(plan, spec.tau_us)
 
     pcap_path = Path(pcap_path)
     pcap_path.parent.mkdir(parents=True, exist_ok=True)
@@ -452,45 +514,95 @@ def generate(spec: ScenarioSpec, pcap_path,
                                    ip_len=BEACON_LEN, max_bytes=spec.snaplen - len(link))
             writer.write(0, link + ip, orig_len=len(link) + BEACON_LEN)
         orig_len = len(link) + spec.packet_bytes
-        for block, fl in sorted(per_block.items()):
-            entries = []
-            for seq, f in enumerate(fl):
-                data, first = _flow_frames(spec, f, link)
-                n = f.plan.n_packets
-                for j in range(n):
-                    ideal = round((j + 0.5) / n * tau_us)
-                    entries.append((ideal, seq, j, data if j else first))
-            entries.sort()      # (seq, j) is unique, so frames are never compared
-            total = len(entries)
-            base = block * tau_us
-            for k, e in enumerate(entries):
-                writer.write(base + (k * tau_us) // total, e[3], orig_len=orig_len)
+        for s in range(0, len(rows), WRITE_ROWS):
+            writer.write_frames(ts_us[s:s + WRITE_ROWS], table[rows[s:s + WRITE_ROWS]],
+                                orig_len=orig_len)
 
-    truth = _build_truth(spec, hosts, flows, reverse, beacon)
+    truth = _build_truth(spec, hosts, plan, syn_first, beacon)
     truth.write_json(ground_truth_path(pcap_path))
     return pcap_path, truth
 
 
-def _flow_frames(spec: ScenarioSpec, flow: _PlannedFlow,
-                 link: bytes) -> Tuple[bytes, bytes]:
-    """A flow's data frame and first frame (its SYN, if it opens with one),
-    each led by ``link``: all of the flow's packets are one of the two."""
-    p = flow.plan
-    common = dict(ttl=flow.src.observed_ttl, ip_len=spec.packet_bytes,
-                  src_port=p.src_port, dst_port=p.dst_port,
-                  max_bytes=spec.snaplen - len(link))
-    data = link + build_ipv4_packet(p.src_ip, p.dst_ip, p.proto, tcp_flags=TCP_ACK,
-                                    tcp_window=16384, **common)
-    if not flow.syn_first:
-        return data, data
-    entry = flow.src.entry
-    syn = build_ipv4_packet(
-        p.src_ip, p.dst_ip, PROTO_TCP,
-        df=True if entry.df_flag is None else entry.df_flag,
-        tcp_flags=TCP_SYN, tcp_window=entry.window_size,
-        tcp_options=build_tcp_options(entry.options_layout, _craft_mss(entry)),
-        **common)
-    return data, link + syn
+def _frame_table(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan,
+                 syn_first: np.ndarray, link: bytes) -> np.ndarray:
+    """Each flow's data frame (row i) and first frame (row n + i), led by ``link``.
+
+    Every frame a flow sends is one of its two, and all have one length. Each
+    row starts as a template from ``build_ipv4_packet``, one per protocol and
+    one per crafted SYN, with zero TTL and addresses; then the flow's TTL,
+    addresses, TCP/UDP ports and the IPv4 header checksum are written in.
+    """
+    n = len(plan.block)
+    common = dict(ttl=0, ip_len=spec.packet_bytes, max_bytes=spec.snaplen - len(link))
+    protos, data_tmpl = np.unique(plan.proto, return_inverse=True)
+    templates = [build_ipv4_packet(_ANY, _ANY, int(p), tcp_flags=TCP_ACK,
+                                   tcp_window=16384, **common) for p in protos.tolist()]
+    entries = {}     # fingerprint entry -> index of its SYN template
+    syn_tmpl = np.full(len(hosts), -1)     # host -> its SYN's template
+    for h in np.unique(plan.src[syn_first]).tolist():
+        entry = hosts[h].entry
+        if entry not in entries:
+            entries[entry] = len(templates)
+            templates.append(build_ipv4_packet(
+                _ANY, _ANY, PROTO_TCP,
+                df=True if entry.df_flag is None else entry.df_flag,
+                tcp_flags=TCP_SYN, tcp_window=entry.window_size,
+                tcp_options=build_tcp_options(entry.options_layout, _craft_mss(entry)),
+                **common))
+        syn_tmpl[h] = entries[entry]
+    first_tmpl = np.where(syn_first, syn_tmpl[plan.src], data_tmpl)
+    width = len(link) + min(spec.packet_bytes, spec.snaplen - len(link))
+    stack = np.frombuffer(b"".join(link + t for t in templates),
+                          dtype=np.uint8).reshape(len(templates), width)
+    # axis 0: data frame, first frame; fields are the same in both
+    table = stack[np.stack([data_tmpl, first_tmpl])]
+
+    ip = len(link)
+    table[:, :, ip + 8] = np.array([h.observed_ttl for h in hosts], dtype=np.uint8)[plan.src]
+    addrs = np.array([h.addr for h in hosts], dtype=">u4")
+    table[:, :, ip + 12:ip + 16] = addrs[plan.src].view(np.uint8).reshape(n, 4)
+    table[:, :, ip + 16:ip + 20] = addrs[plan.dst].view(np.uint8).reshape(n, 4)
+    ported = (plan.proto == PROTO_TCP) | (plan.proto == PROTO_UDP)
+    ports = np.stack([plan.src_port, plan.dst_port], axis=1).astype(">u2")
+    table[:, ported, ip + 20:ip + 24] = ports[ported].view(np.uint8).reshape(-1, 4)
+
+    # One's-complement sum of the ten header words, checksum word zeroed.
+    words = np.ascontiguousarray(table[:, :, ip:ip + 20]).view(">u2").astype(np.int64)
+    words[:, :, 5] = 0
+    total = words.sum(axis=2)
+    for _ in range(2):          # ten 16-bit words carry at most 4 bits
+        total = (total & 0xFFFF) + (total >> 16)
+    checksum = (~total & 0xFFFF).astype(">u2")
+    table[:, :, ip + 10:ip + 12] = checksum.view(np.uint8).reshape(2, n, 2)
+    return table.reshape(2 * n, width)
+
+
+def _schedule(plan: _Plan, tau_us: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each packet's timestamp and frame-table row, in the order written.
+
+    Packet ``j`` of an ``n``-packet flow aims at slot ``(j + 0.5) / n * tau_us``
+    of its block, rounded half to even. A block's packets are ranked by
+    (aim, flow, j), and the ``k``-th of ``total`` sits at
+    ``block * tau_us + k * tau_us // total``: distinct microseconds, spread
+    over the block.
+    """
+    n = plan.n_packets
+    flow = np.repeat(np.arange(len(n)), n)
+    j = np.arange(len(flow)) - np.repeat(np.cumsum(n) - n, n)
+    # the IEEE operations of Python's round((j + 0.5) / n * tau_us)
+    ideal = np.rint((j + 0.5) / n[flow] * tau_us).astype(np.int64)
+    block = plan.block[flow]
+    order = np.lexsort((j, flow, ideal, block))
+    flow, j, block = flow[order], j[order], block[order]
+
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    counts = np.diff(starts, append=len(block))
+    k = np.arange(len(block)) - np.repeat(starts, counts)
+    total = np.repeat(counts, counts)
+    # k * tau_us can pass 2**63; with tau_us = q * total + r, k * r < total**2
+    q, r = np.divmod(tau_us, total)
+    ts_us = block * tau_us + k * q + (k * r) // total
+    return ts_us, flow + len(n) * (j == 0)
 
 
 def ground_truth_path(pcap_path) -> Path:
@@ -498,7 +610,8 @@ def ground_truth_path(pcap_path) -> Path:
     return p.with_name(p.stem + ".ground_truth.json")
 
 
-def _build_truth(spec, hosts, flows, reverse, beacon) -> GroundTruth:
+def _build_truth(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan,
+                 syn_first: np.ndarray, beacon: bool) -> GroundTruth:
     """The ground truth, totals included, read off the plan.
 
     Every planned flow emits >= 1 packet (explicit plans are validated to,
@@ -506,26 +619,27 @@ def _build_truth(spec, hosts, flows, reverse, beacon) -> GroundTruth:
     sends its SYN; only fingerprinted hosts plan one, so a host's
     fingerprint is effective exactly when it sent a SYN.
     """
-    fwd_packets = sum(f.plan.n_packets for f in flows)
-    flow_packets = fwd_packets + sum(f.plan.n_packets for f in reverse)
-    syn_emitted = {f.plan.src_ip for f in flows + reverse if f.syn_first}
+    nf = plan.n_forward
+    fwd_packets = int(plan.n_packets[:nf].sum())
+    flow_packets = int(plan.n_packets.sum())
+    emitted = np.zeros(len(hosts), dtype=bool)
+    emitted[plan.src[syn_first]] = True
     true_hosts = [TrueHost(ip=rh.spec.ip, side=rh.spec.side,
                            initial_ttl=rh.initial_ttl,
                            hops_to_monitor=rh.spec.hops_to_monitor,
                            os_label=rh.spec.os_label,
-                           syn_emitted=rh.spec.ip in syn_emitted,
-                           fingerprint_effective=rh.spec.ip in syn_emitted)
-                  for rh in hosts.values()]
-    true_flows = []
-    for f in flows:
-        p = f.plan
-        true_flows.append(TrueFlow(
-            block=p.block, src_ip=p.src_ip, dst_ip=p.dst_ip,
-            src_port=p.src_port, dst_port=p.dst_port, proto=p.proto,
-            n_packets=p.n_packets, n_bytes=p.n_packets * spec.packet_bytes,
-            category=f.category,
-            path_hops=f.src.spec.hops_to_monitor + f.dst.spec.hops_to_monitor,
-            hops_exact=p.src_ip in syn_emitted and p.dst_ip in syn_emitted))
+                           syn_emitted=e, fingerprint_effective=e)
+                  for rh, e in zip(hosts, emitted.tolist())]
+    ips = [h.spec.ip for h in hosts]
+    hops = np.array([h.spec.hops_to_monitor for h in hosts], dtype=np.int64)
+    src, dst = plan.src[:nf], plan.dst[:nf]
+    true_flows = list(map(TrueFlow._make, zip(
+        plan.block[:nf].tolist(), [ips[i] for i in src.tolist()],
+        [ips[i] for i in dst.tolist()], plan.src_port[:nf].tolist(),
+        plan.dst_port[:nf].tolist(), plan.proto[:nf].tolist(),
+        plan.n_packets[:nf].tolist(), (plan.n_packets[:nf] * spec.packet_bytes).tolist(),
+        plan.category, (hops[src] + hops[dst]).tolist(),
+        (emitted[src] & emitted[dst]).tolist())))
     return GroundTruth(flows=true_flows, hosts=true_hosts,
                        total_packets=flow_packets + int(beacon),
                        total_bytes=(flow_packets * spec.packet_bytes
@@ -542,12 +656,15 @@ def _validate_spec(spec: ScenarioSpec) -> Tuple[str, float]:
         raise ScenarioError("tau must be finite and at least one microsecond")
     if not math.isfinite(spec.duration) or spec.n_blocks < 1:
         raise ScenarioError("duration must cover at least one block")
-    if spec.packet_bytes < MIN_PACKET_BYTES:
-        raise ScenarioError(f"packet_bytes must be >= {MIN_PACKET_BYTES}")
+    if spec.n_blocks * spec.tau_us >= MAX_END_US:
+        raise ScenarioError("the trace must end before 2**32 s, the limit of a "
+                            "pcap timestamp")
+    if not MIN_PACKET_BYTES <= spec.packet_bytes <= 0xFFFF:
+        raise ScenarioError(f"packet_bytes must be in {MIN_PACKET_BYTES}..65535")
     if not spec.flow_size_alpha > 0:               # also refuses NaN
         raise ScenarioError("flow_size_alpha must be positive")
-    if spec.flow_size_cap < 2:
-        raise ScenarioError("flow_size_cap must be >= 2")
+    if not 2 <= spec.flow_size_cap <= MAX_END_US:    # a packet per microsecond at most
+        raise ScenarioError(f"flow_size_cap must be in 2..{MAX_END_US}")
     if not 0.0 <= spec.key_repeat_prob <= 1.0:
         raise ScenarioError("key_repeat_prob must be in [0, 1]")
     mix_total = sum(spec.app_mix.values())
@@ -595,6 +712,8 @@ def load_scenario(path) -> ScenarioSpec:
                     parts = line.split()
                     if len(parts) != 7:
                         raise ValueError("flow line needs 7 columns")
+                    for ip in parts[1:3]:
+                        _ipv4(ip)
                     flows.append(FlowPlan(block=int(parts[0]), src_ip=parts[1],
                                           dst_ip=parts[2], src_port=int(parts[3]),
                                           dst_port=int(parts[4]), proto=int(parts[5]),
@@ -615,6 +734,7 @@ def _parse_host_line(line: str) -> HostSpec:
     if len(parts) != 4:
         raise ValueError("host line needs: ip hops side os:<label>|ttl:<n>")
     ip, hops_s, side, tail = parts
+    _ipv4(ip)
     if tail.startswith("os:"):
         return HostSpec(ip=ip, hops_to_monitor=int(hops_s), side=side,
                         os_label=tail[3:].strip())

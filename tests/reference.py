@@ -3,19 +3,26 @@
 The package computes on columns; these are the plain-Python views the
 tests state their expectations in: address strings, a Packets table built
 from PacketRecords, row-by-row equality, the flows.csv rows of a Flows
-table, one host's estimate, and the fallback initial TTL.
+table, one host's estimate, the fallback initial TTL, and the generator's
+frame-at-a-time pcap emitter.
 """
 
 from __future__ import annotations
 
 import socket
-from typing import Iterator, NamedTuple, Optional, Sequence
+from pathlib import Path
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from flowlens.flows import Flows
 from flowlens.hops import STANDARD_INITIAL_TTLS, HostEstimates
-from flowlens.pcapio import COLUMNS, PacketRecord, Packets, ipv4_strs
+from flowlens.pcapio import (COLUMNS, LINKTYPE_ETHERNET, PROTO_ICMP, PROTO_TCP,
+                             TCP_ACK, TCP_SYN, PacketRecord, Packets, PcapWriter,
+                             build_ipv4_packet, build_tcp_options, ipv4_strs,
+                             wrap_ethernet)
+from flowlens.synth import (BEACON_DST, BEACON_LEN, BEACON_SRC, ScenarioSpec,
+                            _craft_mss)
 
 
 def ipv4_str(value: int) -> str:
@@ -89,3 +96,60 @@ def infer_initial_ttl(observed_ttl: int) -> int:
     if observed_ttl > 255:
         raise ValueError(f"TTL {observed_ttl} out of range")
     return next(ttl for ttl in STANDARD_INITIAL_TTLS if ttl >= observed_ttl)
+
+
+def _flow_frames(spec: ScenarioSpec, hosts, plan, i: int,
+                 link: bytes) -> Tuple[bytes, bytes]:
+    """Flow i's data frame and first frame (its SYN, if it opens with one),
+    each led by ``link``: all of the flow's packets are one of the two."""
+    src, dst = hosts[plan.src[i]], hosts[plan.dst[i]]
+    proto = int(plan.proto[i])
+    common = dict(ttl=src.observed_ttl, ip_len=spec.packet_bytes,
+                  src_port=int(plan.src_port[i]), dst_port=int(plan.dst_port[i]),
+                  max_bytes=spec.snaplen - len(link))
+    data = link + build_ipv4_packet(src.spec.ip, dst.spec.ip, proto, tcp_flags=TCP_ACK,
+                                    tcp_window=16384, **common)
+    entry = src.entry
+    if proto != PROTO_TCP or entry is None:
+        return data, data
+    syn = build_ipv4_packet(
+        src.spec.ip, dst.spec.ip, PROTO_TCP,
+        df=True if entry.df_flag is None else entry.df_flag,
+        tcp_flags=TCP_SYN, tcp_window=entry.window_size,
+        tcp_options=build_tcp_options(entry.options_layout, _craft_mss(entry)),
+        **common)
+    return data, link + syn
+
+
+def emit_pcap(spec: ScenarioSpec, hosts, plan, pcap_path: Path) -> None:
+    """The pcap of a planned scenario, one frame and one Python int at a time.
+
+    Each block's packets are sorted by (ideal slot, flow, j) and the k-th
+    of total sits at ``block * tau_us + k * tau_us // total``; a one-packet
+    beacon opens a non-empty trace whose block 0 is empty.
+    """
+    per_block = {}
+    for i, block in enumerate(plan.block.tolist()):
+        per_block.setdefault(block, []).append(i)
+    tau_us = spec.tau_us
+    beacon = bool(per_block) and 0 not in per_block
+    link = wrap_ethernet(b"") if spec.linktype == LINKTYPE_ETHERNET else b""
+    with PcapWriter(pcap_path, linktype=spec.linktype, snaplen=spec.snaplen) as writer:
+        if beacon:
+            ip = build_ipv4_packet(BEACON_SRC, BEACON_DST, PROTO_ICMP, ttl=64,
+                                   ip_len=BEACON_LEN, max_bytes=spec.snaplen - len(link))
+            writer.write(0, link + ip, orig_len=len(link) + BEACON_LEN)
+        orig_len = len(link) + spec.packet_bytes
+        for block, fl in sorted(per_block.items()):
+            entries = []
+            for seq, i in enumerate(fl):
+                data, first = _flow_frames(spec, hosts, plan, i, link)
+                n = int(plan.n_packets[i])
+                for j in range(n):
+                    ideal = round((j + 0.5) / n * tau_us)
+                    entries.append((ideal, seq, j, data if j else first))
+            entries.sort()      # (seq, j) is unique, so frames are never compared
+            total = len(entries)
+            base = block * tau_us
+            for k, e in enumerate(entries):
+                writer.write(base + (k * tau_us) // total, e[3], orig_len=orig_len)

@@ -136,7 +136,7 @@ def test_format_errors_name_the_trace_once(tmp_path, capsys):
     # the CLI names the trace, so the reader's messages leave the path out
     short = tmp_path / "short.pcap"
     short.write_bytes(b"\xd4\xc3\xb2\xa1")
-    pcapng = tmp_path / "capture.pcapng"
+    pcapng = tmp_path / "capture.bin"      # only the message may say pcapng
     pcapng.write_bytes(b"\x0a\x0d\x0d\x0a" + b"\x00" * 40)
     garbage = tmp_path / "garbage.pcap"
     garbage.write_bytes(b"\xde\xad\xbe\xef" + b"\x00" * 40)
@@ -299,6 +299,38 @@ def test_generate_bad_scenario(tmp_path, capsys):
     capsys.readouterr()
     assert main(["generate", "--scenario", str(good), "--out", str(taken)]) == 66
     assert capsys.readouterr().err.startswith("flowlens generate: ")
+
+
+_HOSTS = "[hosts]\n10.0.0.1 5 src os:Linux 2.4\n203.0.113.1 5 dst ttl:64\n"
+
+
+@pytest.mark.parametrize("text, code, message", [
+    # a pcap record holds 32-bit seconds, 16-bit ports and lengths, an 8-bit protocol
+    ("duration = 2e10\ntau = 1e10\n" + _HOSTS, 65, "2**32 s"),
+    ("packet_bytes = 70000\n" + _HOSTS, 65, "packet_bytes"),
+    ("flow_size_cap = 100000000000000000000\n" + _HOSTS, 65, "flow_size_cap"),
+    (_HOSTS + "[flows]\n0 10.0.0.1 203.0.113.1 99999 80 6 5\n", 65, "ports"),
+    (_HOSTS + "[flows]\n0 10.0.0.1 203.0.113.1 1024 80 300 5\n", 65, "protocol"),
+    # addresses are IPv4 dotted quads, refused with the line they are on
+    (_HOSTS.replace("10.0.0.1", "10.0.0.999") + "[flows]\n", 65, "s.scenario:2:"),
+    (_HOSTS.replace("203.0.113.1", "::1"), 65, "s.scenario:3:"),
+    (_HOSTS + "[flows]\n0 10.0.0.1 203.0.113.256 1024 80 6 5\n", 65, "s.scenario:5:"),
+    # the largest span there is: one block of 4e9 s, its 3000 packets spread over it
+    ("duration = 4e9\ntau = 4e9\n" + _HOSTS
+     + "[flows]\n0 10.0.0.1 203.0.113.1 1024 80 6 3000\n", 0, ""),
+], ids=["span", "packet_bytes", "flow_size_cap", "port", "protocol", "bad-ip", "ipv6", "flow-ip", "huge-tau"])
+def test_generate_exit_codes_in_a_child(text, code, message, tmp_path):
+    """A refused scenario exits 65 with a message, no traceback and no --out."""
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(text)
+    out = tmp_path / "gen"
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "flowlens", "generate", "--scenario",
+                           str(scenario), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and message in proc.stderr, proc.stderr
+    assert out.exists() == (code == 0)
 
 
 def test_cli_import_leaves_the_generator_unimported(tmp_path):

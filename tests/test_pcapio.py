@@ -48,8 +48,9 @@ def test_nanosecond_magic(tmp_path):
 
 
 def test_pcapng_rejected(tmp_path):
-    path = tmp_path / "x.pcapng"
-    path.write_bytes(struct.pack("<I", pcapio.PCAPNG_MAGIC) + b"\x00" * 40)
+    # a section header block's type, as bytes; the name does not say pcapng
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"\x0a\x0d\x0d\x0a" + b"\x00" * 40)
     with pytest.raises(PcapFormatError, match="pcapng"):
         PcapReader(path)
 

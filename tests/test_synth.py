@@ -8,19 +8,23 @@ import random
 import statistics
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from flowlens.apps import classify
 from flowlens.flows import BlockingConfig, aggregate
+from flowlens.hops import FingerprintDb
 from flowlens.ingest import read_trace
-from flowlens.pcapio import LINKTYPE_RAW_IP, PROTO_TCP
+from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
+                             PROTO_TCP, PROTO_UDP)
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import (FlowPlan, HostSpec, ScenarioError,
-                            ScenarioSpec, _poisson, generate, ground_truth_path,
-                            load_scenario, sample_flow_size)
+                            ScenarioSpec, _plan_scenario, _poisson, generate,
+                            ground_truth_path, load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
 
-from helpers import SRC_NET, flow_keys, random_scenario, table1_scenario
-from reference import host_row, ipv4_str
+from helpers import FP_LABELS, SRC_NET, flow_keys, random_scenario, table1_scenario
+from reference import emit_pcap, host_row, ipv4_str
 
 
 def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
@@ -85,6 +89,70 @@ def test_generated_bytes_are_pinned(make_spec, pcap_sha, truth_sha, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == pcap_sha
     content = json.dumps(gt.to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(content).hexdigest() == truth_sha
+
+
+@st.composite
+def emitter_scenarios(draw):
+    """Small feasible scenarios over every input the frame encoder branches on."""
+    def host(ip, side):
+        hops = draw(st.integers(0, 20))
+        if draw(st.booleans()):
+            return HostSpec(ip, max(hops, 1), side, os_label=draw(st.sampled_from(FP_LABELS)))
+        return HostSpec(ip, hops, side, initial_ttl=draw(st.sampled_from([64, 128, 255])))
+
+    srcs = [host(f"10.0.0.{i + 1}", "src") for i in range(draw(st.integers(1, 4)))]
+    dsts = [host(f"203.0.113.{i + 1}", "dst") for i in range(draw(st.integers(1, 3)))]
+    n_blocks = draw(st.integers(1, 5))
+    tau = draw(st.sampled_from([0.001, 0.01, 0.1]))   # 0.001: slots tie and collide
+    spec = ScenarioSpec(duration=n_blocks * tau, tau=tau, seed=draw(st.integers(0, 2**32)),
+                        flows_per_block=draw(st.sampled_from(["poisson:3", "fixed:2"])),
+                        flow_size_cap=40, packet_bytes=draw(st.integers(64, 200)),
+                        bidirectional=draw(st.booleans()), hosts=srcs + dsts,
+                        key_repeat_prob=draw(st.sampled_from([0.0, 0.5])),
+                        snaplen=draw(st.sampled_from([78, 96, 160])),
+                        linktype=draw(st.sampled_from([LINKTYPE_ETHERNET, LINKTYPE_RAW_IP])))
+    if draw(st.booleans()):     # explicit plan; block 0 left empty draws the beacon
+        first_block = draw(st.integers(0, min(1, n_blocks - 1)))
+        cells = draw(st.lists(st.tuples(
+            st.integers(first_block, n_blocks - 1), st.sampled_from(srcs),
+            st.sampled_from(dsts), st.integers(0, 65535), st.integers(0, 65535),
+            st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP, 47])),
+            max_size=8, unique=True))
+        spec.flows = [FlowPlan(b, s.ip, d.ip, sp, dp, proto, draw(st.integers(1, 30)))
+                      for b, s, d, sp, dp, proto in cells]
+    return spec
+
+
+def _huge_tau_scenario():
+    """One 4e9 s block holding 3000 packets: k * tau_us passes 2**63."""
+    hosts = [HostSpec("10.0.0.1", 5, "src", os_label="Linux 2.4"),
+             HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
+    flows = [FlowPlan(0, "10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP, 3000)]
+    return ScenarioSpec(duration=4e9, tau=4e9, hosts=hosts, flows=flows)
+
+
+def _double_carry_scenario():
+    """A data frame whose IPv4 header words sum to 0x3fffd: the fold carries twice."""
+    hosts = [HostSpec("10.255.255.255", 92, "src", initial_ttl=255),
+             HostSpec("203.0.255.61", 5, "dst", initial_ttl=64)]
+    flows = [FlowPlan(0, "10.255.255.255", "203.0.255.61", 1024, 80, PROTO_TCP, 2)]
+    return ScenarioSpec(duration=0.1, hosts=hosts, flows=flows, bidirectional=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(emitter_scenarios())
+@example(_huge_tau_scenario())
+@example(_double_carry_scenario())
+def test_columnar_emitter_matches_reference(tmp_path_factory, spec):
+    """generate's pcap equals the frame-at-a-time emitter's, byte for byte."""
+    d = tmp_path_factory.mktemp("emit")
+    try:
+        path, _ = generate(spec, d / "columnar.pcap")
+    except ScenarioError:       # more packets drawn than a block has slots
+        assume(False)
+    hosts, plan = _plan_scenario(spec, FingerprintDb.default())
+    emit_pcap(spec, hosts, plan, d / "reference.pcap")
+    assert path.read_bytes() == (d / "reference.pcap").read_bytes()
 
 
 def test_different_seed_different_bytes(tmp_path):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from flowlens.synth import sample_flow_size
-from flowlens.tail import (InsufficientTailError, LlcdCurve, fit_tail, llcd)
+from flowlens.tail import (MIN_TAIL_POINTS, InsufficientTailError, LlcdCurve,
+                           fit_tail, llcd)
 
 
 def brute_force_llcd(samples):
@@ -100,6 +101,11 @@ def test_insufficient_tail_raises():
     curve = exact_power_curve(1.0, range(20, 29))   # nine points: one short
     with pytest.raises(InsufficientTailError):
         fit_tail(curve, x_min=20)
+
+
+def test_min_tail_points_suffice():
+    curve = exact_power_curve(1.0, range(20, 20 + MIN_TAIL_POINTS))
+    assert fit_tail(curve, x_min=20).n_tail == MIN_TAIL_POINTS == 10
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
