@@ -38,7 +38,6 @@ def classify(key: FlowKey, http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS) -> A
 @dataclass(frozen=True)
 class AppBreakdown:
     proportions: Dict[AppCategory, float]   # sums to 1, every category present
-    n_flows: int
 
 
 def breakdown(flows: Flows, greedy_only: bool = False,
@@ -55,5 +54,4 @@ def breakdown(flows: Flows, greedy_only: bool = False,
     if n == 0:
         raise ValueError("no flows to classify")
     counts = np.bincount(category, minlength=len(AppCategory)).tolist()
-    return AppBreakdown(proportions={cat: c / n for cat, c in zip(AppCategory, counts)},
-                        n_flows=n)
+    return AppBreakdown(proportions={cat: c / n for cat, c in zip(AppCategory, counts)})

@@ -144,15 +144,8 @@ def _cmd_generate(args) -> int:
     # slow every CLI start
     from .synth import ScenarioError, generate, ground_truth_path, load_scenario
     try:
-        spec = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"flowlens generate: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
-    except ScenarioError as exc:
-        print(f"flowlens generate: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        pcap_path, truth = generate(spec, Path(args.out) / f"{args.name}.pcap")
+        pcap_path, truth = generate(load_scenario(args.scenario),
+                                    Path(args.out) / f"{args.name}.pcap")
     except OSError as exc:
         print(f"flowlens generate: {exc}", file=sys.stderr)
         return EXIT_NOINPUT

@@ -32,6 +32,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -158,8 +159,14 @@ class FingerprintDb:
 
     @classmethod
     def load(cls, path) -> "FingerprintDb":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        """A database file, which must be UTF-8 text."""
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FingerprintFormatError(f"not UTF-8 text at byte {exc.start} "
+                                         f"({exc.reason})") from exc
+        return cls.loads(text)
 
     @classmethod
     def default(cls) -> "FingerprintDb":

@@ -213,7 +213,7 @@ def write_report(result: AnalysisResult, out_dir) -> Path:
 
     if result.analyzed:
         flows.write_flows_csv(result.records, out_dir / "flows.csv")
-        curve = result.curve or tail.LlcdCurve(points=(), n_samples=0)
+        curve = result.curve or tail.LlcdCurve(points=())
         tail.write_llcd_csv(curve, out_dir / "llcd.csv")
         hops.write_hops_csv(result.hist_all, out_dir / "hops_all.csv")
         hops.write_hops_csv(result.hist_greedy, out_dir / "hops_greedy.csv")

@@ -49,6 +49,7 @@ Same seed, same spec: byte-identical pcap (the only randomness source is
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import itertools
 import json
@@ -56,14 +57,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .apps import AppCategory, classify
 from .flows import FlowKey
 from .hops import FingerprintDb, FingerprintEntry, MTU_TOKEN, match_fingerprint
-from .pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
+from .pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, MAX_CAPLEN, PROTO_ICMP,
                      PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN, PcapWriter,
                      SynSignature, build_ipv4_packet, build_tcp_options,
                      wrap_ethernet)
@@ -246,6 +247,7 @@ class _ResolvedHost:
         return self.initial_ttl - self.spec.hops_to_monitor
 
 
+@functools.lru_cache(maxsize=1 << 16)   # a host's address is checked, then resolved
 def _ipv4(text: str) -> int:
     """A dotted quad's 32-bit value; ValueError for anything else, IPv6 included."""
     return int(ipaddress.IPv4Address(text))
@@ -258,16 +260,6 @@ def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> List[_ResolvedHost]
         if h.ip in seen:
             raise ScenarioError(f"duplicate host ip {h.ip}")
         seen.add(h.ip)
-        try:
-            addr = _ipv4(h.ip)
-        except ValueError as exc:
-            raise ScenarioError(f"host {h.ip}: {exc}") from exc
-        if h.ip in (BEACON_SRC, BEACON_DST):
-            raise ScenarioError(f"host ip {h.ip} is reserved for the t=0 beacon")
-        if h.side not in ("src", "dst"):
-            raise ScenarioError(f"host {h.ip}: side must be 'src' or 'dst'")
-        if h.hops_to_monitor < 0:
-            raise ScenarioError(f"host {h.ip}: negative hop count")
         entry = None
         if h.os_label is not None:
             entry = db.find(h.os_label)
@@ -286,11 +278,9 @@ def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> List[_ResolvedHost]
             if h.initial_ttl is None:
                 raise ScenarioError(f"host {h.ip}: needs initial_ttl or os_label")
             initial = h.initial_ttl
-        if not 1 <= initial <= 255:
-            raise ScenarioError(f"host {h.ip}: initial_ttl {initial} out of range")
         if h.hops_to_monitor >= initial:
             raise ScenarioError(f"host {h.ip}: hops {h.hops_to_monitor} >= initial TTL {initial}")
-        rh = _ResolvedHost(spec=h, addr=addr, initial_ttl=initial, entry=entry)
+        rh = _ResolvedHost(spec=h, addr=_ipv4(h.ip), initial_ttl=initial, entry=entry)
         if entry is not None:
             # The SYN this host will send must match back to an entry with
             # the same initial TTL, or hop recovery would be silently wrong.
@@ -348,14 +338,13 @@ class _Plan:
 
 
 def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
-                       hosts: Sequence[_ResolvedHost],
-                       flows_per_block: Tuple[str, float]) -> _Plan:
+                       hosts: Sequence[_ResolvedHost]) -> _Plan:
     src_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "src"]
     dst_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "dst"]
     if not src_hosts or not dst_hosts:
         raise ScenarioError("random planning needs at least one src and one dst host")
 
-    mode, rate = flows_per_block
+    mode, rate = _arrivals(spec.flows_per_block)
     cats = list(spec.app_mix.keys())
     cum_weights = list(itertools.accumulate(spec.app_mix[c] for c in cats))
     alpha, cap, repeat_prob = spec.flow_size_alpha, spec.flow_size_cap, spec.key_repeat_prob
@@ -410,23 +399,12 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
 def _plan_explicit_flows(spec: ScenarioSpec,
                          hosts: Sequence[_ResolvedHost]) -> _Plan:
     index = {h.spec.ip: i for i, h in enumerate(hosts)}
-    tau_us = spec.tau_us
     seen = set()
     rows = []
     category = []
     for plan in spec.flows:
-        if not 0 <= plan.block < spec.n_blocks:
+        if plan.block >= spec.n_blocks:
             raise ScenarioError(f"flow block {plan.block} outside 0..{spec.n_blocks - 1}")
-        if plan.n_packets < 1:
-            raise ScenarioError("flow must have at least one packet")
-        if plan.n_packets > tau_us:
-            raise ScenarioError(f"block {plan.block} needs {plan.n_packets} packet "
-                                f"slots but tau holds only {tau_us}")
-        if not (0 <= plan.src_port <= 0xFFFF and 0 <= plan.dst_port <= 0xFFFF):
-            raise ScenarioError(f"flow ports {plan.src_port}/{plan.dst_port} "
-                                "outside 0..65535")
-        if not 0 <= plan.proto <= 0xFF:
-            raise ScenarioError(f"flow protocol {plan.proto} outside 0..255")
         cell = (plan.block, plan.src_ip, plan.dst_ip, plan.src_port,
                 plan.dst_port, plan.proto)
         if cell in seen:
@@ -468,13 +446,13 @@ def _with_reverse_flows(plan: _Plan) -> _Plan:
 def _plan_scenario(spec: ScenarioSpec,
                    db: FingerprintDb) -> Tuple[List[_ResolvedHost], _Plan]:
     """Check the scenario and plan every flow; raise ScenarioError if infeasible."""
-    flows_per_block = _validate_spec(spec)
+    _validate_spec(spec)
     rng = random.Random(spec.seed)
     hosts = _resolve_hosts(spec, db)
     if spec.flows is not None:
         plan = _plan_explicit_flows(spec, hosts)
     else:
-        plan = _plan_random_flows(spec, rng, hosts, flows_per_block)
+        plan = _plan_random_flows(spec, rng, hosts)
     if spec.bidirectional:
         plan = _with_reverse_flows(plan)
 
@@ -650,130 +628,208 @@ def _build_truth(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan
                        seed=spec.seed)
 
 
-def _validate_spec(spec: ScenarioSpec) -> Tuple[str, float]:
-    """Reject an invalid spec; return ``flows_per_block`` as (mode, rate)."""
-    if not (spec.tau > 0 and math.isfinite(spec.tau)) or spec.tau_us < 1:
-        raise ScenarioError("tau must be finite and at least one microsecond")
-    if not math.isfinite(spec.duration) or spec.n_blocks < 1:
+def _validate_spec(spec: ScenarioSpec) -> None:
+    """Refuse a spec with a field out of its range, or fields that do not fit.
+
+    Every field of the spec, of each host and of each explicit flow is
+    checked against its entry in the field tables below, for a spec built
+    in Python as for one read from a file. The checks here after that span
+    fields; so do the host and flow ones made while planning.
+    """
+    rows = [("", spec, _KEYS)]
+    rows += [(f"host {h.ip} ", h, _HOST_COLUMNS) for h in spec.hosts]
+    rows += [(f"flow {i} ", p, _FLOW_COLUMNS) for i, p in enumerate(spec.flows or ())]
+    for where, obj, table in rows:
+        for name, f in table.items():
+            _in_range(where + name, f, getattr(obj, f.attr))
+    if spec.n_blocks < 1:
         raise ScenarioError("duration must cover at least one block")
     if spec.n_blocks * spec.tau_us >= MAX_END_US:
         raise ScenarioError("the trace must end before 2**32 s, the limit of a "
                             "pcap timestamp")
-    if not MIN_PACKET_BYTES <= spec.packet_bytes <= 0xFFFF:
-        raise ScenarioError(f"packet_bytes must be in {MIN_PACKET_BYTES}..65535")
-    if not spec.flow_size_alpha > 0:               # also refuses NaN
-        raise ScenarioError("flow_size_alpha must be positive")
-    if not 2 <= spec.flow_size_cap <= MAX_END_US:    # a packet per microsecond at most
-        raise ScenarioError(f"flow_size_cap must be in 2..{MAX_END_US}")
-    if not 0.0 <= spec.key_repeat_prob <= 1.0:
-        raise ScenarioError("key_repeat_prob must be in [0, 1]")
-    mix_total = sum(spec.app_mix.values())
-    if abs(mix_total - 1.0) > 1e-9:
-        raise ScenarioError(f"app_mix fractions sum to {mix_total}, not 1")
-    if spec.snaplen < MIN_PACKET_BYTES + 14:
-        raise ScenarioError("snaplen too small to keep transport headers")
-    if spec.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-        raise ScenarioError(f"unsupported linktype {spec.linktype}")
-    mode, _, arg = spec.flows_per_block.partition(":")
+    # a planned flow has 2 packets or more, each in its own microsecond
+    if spec.flows is None and 2 * _arrivals(spec.flows_per_block)[1] > spec.tau_us:
+        raise ScenarioError(f"bad flows_per_block {spec.flows_per_block!r}: a block "
+                            f"has room for {spec.tau_us // 2} flows at most")
+
+
+# ---------------------------------------------------------------------------
+# Scenario fields: each input's parser and range, stated once
+
+class _Field(NamedTuple):
+    """One scenario input: the field it sets, its parser and its range."""
+
+    attr: str                      # the field of ScenarioSpec, HostSpec or FlowPlan
+    parse: Callable[[str], Any]    # a scenario file's text to the value
+    ok: Callable[[Any], Any]       # true when the value is in range
+    allowed: str                   # the range, in words
+
+
+def _in_range(name: str, f: _Field, value: Any = None, text: Optional[str] = None) -> Any:
+    """``value``, or ``text`` parsed, if the field's range holds it.
+
+    A value that does not parse, or that ``f.ok`` refuses or cannot
+    judge, is refused with the field's name and range.
+    """
     try:
-        rate = int(arg) if mode == "fixed" else float(arg)
-    except ValueError:
-        rate = -1
-    if mode not in ("fixed", "poisson") or not 0 <= rate < math.inf:
-        raise ScenarioError(f"bad flows_per_block {spec.flows_per_block!r}")
+        if text is not None:
+            value = f.parse(text)
+        ok = f.ok(value)
+    except (LookupError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        shown = value if text is None else text
+        raise ScenarioError(f"bad {name} {shown!r}: must be {f.allowed}")
+    return value
+
+
+def _between(lo, hi) -> Callable[[Any], bool]:
+    return lambda v: lo <= v <= hi
+
+
+def _arrivals(text: str) -> Tuple[str, float]:
+    """``flows_per_block`` as (mode, rate); ValueError or KeyError if malformed."""
+    mode, _, arg = text.partition(":")
+    rate = {"fixed": int, "poisson": float}[mode](arg)
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"rate {rate} out of range")
     return mode, rate
+
+
+def _app_mix(text: str) -> Dict[AppCategory, float]:
+    mix = {}
+    for part in text.split(","):
+        name, _, frac = part.partition(":")
+        mix[AppCategory(name.strip())] = float(frac)
+    return mix
+
+
+def _mix_ok(mix: Dict[AppCategory, float]) -> bool:
+    return (all(isinstance(c, AppCategory) and 0 <= f < math.inf for c, f in mix.items())
+            and abs(sum(mix.values()) - 1.0) <= 1e-9)
+
+
+def _host_ip(text: str) -> bool:
+    """A dotted quad (ValueError otherwise) that the t=0 beacon does not use."""
+    _ipv4(text)
+    return text not in (BEACON_SRC, BEACON_DST)
+
+
+_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_LINKS = {"ethernet": LINKTYPE_ETHERNET, "raw": LINKTYPE_RAW_IP}
+_HOST_IP = f"an IPv4 dotted quad other than the beacon's {BEACON_SRC} and {BEACON_DST}"
+_PORTS = "in 0..65535 (ports are 16 bits)"
+
+# The flat "key = value" lines; a spec's own fields.
+_KEYS: Dict[str, _Field] = {
+    "duration": _Field("duration", float, lambda d: 0 < d < 2**33,
+                       "> 0 and below 2**33 s (a trace must end before 2**32 s)"),
+    "tau": _Field("tau", float, lambda t: 0 < t < 2**32 and round(t * 1e6) >= 1,
+                  "at least one microsecond and below 2**32 s"),
+    "seed": _Field("seed", int, lambda v: isinstance(v, int), "an integer"),
+    "flows_per_block": _Field("flows_per_block", str, _arrivals,
+                              "fixed:<k> or poisson:<rate>, finite and >= 0"),
+    # u ** (-1 / alpha), u down to 2**-53, overflows a float below alpha 53/1023
+    "flow_size_alpha": _Field("flow_size_alpha", float, lambda a: a >= 0.06,
+                              "at least 0.06 (a smaller exponent overflows a float draw)"),
+    "flow_size_cap": _Field("flow_size_cap", int, _between(2, MAX_END_US),
+                            f"in 2..{MAX_END_US} (a packet per microsecond at most)"),
+    "packet_bytes": _Field("packet_bytes", int, _between(MIN_PACKET_BYTES, 0xFFFF),
+                           f"in {MIN_PACKET_BYTES}..65535"),
+    "bidirectional": _Field("bidirectional", lambda t: _BOOL[t.lower()],
+                            lambda v: isinstance(v, bool), "true or false (yes/no, 1/0)"),
+    "app_mix": _Field("app_mix", _app_mix, _mix_ok,
+                      "category:fraction pairs over http, other_tcp, udp and other, "
+                      "each fraction finite and >= 0, summing to 1"),
+    "key_repeat_prob": _Field("key_repeat_prob", float, _between(0, 1), "in 0..1"),
+    # the transport headers are kept; a reader refuses records above MAX_CAPLEN
+    "snaplen": _Field("snaplen", int, _between(MIN_PACKET_BYTES + 14, MAX_CAPLEN),
+                      f"in {MIN_PACKET_BYTES + 14}..{MAX_CAPLEN}"),
+    "link": _Field("linktype", _LINKS.__getitem__, lambda v: v in _LINKS.values(),
+                   "ethernet or raw"),
+}
+
+# A [hosts] line: ip hops side, then os:<label> or ttl:<initial>.
+_HOST_COLUMNS: Dict[str, _Field] = {
+    "ip": _Field("ip", str, _host_ip, _HOST_IP),
+    "hops": _Field("hops_to_monitor", int, _between(0, 255), "in 0..255"),
+    "side": _Field("side", str, ("src", "dst").__contains__, "src or dst"),
+    "os": _Field("os_label", str.strip, lambda v: v is None or v != "",
+                 "a fingerprint database label"),
+    "ttl": _Field("initial_ttl", int, lambda v: v is None or 1 <= v <= 255, "in 1..255"),
+}
+
+# A [flows] line, column by column.
+_FLOW_COLUMNS: Dict[str, _Field] = {
+    "block": _Field("block", int, lambda v: v >= 0, ">= 0"),
+    "src_ip": _Field("src_ip", str, _host_ip, _HOST_IP),
+    "dst_ip": _Field("dst_ip", str, _host_ip, _HOST_IP),
+    "sport": _Field("src_port", int, _between(0, 0xFFFF), _PORTS),
+    "dport": _Field("dst_port", int, _between(0, 0xFFFF), _PORTS),
+    "proto": _Field("proto", int, _between(0, 0xFF),
+                    "in 0..255 (the IPv4 protocol field is 8 bits)"),
+    "n_packets": _Field("n_packets", int, _between(1, MAX_END_US),
+                        f"in 1..{MAX_END_US} (a packet per microsecond at most)"),
+}
 
 
 # ---------------------------------------------------------------------------
 # Scenario files
 
-_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+def _row(table: Dict[str, _Field], names: Sequence[str], texts: Sequence[str]) -> dict:
+    """Each named column's text, parsed and range-checked, by the field it sets."""
+    return {table[n].attr: _in_range(n, table[n], text=t) for n, t in zip(names, texts)}
 
 
 def load_scenario(path) -> ScenarioSpec:
-    """Parse the flat key-value + host/flow table format shown above."""
+    """Parse the flat key-value + host/flow table format shown above.
+
+    The file must be UTF-8; every value is parsed and range-checked by its
+    field's table entry, and refused with ``file:line``.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start} "
+                            f"({exc.reason})") from exc
     spec = ScenarioSpec()
     hosts: List[HostSpec] = []
     flows: List[FlowPlan] = []
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("["):
-                    if line not in ("[hosts]", "[flows]"):
-                        raise ValueError(f"unknown section {line}")
-                    section = line
-                elif section == "[hosts]":
-                    hosts.append(_parse_host_line(line))
-                elif section == "[flows]":
-                    parts = line.split()
-                    if len(parts) != 7:
-                        raise ValueError("flow line needs 7 columns")
-                    for ip in parts[1:3]:
-                        _ipv4(ip)
-                    flows.append(FlowPlan(block=int(parts[0]), src_ip=parts[1],
-                                          dst_ip=parts[2], src_port=int(parts[3]),
-                                          dst_port=int(parts[4]), proto=int(parts[5]),
-                                          n_packets=int(parts[6])))
-                else:
-                    key, _, value = line.partition("=")
-                    _apply_scenario_key(spec, key.strip(), value.strip())
-            except (ValueError, KeyError) as exc:
-                raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("["):
+                if line not in ("[hosts]", "[flows]"):
+                    raise ValueError(f"unknown section {line}")
+                section = line
+            elif section == "[hosts]":
+                parts = line.split(maxsplit=3)
+                if len(parts) != 4:
+                    raise ValueError("host line needs: ip hops side os:<label>|ttl:<n>")
+                stack, colon, value = parts[3].partition(":")
+                if not colon or stack not in ("os", "ttl"):
+                    raise ValueError("host column 4 must be os:<label> or ttl:<n>, "
+                                     f"got {parts[3]!r}")
+                hosts.append(HostSpec(**_row(_HOST_COLUMNS, ("ip", "hops", "side", stack),
+                                             (*parts[:3], value))))
+            elif section == "[flows]":
+                parts = line.split()
+                if len(parts) != len(_FLOW_COLUMNS):
+                    raise ValueError(f"flow line needs {len(_FLOW_COLUMNS)} columns")
+                flows.append(FlowPlan(**_row(_FLOW_COLUMNS, _FLOW_COLUMNS, parts)))
+            else:
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key not in _KEYS:
+                    raise ValueError(f"unknown scenario key {key!r}")
+                setattr(spec, _KEYS[key].attr, _in_range(key, _KEYS[key], text=value.strip()))
+        except ValueError as exc:
+            raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
     spec.hosts = hosts
     if flows:
         spec.flows = flows
     return spec
-
-
-def _parse_host_line(line: str) -> HostSpec:
-    parts = line.split(maxsplit=3)
-    if len(parts) != 4:
-        raise ValueError("host line needs: ip hops side os:<label>|ttl:<n>")
-    ip, hops_s, side, tail = parts
-    _ipv4(ip)
-    if tail.startswith("os:"):
-        return HostSpec(ip=ip, hops_to_monitor=int(hops_s), side=side,
-                        os_label=tail[3:].strip())
-    if tail.startswith("ttl:"):
-        return HostSpec(ip=ip, hops_to_monitor=int(hops_s), side=side,
-                        initial_ttl=int(tail[4:]))
-    raise ValueError(f"host column 4 must be os:<label> or ttl:<n>, got {tail!r}")
-
-
-def _apply_scenario_key(spec: ScenarioSpec, key: str, value: str) -> None:
-    if not value:
-        raise ValueError(f"missing value for {key!r}")
-    if key == "duration":
-        spec.duration = float(value)
-    elif key == "tau":
-        spec.tau = float(value)
-    elif key == "seed":
-        spec.seed = int(value)
-    elif key == "flows_per_block":
-        spec.flows_per_block = value
-    elif key == "flow_size_alpha":
-        spec.flow_size_alpha = float(value)
-    elif key == "flow_size_cap":
-        spec.flow_size_cap = int(value)
-    elif key == "packet_bytes":
-        spec.packet_bytes = int(value)
-    elif key == "bidirectional":
-        spec.bidirectional = _BOOL[value.lower()]
-    elif key == "key_repeat_prob":
-        spec.key_repeat_prob = float(value)
-    elif key == "snaplen":
-        spec.snaplen = int(value)
-    elif key == "link":
-        spec.linktype = {"ethernet": LINKTYPE_ETHERNET, "raw": LINKTYPE_RAW_IP}[value]
-    elif key == "app_mix":
-        mix = {}
-        for part in value.split(","):
-            name, _, frac = part.partition(":")
-            mix[AppCategory(name.strip())] = float(frac)
-        spec.app_mix = mix
-    else:
-        raise ValueError(f"unknown scenario key {key!r}")

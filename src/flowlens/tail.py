@@ -26,7 +26,6 @@ MIN_TAIL_POINTS = 10
 @dataclass(frozen=True)
 class LlcdCurve:
     points: Tuple[Tuple[int, float], ...]   # (x, P(sample > x)), x increasing
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def llcd(samples: Sequence[int]) -> LlcdCurve:
     mask = greater > 0
     points = tuple((int(x), float(g) / n)
                    for x, g in zip(values[mask], greater[mask]))
-    return LlcdCurve(points=points, n_samples=n)
+    return LlcdCurve(points=points)
 
 
 def fit_tail(curve: LlcdCurve, x_min: int = 20) -> TailFit:

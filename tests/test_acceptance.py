@@ -71,8 +71,7 @@ def test_criterion_2_tail_fit_recovery():
             assert abs(fit.alpha - alpha) <= 0.1, \
                 f"alpha {alpha}: estimated {fit.alpha:.4f}"
         for alpha in (1.0, 1.2, 1.5, 2.0):
-            curve = LlcdCurve(points=tuple((x, x ** -alpha) for x in range(20, 201)),
-                              n_samples=181)
+            curve = LlcdCurve(points=tuple((x, x ** -alpha) for x in range(20, 201)))
             fit = fit_tail(curve, x_min=20)
             assert abs(fit.alpha - alpha) <= 1e-6
             assert fit.r_squared == pytest.approx(1.0, abs=1e-9)

@@ -3,12 +3,16 @@
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlens.apps import AppCategory, classify
 from flowlens.cli import build_parser, main
@@ -318,11 +322,31 @@ _HOSTS = "[hosts]\n10.0.0.1 5 src os:Linux 2.4\n203.0.113.1 5 dst ttl:64\n"
     # the largest span there is: one block of 4e9 s, its 3000 packets spread over it
     ("duration = 4e9\ntau = 4e9\n" + _HOSTS
      + "[flows]\n0 10.0.0.1 203.0.113.1 1024 80 6 3000\n", 0, ""),
-], ids=["span", "packet_bytes", "flow_size_cap", "port", "protocol", "bad-ip", "ipv6", "flow-ip", "huge-tau"])
+    # a trace the reader accepts: snaplen at most MAX_CAPLEN
+    ("snaplen = 4294967296\n" + _HOSTS, 65, "snaplen"),
+    ("snaplen = 99999999999999999999\n" + _HOSTS, 65, "snaplen"),
+    # each fraction finite and >= 0
+    ("app_mix = http:nan,udp:1.0\n" + _HOSTS, 65, "app_mix"),
+    ("app_mix = http:-0.5,udp:1.5\n" + _HOSTS, 65, "app_mix"),
+    # a value that does not parse is refused with its key
+    ("bidirectional = maybe\n" + _HOSTS, 65, "s.scenario:1: bad bidirectional 'maybe'"),
+    ("link = token\n" + _HOSTS, 65, "s.scenario:1: bad link 'token'"),
+    # values whose arithmetic overflowed: seconds in microseconds, a size draw
+    ("duration = 1e303\n" + _HOSTS, 65, "duration"),
+    ("tau = 1e303\n" + _HOSTS, 65, "tau"),
+    ("flow_size_alpha = 1e-5\n" + _HOSTS, 65, "flow_size_alpha"),
+    # more new flows than a block has slots, refused before planning them
+    ("flows_per_block = fixed:4294967296\n" + _HOSTS, 65, "bad flows_per_block"),
+    # the file must be UTF-8; the message gives the byte offset
+    (b"duration = 0.5\n\xff\n" + _HOSTS.encode(), 65, "not UTF-8 text at byte 15"),
+], ids=["span", "packet_bytes", "flow_size_cap", "port", "protocol", "bad-ip", "ipv6",
+        "flow-ip", "huge-tau", "snaplen-2**32", "snaplen-huge", "app_mix-nan",
+        "app_mix-negative", "bool", "link", "duration-overflow", "tau-overflow",
+        "alpha-overflow", "fixed-huge", "not-utf8"])
 def test_generate_exit_codes_in_a_child(text, code, message, tmp_path):
     """A refused scenario exits 65 with a message, no traceback and no --out."""
     scenario = tmp_path / "s.scenario"
-    scenario.write_text(text)
+    scenario.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "gen"
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "flowlens", "generate", "--scenario",
@@ -331,6 +355,72 @@ def test_generate_exit_codes_in_a_child(text, code, message, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and message in proc.stderr, proc.stderr
     assert out.exists() == (code == 0)
+
+
+# Every key set, and an explicit plan, so that no mutant plans a large trace.
+_VALID_SCENARIO = b"""\
+duration = 0.3
+tau = 0.1
+seed = 7
+flows_per_block = fixed:2
+flow_size_alpha = 1.5
+flow_size_cap = 40
+packet_bytes = 200
+bidirectional = true
+app_mix = http:0.5,other_tcp:0.3,udp:0.15,other:0.05
+key_repeat_prob = 0.2
+snaplen = 96
+link = raw
+
+[hosts]
+10.0.0.1     9  src  os:Linux 2.4
+10.0.0.2    12  src  ttl:128
+203.0.113.1  8  dst  os:FreeBSD 4.x
+
+[flows]
+0 10.0.0.1 203.0.113.1 1024 80 6 25
+2 10.0.0.2 203.0.113.1 1025 53 17 4
+"""
+# edge, out-of-range, NaN and non-ASCII values, and a byte that is not UTF-8
+_TOKENS = [b"0", b"-1", b"1", b"64", b"255", b"256", b"65535", b"65536", b"262145",
+           b"4294967296", b"99999999999999999999", b"1e-06", b"1e303", b"inf", b"nan",
+           b"", b"\xc3\xa9", b"\xd9\xa3", b"\xff", b"192.0.2.255", b"::1"]
+_SEPARATORS = re.compile(rb"([\s|=,:]+)")
+
+
+@st.composite
+def _mutants(draw, text: bytes) -> bytes:
+    """``text`` with one line dropped, or one value of a line swapped for a token."""
+    lines = text.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    if draw(st.integers(0, 3)) == 0:
+        return b"\n".join(lines[:i] + lines[i + 1:])
+    parts = _SEPARATORS.split(lines[i])          # values at even indices
+    values = [k for k in range(0, len(parts), 2) if parts[k]]
+    if values:
+        parts[draw(st.sampled_from(values))] = draw(st.sampled_from(_TOKENS))
+    lines[i] = b"".join(parts)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutants(_VALID_SCENARIO))
+def test_scenario_mutants_generate_or_exit_65(tmp_path_factory, text):
+    """Any mutant of a valid scenario generates, or exits 65 and makes no --out."""
+    d = tmp_path_factory.mktemp("mutant")
+    (d / "m.scenario").write_bytes(text)
+    code = main(["generate", "--scenario", str(d / "m.scenario"), "--out", str(d / "out")])
+    assert code in (0, 65)
+    assert (d / "out").exists() == (code == 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutants(resources.files("flowlens.data").joinpath("fingerprints.default").read_bytes()))
+def test_fingerprint_db_mutants_check_or_exit_65(tmp_path_factory, text):
+    """Any mutant of the built-in database passes the check or exits 65."""
+    path = tmp_path_factory.mktemp("mutant") / "m.db"
+    path.write_bytes(text)
+    assert main(["fingerprint-db", "check", str(path)]) in (0, 65)
 
 
 def test_cli_import_leaves_the_generator_unimported(tmp_path):
@@ -365,11 +455,21 @@ def test_fingerprint_db_check(tmp_path, capsys):
     assert main(["fingerprint-db", "check", str(bad)]) == 65
     assert main(["fingerprint-db", "check", str(tmp_path / "missing.db")]) == 66
 
+    latin1 = tmp_path / "latin1.db"      # not UTF-8: a data error, not a crash
+    latin1.write_bytes("5840|64|1|MSS,SACK,TS,NOP,WS|*|Linux 2.4 \xe9t\xe9\n".encode("latin-1"))
+    capsys.readouterr()
+    assert main(["fingerprint-db", "check", str(latin1)]) == 65
+    assert "not UTF-8 text at byte 41" in capsys.readouterr().err
+    assert main(["analyze", str(tmp_path / "x.pcap"), "--fingerprints", str(latin1)]) == 65
+    assert "not UTF-8" in capsys.readouterr().err
+
 
 def test_fingerprints_env_fallback(kept_trace, tmp_path, monkeypatch):
     bad_db = tmp_path / "bad.db"
     bad_db.write_text("broken\n")
     monkeypatch.setenv("FLOWLENS_FP_DB", str(bad_db))
+    assert main(["analyze", str(kept_trace), "--out", str(tmp_path / "o1")]) == 65
+    bad_db.write_bytes(b"5840|64|1|MSS|*|Linux\xff\n")
     assert main(["analyze", str(kept_trace), "--out", str(tmp_path / "o1")]) == 65
     good_db = tmp_path / "good.db"
     good_db.write_text("5840|64|1|MSS,SACK,TS,NOP,WS|*|Linux 2.4\n")
@@ -464,8 +564,7 @@ def test_report_numbers_recomputable_from_sidecars(tmp_path):
     llcd_rows = _read_csv(out / "llcd.csv")
     if report["llcd_fit"] is not None:
         curve = LlcdCurve(points=tuple((int(r["x"]), float(r["p"]))
-                                       for r in llcd_rows),
-                          n_samples=len(flows_rows))
+                                       for r in llcd_rows))
         refit = fit_tail(curve, x_min=report["llcd_fit"]["x_min"])
         assert report["llcd_fit"]["alpha"] == refit.alpha
         assert report["llcd_fit"]["r_squared"] == refit.r_squared

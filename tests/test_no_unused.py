@@ -5,6 +5,10 @@ top-level or method `def`/`class` counts as used when its name appears in
 src/, benchmarks/ or scripts/ as a name, an attribute, an import or an
 identifier string (the benchmark wraps functions it names in strings).
 Dunder methods are called by the language and are not checked.
+
+A dataclass field counts as read when its name is loaded as an attribute,
+or appears as an identifier string, in src/, benchmarks/ or scripts/.
+Building an instance with the field as a keyword does not read it.
 """
 
 import ast
@@ -58,3 +62,49 @@ def test_every_definition_in_src_has_a_caller():
               if not (name.startswith("__") and name.endswith("__"))
               and name not in referenced]
     assert not unused, f"defined in src/flowlens but called only by tests, if at all: {unused}"
+
+
+# Fields that nothing reads yet, and why each stays. The list is exact: a
+# field here that gains a reader, or is deleted, fails the test as well.
+UNREAD_FIELDS = {
+    "pcapio.SynSignature.truncated_options": "ROADMAP item 5 reports it",
+    "hops.HostEstimates.ttl_conflict": "ROADMAP item 5 reports it",
+    "pcapio.PacketRecord.syn_sig": "the tests' per-frame oracle reads it; "
+                                   "it leaves src with ROADMAP item 9",
+}
+
+
+def _dataclass_fields(tree):
+    """(qualified name, name) of every field of a top-level @dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _reads(tree):
+    """Every attribute the module loads, and every identifier string."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def test_every_dataclass_field_in_src_is_read():
+    read = set()
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            read |= _reads(_parse(path))
+    unread = {f"{path.stem}.{qualified}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, name in _dataclass_fields(_parse(path))
+              if name not in read}
+    assert unread == set(UNREAD_FIELDS), (
+        f"read by nothing but tests, and not listed: {sorted(unread - set(UNREAD_FIELDS))}; "
+        f"listed, but read or gone: {sorted(set(UNREAD_FIELDS) - unread)}")

@@ -329,3 +329,41 @@ def test_spec_validation_errors(tmp_path):
         from flowlens.apps import AppCategory
         generate(ScenarioSpec(app_mix={AppCategory.HTTP: 0.5}, hosts=[], flows=[]),
                  tmp_path / "x.pcap")
+
+    # every refusal of a spec built in Python, one case each
+    src = HostSpec("10.0.0.1", 5, "src", initial_ttl=64)
+    dst = HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)
+    flow = FlowPlan(0, "10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP, 5)
+    # the second entry's crafted SYN matches the first, whose initial TTL differs
+    shadowed = FingerprintDb.loads("5840|255|1|MSS|*|first\n5840|128|1|MSS|*|second\n"
+                                   "*|64|1|MSS|*|wildcard\n")
+    for spec, match in (
+            (ScenarioSpec(snaplen=2**32, hosts=[]), "bad snaplen 4294967296"),
+            (ScenarioSpec(seed=1.5, hosts=[]), "bad seed"),
+            (ScenarioSpec(duration="2", hosts=[]), "bad duration '2'"),
+            (ScenarioSpec(hosts=[dataclasses.replace(src, ip="192.0.2.255")]),
+             "bad host 192.0.2.255 ip"),
+            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, dst_port=70000)]),
+             "bad flow 0 dport 70000: must be in 0..65535 .ports"),
+            (ScenarioSpec(duration=0.01, hosts=[]), "duration must cover"),
+            (ScenarioSpec(duration=5e9, tau=1e9, hosts=[]), "2\\*\\*32 s"),
+            (ScenarioSpec(tau=0.001, flows_per_block="poisson:501", hosts=[]),
+             "room for 500 flows"),
+            (ScenarioSpec(hosts=[src, src], flows=[]), "duplicate host"),
+            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src")], flows=[]), "needs initial_ttl"),
+            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src", initial_ttl=64,
+                                          os_label="second")], flows=[]), "contradicts"),
+            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src", os_label="second")],
+                          flows=[]), "ambiguous database"),
+            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src", os_label="wildcard")],
+                          flows=[]), "wildcard"),
+            (ScenarioSpec(hosts=[src]), "at least one src and one dst"),
+            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, block=10)]),
+             "flow block 10 outside 0..9"),
+            (ScenarioSpec(hosts=[src, dst], flows=[flow, flow]), "duplicate flow"),
+            (ScenarioSpec(hosts=[src], flows=[flow]), "unknown host"),
+            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(
+                flow, src_ip=dst.ip, dst_ip=src.ip)]), "crosses host sides")):
+        with pytest.raises(ScenarioError, match=match):
+            generate(spec, tmp_path / "x.pcap", shadowed)
+        assert not (tmp_path / "x.pcap").exists()

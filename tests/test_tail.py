@@ -23,7 +23,6 @@ def brute_force_llcd(samples):
 def test_llcd_simple_counts():
     curve = llcd([1, 2, 3, 4])
     assert curve.points == ((1, 0.75), (2, 0.5), (3, 0.25))
-    assert curve.n_samples == 4
 
 
 def test_llcd_degenerate_all_equal():
@@ -74,7 +73,7 @@ def test_curve_invariants_on_random_input():
 
 def exact_power_curve(alpha, xs):
     points = tuple((x, x ** -alpha) for x in xs)
-    return LlcdCurve(points=points, n_samples=len(xs))
+    return LlcdCurve(points=points)
 
 
 def test_noiseless_power_law_recovered_exactly():
@@ -89,7 +88,7 @@ def test_fit_region_respects_x_min():
     # points below x_min carry a different slope; they must not leak in
     low = tuple((x, 0.9 * x ** -0.3) for x in range(2, 20))
     high = tuple((x, x ** -1.5) for x in range(20, 120))
-    curve = LlcdCurve(points=low + high, n_samples=200)
+    curve = LlcdCurve(points=low + high)
     fit = fit_tail(curve, x_min=20)
     assert fit.alpha == pytest.approx(1.5, abs=1e-6)
     assert fit.n_tail == 100
