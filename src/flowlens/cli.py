@@ -154,7 +154,7 @@ def _cmd_generate(args) -> int:
         return EXIT_DATA
     print(json.dumps({"pcap": str(pcap_path),
                       "ground_truth": str(ground_truth_path(pcap_path)),
-                      "flows": len(truth.flows),
+                      "flows": truth.plan.n_forward,
                       "packets": truth.total_packets,
                       "bytes": truth.total_bytes}, sort_keys=True))
     return EXIT_OK

@@ -19,7 +19,8 @@ row per flow. All flow frames have one length, so each flow's two frames
 again) are two rows of one uint8 table, patched from a few templates.
 One sort of every packet's (block, ideal slot, flow, index) gives the
 write order and the timestamps, and the records (a 16-byte header plus a
-frame, a fixed width) are written a slice of rows at a time.
+frame, a fixed width) are written a slice of rows at a time. The ground
+truth's flows are formatted from the plan's columns too.
 
 Scenario files are flat key-value lines plus a host table and an optional
 explicit flow table:
@@ -43,12 +44,16 @@ explicit flow table:
     # block  src_ip    dst_ip       sport dport proto n_packets
     0        10.0.0.1  192.168.1.1  1024  80    6     25
 
-Same seed, same spec: byte-identical pcap (the only randomness source is
-``random.Random(seed)``, whose stream is stable across Python versions).
+Same seed, same spec: byte-identical pcap and ground truth. The only
+randomness source is ``random.Random(seed)``, and the plan draws from it
+only through ``random()`` and ``getrandbits()``, the generator's own
+outputs; it calls none of the derived methods (``choice``, ``choices``),
+whose use of the stream Python does not promise to keep.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import ipaddress
 import itertools
@@ -145,33 +150,25 @@ class TrueHost:
     fingerprint_effective: bool     # labeled and actually emitted a SYN
 
 
-class TrueFlow(NamedTuple):
-    """One planned forward flow. A named tuple, so that a trace's tens of
-    thousands of flows are built by ``TrueFlow._make`` without Python code
-    per flow."""
-
-    block: int
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    proto: int
-    n_packets: int
-    n_bytes: int
-    category: AppCategory
-    path_hops: int
-    hops_exact: bool    # both endpoints fingerprint-covered in the emitted trace
-
-    @property
-    def key(self) -> FlowKey:
-        return FlowKey(self.src_ip, self.dst_ip, self.src_port,
-                       self.dst_port, self.proto)
+# One forward flow of the ground truth, as json.dumps(..., sort_keys=True)
+# writes its dict: every value is an int, a dotted quad, a category name or
+# true/false, so none needs escaping.
+_FLOW_JSON = ('{"block": %d, "category": "%s", "dst_ip": "%s", "dst_port": %d, '
+              '"hops_exact": %s, "n_bytes": %d, "n_packets": %d, "path_hops": %d, '
+              '"proto": %d, "src_ip": "%s", "src_port": %d}')
+_CATEGORY_NAMES = {c: c.value for c in AppCategory}
 
 
 @dataclass
 class GroundTruth:
-    flows: List[TrueFlow]
+    """What a generated trace holds: its hosts, totals and planned flows.
+
+    The flows are the forward rows of the plan, kept as its columns.
+    """
+
+    plan: _Plan                 # the forward flows are its first n_forward rows
     hosts: List[TrueHost]
+    packet_bytes: int
     total_packets: int
     total_bytes: int
     forward_packets: int
@@ -181,8 +178,28 @@ class GroundTruth:
     duration: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
+    def write_json(self, path) -> None:
+        """One compact line, the bytes of ``json.dumps(truth, sort_keys=True)``.
+
+        ``json.dumps`` writes all but the flows, host labels escaped as it
+        escapes them; each flow is ``_FLOW_JSON`` over the plan's columns, a
+        forward flow's path the sum of its hosts' hops, exact when both
+        hosts' fingerprints are effective.
+        """
+        plan, nf = self.plan, self.plan.n_forward
+        src, dst = plan.src[:nf], plan.dst[:nf]
+        ips = np.array([h.ip for h in self.hosts], dtype=object)
+        hops = np.array([h.hops_to_monitor for h in self.hosts], dtype=np.int64)
+        effective = np.array([h.fingerprint_effective for h in self.hosts], dtype=bool)
+        n_packets = plan.n_packets[:nf]
+        flows = zip(  # in _FLOW_JSON's order
+            plan.block[:nf].tolist(), map(_CATEGORY_NAMES.__getitem__, plan.category),
+            ips[dst].tolist(), plan.dst_port[:nf].tolist(),
+            np.where(effective[src] & effective[dst], "true", "false").tolist(),
+            (n_packets * self.packet_bytes).tolist(), n_packets.tolist(),
+            (hops[src] + hops[dst]).tolist(), plan.proto[:nf].tolist(),
+            ips[src].tolist(), plan.src_port[:nf].tolist())
+        head = json.dumps({
             "version": 1,
             "seed": self.seed, "tau": self.tau, "duration": self.duration,
             "totals": {"packets": self.total_packets, "bytes": self.total_bytes,
@@ -194,18 +211,14 @@ class GroundTruth:
                        "syn_emitted": h.syn_emitted,
                        "fingerprint_effective": h.fingerprint_effective}
                       for h in self.hosts],
-            "flows": [{"block": f.block, "src_ip": f.src_ip, "dst_ip": f.dst_ip,
-                       "src_port": f.src_port, "dst_port": f.dst_port,
-                       "proto": f.proto, "n_packets": f.n_packets,
-                       "n_bytes": f.n_bytes, "category": f.category.value,
-                       "path_hops": f.path_hops, "hops_exact": f.hops_exact}
-                      for f in self.flows],
-        }
-
-    def write_json(self, path) -> None:
-        """One compact line: ``json.dumps`` without ``indent`` runs the C encoder."""
+            "flows": [],
+        }, sort_keys=True)
+        # "duration", a number, is the only key before "flows"
+        before, key, after = head.partition('"flows": [')
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+            fh.write(before + key)
+            fh.write(", ".join(map(_FLOW_JSON.__mod__, flows)))
+            fh.write(after + "\n")
 
 
 def sample_flow_size(rng: random.Random, alpha: float, cap: int, x_min: int = 2) -> int:
@@ -256,6 +269,7 @@ def _ipv4(text: str) -> int:
 def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> List[_ResolvedHost]:
     resolved: List[_ResolvedHost] = []
     seen = set()
+    matched = {}     # (label, observed TTL) -> the entry its crafted SYN matches
     for h in spec.hosts:
         if h.ip in seen:
             raise ScenarioError(f"duplicate host ip {h.ip}")
@@ -284,12 +298,14 @@ def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> List[_ResolvedHost]
         if entry is not None:
             # The SYN this host will send must match back to an entry with
             # the same initial TTL, or hop recovery would be silently wrong.
-            sig = SynSignature(window_size=entry.window_size,
-                               observed_ttl=rh.observed_ttl,
-                               df_flag=True if entry.df_flag is None else entry.df_flag,
-                               mss=_craft_mss(entry),
-                               options_layout=entry.options_layout)
-            hit = match_fingerprint(sig, db)
+            # Hosts of one label and one observed TTL send the same SYN.
+            key = (h.os_label, rh.observed_ttl)
+            if key not in matched:
+                matched[key] = match_fingerprint(SynSignature(
+                    window_size=entry.window_size, observed_ttl=rh.observed_ttl,
+                    df_flag=True if entry.df_flag is None else entry.df_flag,
+                    mss=_craft_mss(entry), options_layout=entry.options_layout), db)
+            hit = matched[key]
             if hit is None or hit.initial_ttl != initial:
                 raise ScenarioError(
                     f"host {h.ip}: crafted SYN for {h.os_label!r} resolves to "
@@ -339,6 +355,13 @@ class _Plan:
 
 def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
                        hosts: Sequence[_ResolvedHost]) -> _Plan:
+    """Each block's flows: keys carried over from the block before, then new ones.
+
+    A category and each host or port are drawn inline from ``rng.random``
+    and ``rng.getrandbits`` as ``rng.choices(cats, cum_weights=...)[0]``
+    and ``rng.choice(seq)`` draw them, so a seed plans the flows those
+    calls would plan, in the same order.
+    """
     src_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "src"]
     dst_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "dst"]
     if not src_hosts or not dst_hosts:
@@ -347,8 +370,19 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
     mode, rate = _arrivals(spec.flows_per_block)
     cats = list(spec.app_mix.keys())
     cum_weights = list(itertools.accumulate(spec.app_mix[c] for c in cats))
+    total, last = cum_weights[-1] + 0.0, len(cats) - 1
     alpha, cap, repeat_prob = spec.flow_size_alpha, spec.flow_size_cap, spec.key_repeat_prob
     ephemeral = 1024
+    random, getrandbits = rng.random, rng.getrandbits
+
+    def pick(seq):
+        """``rng.choice(seq)``: bit_length(n) random bits until one is below n."""
+        n = len(seq)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        return seq[i]
 
     rows: List[tuple] = []       # (block, src, dst, sport, dport, proto, n_packets)
     category: List[AppCategory] = []
@@ -358,7 +392,7 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
         first = len(rows)
 
         for i in prev_block:     # a flow key may persist into the next block
-            if rng.random() >= repeat_prob:
+            if random() >= repeat_prob:
                 continue
             key = rows[i][1:6]
             if key in seen:
@@ -370,18 +404,18 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
         n_new = rate if mode == "fixed" else _poisson(rng, rate)
 
         for _ in range(n_new):
-            cat = rng.choices(cats, cum_weights=cum_weights)[0]
+            cat = cats[bisect.bisect(cum_weights, random() * total, 0, last)]
             for _attempt in range(16):
-                src = rng.choice(src_hosts)
-                dst = rng.choice(dst_hosts)
+                src = pick(src_hosts)
+                dst = pick(dst_hosts)
                 if cat is AppCategory.OTHER:
                     proto, sport, dport = PROTO_ICMP, 0, 0
                 elif cat is AppCategory.UDP:
-                    proto, sport, dport = PROTO_UDP, ephemeral, rng.choice(_UDP_PORTS)
+                    proto, sport, dport = PROTO_UDP, ephemeral, pick(_UDP_PORTS)
                 elif cat is AppCategory.HTTP:
                     proto, sport, dport = PROTO_TCP, ephemeral, 80
                 else:
-                    proto, sport, dport = PROTO_TCP, ephemeral, rng.choice(_OTHER_TCP_PORTS)
+                    proto, sport, dport = PROTO_TCP, ephemeral, pick(_OTHER_TCP_PORTS)
                 if proto != PROTO_ICMP:
                     ephemeral = ephemeral + 1 if ephemeral < 60000 else 1024
                 key = (src, dst, sport, dport, proto)
@@ -608,17 +642,7 @@ def _build_truth(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan
                            os_label=rh.spec.os_label,
                            syn_emitted=e, fingerprint_effective=e)
                   for rh, e in zip(hosts, emitted.tolist())]
-    ips = [h.spec.ip for h in hosts]
-    hops = np.array([h.spec.hops_to_monitor for h in hosts], dtype=np.int64)
-    src, dst = plan.src[:nf], plan.dst[:nf]
-    true_flows = list(map(TrueFlow._make, zip(
-        plan.block[:nf].tolist(), [ips[i] for i in src.tolist()],
-        [ips[i] for i in dst.tolist()], plan.src_port[:nf].tolist(),
-        plan.dst_port[:nf].tolist(), plan.proto[:nf].tolist(),
-        plan.n_packets[:nf].tolist(), (plan.n_packets[:nf] * spec.packet_bytes).tolist(),
-        plan.category, (hops[src] + hops[dst]).tolist(),
-        (emitted[src] & emitted[dst]).tolist())))
-    return GroundTruth(flows=true_flows, hosts=true_hosts,
+    return GroundTruth(plan=plan, hosts=true_hosts, packet_bytes=spec.packet_bytes,
                        total_packets=flow_packets + int(beacon),
                        total_bytes=(flow_packets * spec.packet_bytes
                                     + int(beacon) * BEACON_LEN),
@@ -647,10 +671,21 @@ def _validate_spec(spec: ScenarioSpec) -> None:
     if spec.n_blocks * spec.tau_us >= MAX_END_US:
         raise ScenarioError("the trace must end before 2**32 s, the limit of a "
                             "pcap timestamp")
+    if spec.flows is not None:
+        return
+    rate = _arrivals(spec.flows_per_block)[1]
     # a planned flow has 2 packets or more, each in its own microsecond
-    if spec.flows is None and 2 * _arrivals(spec.flows_per_block)[1] > spec.tau_us:
+    if 2 * rate > spec.tau_us:
         raise ScenarioError(f"bad flows_per_block {spec.flows_per_block!r}: a block "
                             f"has room for {spec.tau_us // 2} flows at most")
+    # a new flow's key lasts 1 + p + p**2 + ... blocks in expectation
+    p = spec.key_repeat_prob
+    lifetime = spec.n_blocks if p == 1 else min(spec.n_blocks, 1 / (1 - p))
+    work = spec.n_blocks * (1 + rate * lifetime)
+    if work > MAX_RANDOM_PLAN:
+        raise ScenarioError(f"random plan too large: about {work:.3g} blocks plus "
+                            f"expected flows (n_blocks {spec.n_blocks}, flows_per_block "
+                            f"{spec.flows_per_block!r}, key_repeat_prob {p}); {_RANDOM_PLAN}")
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +749,13 @@ def _host_ip(text: str) -> bool:
     _ipv4(text)
     return text not in (BEACON_SRC, BEACON_DST)
 
+
+# The random planner takes Python steps per block and per flow and holds
+# every flow: 2**20 flows take about 3.5 s and 200 MB to plan (2-core x86
+# VM, Python 3.11), before their packets are scheduled at about 100 B each.
+MAX_RANDOM_PLAN = 2**20
+_RANDOM_PLAN = ("at most 2**20 are planned: shorten the duration, lower the rate or "
+                "key_repeat_prob, or list the flows")
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _LINKS = {"ethernet": LINKTYPE_ETHERNET, "raw": LINKTYPE_RAW_IP}

@@ -4,25 +4,30 @@ The package computes on columns; these are the plain-Python views the
 tests state their expectations in: address strings, a Packets table built
 from PacketRecords, row-by-row equality, the flows.csv rows of a Flows
 table, one host's estimate, the fallback initial TTL, and the generator's
-frame-at-a-time pcap emitter.
+stdlib-call random planner, per-flow ground truth and frame-at-a-time pcap
+emitter.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 import socket
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from flowlens.flows import Flows
+from flowlens.apps import AppCategory
+from flowlens.flows import FlowKey, Flows
 from flowlens.hops import STANDARD_INITIAL_TTLS, HostEstimates
 from flowlens.pcapio import (COLUMNS, LINKTYPE_ETHERNET, PROTO_ICMP, PROTO_TCP,
-                             TCP_ACK, TCP_SYN, PacketRecord, Packets, PcapWriter,
-                             build_ipv4_packet, build_tcp_options, ipv4_strs,
+                             PROTO_UDP, TCP_ACK, TCP_SYN, PacketRecord, Packets,
+                             PcapWriter, build_ipv4_packet, build_tcp_options, ipv4_strs,
                              wrap_ethernet)
-from flowlens.synth import (BEACON_DST, BEACON_LEN, BEACON_SRC, ScenarioSpec,
-                            _craft_mss)
+from flowlens.synth import (BEACON_DST, BEACON_LEN, BEACON_SRC, GroundTruth, ScenarioError,
+                            ScenarioSpec, sample_flow_size, _arrivals, _craft_mss,
+                            _OTHER_TCP_PORTS, _Plan, _poisson, _UDP_PORTS)
 
 
 def ipv4_str(value: int) -> str:
@@ -153,3 +158,122 @@ def emit_pcap(spec: ScenarioSpec, hosts, plan, pcap_path: Path) -> None:
             base = block * tau_us
             for k, e in enumerate(entries):
                 writer.write(base + (k * tau_us) // total, e[3], orig_len=orig_len)
+
+
+def plan_random_flows(spec: ScenarioSpec, rng: random.Random, hosts) -> _Plan:
+    """The random plan drawn with ``rng.choices``, ``rng.choice`` and
+    ``sample_flow_size``, the calls whose draws the generator makes inline."""
+    src_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "src"]
+    dst_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "dst"]
+    if not src_hosts or not dst_hosts:
+        raise ScenarioError("random planning needs at least one src and one dst host")
+
+    mode, rate = _arrivals(spec.flows_per_block)
+    cats = list(spec.app_mix.keys())
+    cum_weights = list(itertools.accumulate(spec.app_mix[c] for c in cats))
+    alpha, cap, repeat_prob = spec.flow_size_alpha, spec.flow_size_cap, spec.key_repeat_prob
+    ephemeral = 1024
+
+    rows: List[tuple] = []       # (block, src, dst, sport, dport, proto, n_packets)
+    category: List[AppCategory] = []
+    prev_block = range(0)        # row indices of the previous block's flows
+    for block in range(spec.n_blocks):
+        seen = set()
+        first = len(rows)
+
+        for i in prev_block:     # a flow key may persist into the next block
+            if rng.random() >= repeat_prob:
+                continue
+            key = rows[i][1:6]
+            if key in seen:
+                continue
+            seen.add(key)
+            rows.append((block, *key, sample_flow_size(rng, alpha, cap)))
+            category.append(category[i])
+
+        n_new = rate if mode == "fixed" else _poisson(rng, rate)
+
+        for _ in range(n_new):
+            cat = rng.choices(cats, cum_weights=cum_weights)[0]
+            for _attempt in range(16):
+                src = rng.choice(src_hosts)
+                dst = rng.choice(dst_hosts)
+                if cat is AppCategory.OTHER:
+                    proto, sport, dport = PROTO_ICMP, 0, 0
+                elif cat is AppCategory.UDP:
+                    proto, sport, dport = PROTO_UDP, ephemeral, rng.choice(_UDP_PORTS)
+                elif cat is AppCategory.HTTP:
+                    proto, sport, dport = PROTO_TCP, ephemeral, 80
+                else:
+                    proto, sport, dport = PROTO_TCP, ephemeral, rng.choice(_OTHER_TCP_PORTS)
+                if proto != PROTO_ICMP:
+                    ephemeral = ephemeral + 1 if ephemeral < 60000 else 1024
+                key = (src, dst, sport, dport, proto)
+                if key not in seen:
+                    seen.add(key)
+                    rows.append((block, *key, sample_flow_size(rng, alpha, cap)))
+                    category.append(cat)
+                    break
+                # collision (practically only ICMP host pairs): redraw
+
+        prev_block = range(first, len(rows))
+    return _Plan.of_rows(rows, category)
+
+
+class TrueFlow(NamedTuple):
+    """One planned forward flow of a ground truth."""
+
+    block: int
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    proto: int
+    n_packets: int
+    n_bytes: int
+    category: AppCategory
+    path_hops: int
+    hops_exact: bool    # both endpoints fingerprint-covered in the emitted trace
+
+    @property
+    def key(self) -> FlowKey:
+        return FlowKey(self.src_ip, self.dst_ip, self.src_port,
+                       self.dst_port, self.proto)
+
+
+def true_flows(gt: GroundTruth) -> List[TrueFlow]:
+    """The forward flows of a ground truth, one TrueFlow each, in plan order."""
+    plan, hosts = gt.plan, gt.hosts
+    flows = []
+    for i in range(plan.n_forward):
+        src, dst = hosts[int(plan.src[i])], hosts[int(plan.dst[i])]
+        n = int(plan.n_packets[i])
+        flows.append(TrueFlow(
+            int(plan.block[i]), src.ip, dst.ip, int(plan.src_port[i]),
+            int(plan.dst_port[i]), int(plan.proto[i]), n, n * gt.packet_bytes,
+            plan.category[i], src.hops_to_monitor + dst.hops_to_monitor,
+            src.fingerprint_effective and dst.fingerprint_effective))
+    return flows
+
+
+def truth_dict(gt: GroundTruth) -> dict:
+    """The ground truth as the dict its JSON file holds."""
+    return {
+        "version": 1,
+        "seed": gt.seed, "tau": gt.tau, "duration": gt.duration,
+        "totals": {"packets": gt.total_packets, "bytes": gt.total_bytes,
+                   "forward_packets": gt.forward_packets,
+                   "forward_bytes": gt.forward_bytes,
+                   "beacon": gt.beacon},
+        "hosts": [{"ip": h.ip, "side": h.side, "initial_ttl": h.initial_ttl,
+                   "hops": h.hops_to_monitor, "os_label": h.os_label,
+                   "syn_emitted": h.syn_emitted,
+                   "fingerprint_effective": h.fingerprint_effective}
+                  for h in gt.hosts],
+        "flows": [{"block": f.block, "src_ip": f.src_ip, "dst_ip": f.dst_ip,
+                   "src_port": f.src_port, "dst_port": f.dst_port,
+                   "proto": f.proto, "n_packets": f.n_packets,
+                   "n_bytes": f.n_bytes, "category": f.category.value,
+                   "path_hops": f.path_hops, "hops_exact": f.hops_exact}
+                  for f in true_flows(gt)],
+    }

@@ -23,7 +23,7 @@ from flowlens.variability import gate_trace, skewness, throughput_series
 
 from helpers import SRC_NET, flow_keys, hop_means_scenario, mk_packet, \
     random_scenario, table1_scenario
-from reference import flow_rows, from_records
+from reference import flow_rows, from_records, true_flows
 
 
 @contextmanager
@@ -47,11 +47,12 @@ def test_criterion_1_closed_loop_oracle(tmp_path):
             keys = flow_keys(result.records)
             got = {(b, k): (n, g, classify(k)) for (b, k), n, g in zip(
                 keys, result.records.n_packets.tolist(), result.records.is_greedy.tolist())}
+            planted = true_flows(gt)
             want = {(f.block, f.key): (f.n_packets, f.n_packets > 20, f.category)
-                    for f in gt.flows if f.n_packets >= 2}
+                    for f in planted if f.n_packets >= 2}
             assert got == want, f"scenario seed {seed}: flow recovery mismatch"
             path_hops = dict(zip(keys, result.flow_hops.tolist()))
-            for f in gt.flows:
+            for f in planted:
                 if not (f.hops_exact and f.n_packets >= 2):
                     continue
                 hops = path_hops[(f.block, f.key)]

@@ -24,6 +24,7 @@ from flowlens.variability import skewness
 
 from helpers import (SRC_NET, mk_packet, random_scenario, skewed_trace,
                      table1_scenario, write_pcap)
+from reference import true_flows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -337,12 +338,18 @@ _HOSTS = "[hosts]\n10.0.0.1 5 src os:Linux 2.4\n203.0.113.1 5 dst ttl:64\n"
     ("flow_size_alpha = 1e-5\n" + _HOSTS, 65, "flow_size_alpha"),
     # more new flows than a block has slots, refused before planning them
     ("flows_per_block = fixed:4294967296\n" + _HOSTS, 65, "bad flows_per_block"),
+    # a random plan bounded by its expected work: 1e9 flows, or blocks carrying
+    # every flow on (600 blocks of 40 new flows grow to 24,000 a block)
+    ("duration = 3000\ntau = 3000\nflows_per_block = poisson:1e9\n" + _HOSTS, 65,
+     "random plan too large"),
+    ("duration = 60\nflows_per_block = fixed:40\nkey_repeat_prob = 1\n" + _HOSTS, 65,
+     "at most 2**20 are planned"),
     # the file must be UTF-8; the message gives the byte offset
     (b"duration = 0.5\n\xff\n" + _HOSTS.encode(), 65, "not UTF-8 text at byte 15"),
 ], ids=["span", "packet_bytes", "flow_size_cap", "port", "protocol", "bad-ip", "ipv6",
         "flow-ip", "huge-tau", "snaplen-2**32", "snaplen-huge", "app_mix-nan",
         "app_mix-negative", "bool", "link", "duration-overflow", "tau-overflow",
-        "alpha-overflow", "fixed-huge", "not-utf8"])
+        "alpha-overflow", "fixed-huge", "plan-huge", "plan-carried", "not-utf8"])
 def test_generate_exit_codes_in_a_child(text, code, message, tmp_path):
     """A refused scenario exits 65 with a message, no traceback and no --out."""
     scenario = tmp_path / "s.scenario"
@@ -520,7 +527,7 @@ def test_report_hop_means_match_ground_truth(tmp_path):
     main(["analyze", str(trace), "--out", str(out), "--keep", f"src:{SRC_NET}",
           "--force"])
     report = json.loads((out / "report.json").read_text())
-    flows = [f for f in gt.flows if f.n_packets >= 2]
+    flows = [f for f in true_flows(gt) if f.n_packets >= 2]
     truth_all = sum(f.path_hops for f in flows) / len(flows)
     greedy = [f for f in flows if f.n_packets > 20]
     truth_greedy = sum(f.path_hops for f in greedy) / len(greedy)

@@ -7,24 +7,26 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flowlens.apps import classify
+from flowlens.apps import AppCategory, classify
 from flowlens.flows import BlockingConfig, aggregate
 from flowlens.hops import FingerprintDb
 from flowlens.ingest import read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP)
 from flowlens.report import AnalysisParams, analyze_trace
-from flowlens.synth import (FlowPlan, HostSpec, ScenarioError,
-                            ScenarioSpec, _plan_scenario, _poisson, generate,
-                            ground_truth_path, load_scenario, sample_flow_size)
+from flowlens.synth import (FlowPlan, HostSpec, ScenarioError, ScenarioSpec,
+                            _plan_random_flows, _plan_scenario, _poisson, _resolve_hosts,
+                            generate, ground_truth_path, load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
 
 from helpers import FP_LABELS, SRC_NET, flow_keys, random_scenario, table1_scenario
-from reference import emit_pcap, host_row, ipv4_str
+from reference import (emit_pcap, host_row, ipv4_str, plan_random_flows, true_flows,
+                       truth_dict)
 
 
 def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
@@ -36,12 +38,13 @@ def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
     keys = flow_keys(flows)
     got = {(b, k): (n, nb, g, classify(k)) for (b, k), n, nb, g in zip(
         keys, flows.n_packets.tolist(), flows.n_bytes.tolist(), flows.is_greedy.tolist())}
+    planted = true_flows(gt)
     want = {(f.block, f.key): (f.n_packets, f.n_bytes, f.n_packets > 20, f.category)
-            for f in gt.flows if f.n_packets >= 2}
+            for f in planted if f.n_packets >= 2}
     assert got == want
 
     path_hops = dict(zip(keys, result.flow_hops.tolist()))
-    for f in gt.flows:
+    for f in planted:
         if not (f.hops_exact and f.n_packets >= 2):
             continue
         assert path_hops[(f.block, f.key)] != -1, f"missing hop estimate for {f.key}"
@@ -84,11 +87,12 @@ def _late_flow_scenario():
      "1c5b5f9c196ee1f5f67619a8ea91f376fbadae99ae865a1ebf4acfc9d24ac779"),
 ], ids=["random", "table1", "raw-ip", "beacon"])
 def test_generated_bytes_are_pinned(make_spec, pcap_sha, truth_sha, tmp_path):
-    """The pcap's bytes and the ground truth's content, not its layout."""
-    path, gt = generate(make_spec(), tmp_path / "pinned.pcap")
+    """The pcap's bytes and the ground truth file's bytes, its newline aside."""
+    path, _ = generate(make_spec(), tmp_path / "pinned.pcap")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == pcap_sha
-    content = json.dumps(gt.to_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(content).hexdigest() == truth_sha
+    content = ground_truth_path(path).read_bytes()
+    assert content.endswith(b"\n")
+    assert hashlib.sha256(content[:-1]).hexdigest() == truth_sha
 
 
 @st.composite
@@ -155,6 +159,53 @@ def test_columnar_emitter_matches_reference(tmp_path_factory, spec):
     assert path.read_bytes() == (d / "reference.pcap").read_bytes()
 
 
+@st.composite
+def planner_scenarios(draw):
+    """Random-plan inputs: arrivals, category order and zero weights, repeats."""
+    def hosts(prefix, side):
+        return [HostSpec(f"{prefix}.{i + 1}", 5, side, initial_ttl=64)
+                for i in range(draw(st.integers(1, 3)))]
+
+    cats = draw(st.permutations(list(AppCategory)))
+    weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=4, max_size=4)
+                   .filter(any))
+    mix = {c: w / sum(weights) for c, w in zip(cats, weights)}
+    arrivals = draw(st.one_of(st.integers(0, 6).map("fixed:{}".format),
+                              st.sampled_from([0, 0.5, 3, 7.5]).map("poisson:{}".format)))
+    return ScenarioSpec(duration=draw(st.integers(1, 8)) * 0.1, seed=draw(st.integers(0, 2**64)),
+                        flows_per_block=arrivals, app_mix=mix,
+                        flow_size_alpha=draw(st.sampled_from([0.5, 1.5, 3.0])),
+                        flow_size_cap=draw(st.sampled_from([2, 40, 2000])),
+                        key_repeat_prob=draw(st.sampled_from([0.0, 0.1, 1.0])),
+                        hosts=hosts("10.0.0", "src") + hosts("203.0.113", "dst"))
+
+
+def _one_host_each_icmp():
+    """Every flow ICMP between one host pair: each new flow after a block's
+    first collides, and its 16 redraws run out."""
+    return ScenarioSpec(duration=0.5, seed=3, flows_per_block="fixed:3",
+                        app_mix={AppCategory.OTHER: 1.0}, key_repeat_prob=0.1,
+                        hosts=[HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
+                               HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(planner_scenarios())
+@example(_one_host_each_icmp())
+def test_planner_draws_as_the_stdlib_calls(spec):
+    """The inline draws plan what rng.choices, rng.choice and sample_flow_size
+    plan, and leave the generator in the same state."""
+    hosts = _resolve_hosts(spec, FingerprintDb.default())
+    rng, oracle_rng = random.Random(spec.seed), random.Random(spec.seed)
+    got = _plan_random_flows(spec, rng, hosts)
+    want = plan_random_flows(spec, oracle_rng, hosts)
+    for name in ("block", "src", "dst", "src_port", "dst_port", "proto", "n_packets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.category == want.category and got.n_forward == want.n_forward
+    assert rng.getstate() == oracle_rng.getstate()
+
+
 def test_different_seed_different_bytes(tmp_path):
     spec_a = random_scenario(5)
     spec_b = random_scenario(6)
@@ -168,7 +219,7 @@ def test_empty_scenario_valid_pcap(tmp_path):
     path, gt = generate(spec, tmp_path / "empty.pcap")
     records, summary = read_trace(path)
     assert len(records) == 0 and summary.total == 0
-    assert gt.flows == [] and gt.total_packets == 0 and not gt.beacon
+    assert true_flows(gt) == [] and gt.total_packets == 0 and not gt.beacon
 
 
 def test_infeasible_block_rejected_before_emission(tmp_path):
@@ -218,7 +269,29 @@ def test_beacon_only_when_block_zero_empty(tmp_path):
 def test_ground_truth_json_round_trip(tmp_path):
     spec = table1_scenario()
     path, gt = generate(spec, tmp_path / "t1.pcap")
-    assert json.loads(ground_truth_path(path).read_text()) == gt.to_dict()
+    assert json.loads(ground_truth_path(path).read_text()) == truth_dict(gt)
+
+
+def _odd_label_scenario():
+    """A label JSON escapes: a quote, a backslash and a non-ASCII letter."""
+    hosts = [HostSpec("10.0.0.1", 5, "src", os_label='Odd "quoted" \\ stack \u00e9'),
+             HostSpec("10.0.0.2", 7, "src", initial_ttl=128),
+             HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
+    return ScenarioSpec(duration=0.3, flows_per_block="fixed:4", hosts=hosts)
+
+
+@pytest.mark.parametrize("make_spec, db_text", [
+    (lambda: ScenarioSpec(duration=0.5, hosts=[], flows=[]), None),
+    (_late_flow_scenario, None),        # the t=0 beacon; hosts without an os_label
+    (lambda: random_scenario(5), None),
+    (_odd_label_scenario, '5840|64|1|MSS,SACK,TS,NOP,WS|*|Odd "quoted" \\ stack \u00e9\n'),
+], ids=["empty", "beacon", "random", "odd-label"])
+def test_ground_truth_file_is_json_dumps(make_spec, db_text, tmp_path):
+    """The file holds what json.dumps(..., sort_keys=True) writes for the truth."""
+    db = FingerprintDb.loads(db_text) if db_text else None
+    path, gt = generate(make_spec(), tmp_path / "t.pcap", db)
+    want = json.dumps(truth_dict(gt), sort_keys=True) + "\n"
+    assert ground_truth_path(path).read_bytes() == want.encode("ascii")
 
 
 def test_table1_scenario_breakdown(tmp_path):
@@ -265,8 +338,9 @@ def test_large_scenario_alpha_recovery(tmp_path):
                         flow_size_cap=2000, hosts=hosts,
                         key_repeat_prob=0.0, bidirectional=False)
     _, gt = generate(spec, tmp_path / "big.pcap")
-    assert len(gt.flows) > 90_000
-    fit = fit_tail(llcd([f.n_packets for f in gt.flows]), x_min=20)
+    sizes = [f.n_packets for f in true_flows(gt)]
+    assert len(sizes) > 90_000
+    fit = fit_tail(llcd(sizes), x_min=20)
     assert fit.alpha == pytest.approx(1.5, abs=0.1)
 
 
@@ -367,3 +441,11 @@ def test_spec_validation_errors(tmp_path):
         with pytest.raises(ScenarioError, match=match):
             generate(spec, tmp_path / "x.pcap", shadowed)
         assert not (tmp_path / "x.pcap").exists()
+
+    # one label at two observed TTLs: the host 68 hops out sends TTL 60, and
+    # its crafted SYN matches the TTL-64 entry listed first
+    ttl_db = FingerprintDb.loads("5840|64|1|MSS|*|low\n5840|128|1|MSS|*|high\n")
+    hosts = [HostSpec("10.0.0.1", 28, "src", os_label="high"),
+             HostSpec("10.0.0.2", 68, "src", os_label="high")]
+    with pytest.raises(ScenarioError, match="10.0.0.2: crafted SYN for 'high' resolves to low"):
+        generate(ScenarioSpec(hosts=hosts, flows=[]), tmp_path / "x.pcap", ttl_db)
