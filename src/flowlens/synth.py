@@ -19,8 +19,9 @@ row per flow. All flow frames have one length, so each flow's two frames
 again) are two rows of one uint8 table, patched from a few templates.
 One sort of every packet's (block, ideal slot, flow, index) gives the
 write order and the timestamps, and the records (a 16-byte header plus a
-frame, a fixed width) are written a slice of rows at a time. The ground
-truth's flows are formatted from the plan's columns too.
+frame, a fixed width) are written a slice of rows at a time. The host
+table is columns as well, parsed, checked and resolved a column at a
+time, and the ground truth's hosts and flows are formatted from columns.
 
 Scenario files are flat key-value lines plus a host table and an optional
 explicit flow table:
@@ -54,15 +55,17 @@ whose use of the stream Python does not promise to keep.
 from __future__ import annotations
 
 import bisect
-import functools
-import ipaddress
 import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+import re
+import socket
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -124,8 +127,9 @@ class ScenarioSpec:
         AppCategory.HTTP: 0.54, AppCategory.OTHER_TCP: 0.38,
         AppCategory.UDP: 0.07, AppCategory.OTHER: 0.01})
     bidirectional: bool = True
-    hosts: List[HostSpec] = field(default_factory=list)
-    flows: Optional[List[FlowPlan]] = None   # explicit plan; skips random planning
+    # a list, or the checked HostTable / FlowTable that load_scenario reads
+    hosts: Sequence[HostSpec] = field(default_factory=list)
+    flows: Optional[Sequence[FlowPlan]] = None   # explicit plan; skips random planning
     key_repeat_prob: float = 0.1
     snaplen: int = 96
     linktype: int = LINKTYPE_ETHERNET
@@ -139,23 +143,72 @@ class ScenarioSpec:
         return round(self.duration * 1e6) // self.tau_us
 
 
-@dataclass(frozen=True)
-class TrueHost:
-    ip: str
-    side: str
-    initial_ttl: int
-    hops_to_monitor: int
-    os_label: Optional[str]
-    syn_emitted: bool               # emitted >= 1 SYN in its own direction
-    fingerprint_effective: bool     # labeled and actually emitted a SYN
+@dataclass(frozen=True, eq=False)
+class HostTable(SequenceABC):
+    """The host table as columns, one row a host in scenario order.
+
+    Every value was parsed and range-checked once, from a scenario file's
+    text or from HostSpecs. ``_resolve_hosts`` gives each host its initial
+    TTL and each label its database entry. Read row by row, the table is
+    a sequence of HostSpec.
+    """
+
+    ip: List[str]              # a checked dotted quad is its own canonical text
+    addr: np.ndarray           # int64, the address as a 32-bit value
+    hops: np.ndarray           # int64, hops to the monitor
+    side: List[str]            # "src" or "dst"
+    initial_ttl: np.ndarray    # int64; 0 where left to the label, until resolved
+    label: np.ndarray          # int64, the host's index into labels
+    labels: List[Optional[str]]    # the distinct labels; labels[0] is None, no label
+    entries: Tuple[Optional[FingerprintEntry], ...] = ()   # each label's, once resolved
+
+    @classmethod
+    def of_columns(cls, ip: List[str], values: Dict[str, list]) -> "HostTable":
+        """From the hosts' address texts and ``_HOST_COLUMNS``' values."""
+        index = {None: 0}
+        label = [index.setdefault(x, len(index)) for x in values["os"]]
+        return cls(ip, np.array(values["ip"], dtype=np.int64),
+                   np.array(values["hops"], dtype=np.int64), values["side"],
+                   np.array([t or 0 for t in values["ttl"]], dtype=np.int64),
+                   np.array(label, dtype=np.int64), list(index))
+
+    def __len__(self) -> int:
+        return len(self.ip)
+
+    def __getitem__(self, i: int) -> HostSpec:
+        return HostSpec(self.ip[i], int(self.hops[i]), self.side[i],
+                        int(self.initial_ttl[i]) or None, self.labels[self.label[i]])
 
 
-# One forward flow of the ground truth, as json.dumps(..., sort_keys=True)
-# writes its dict: every value is an int, a dotted quad, a category name or
-# true/false, so none needs escaping.
+@dataclass(frozen=True, eq=False)
+class FlowTable(SequenceABC):
+    """The explicit flow table as columns, each value parsed and range-checked
+    once; row by row, a sequence of FlowPlan."""
+
+    block: List[int]
+    src_ip: List[str]
+    dst_ip: List[str]
+    src_port: List[int]
+    dst_port: List[int]
+    proto: List[int]
+    n_packets: List[int]
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, i: int) -> FlowPlan:
+        return FlowPlan(self.block[i], self.src_ip[i], self.dst_ip[i], self.src_port[i],
+                        self.dst_port[i], self.proto[i], self.n_packets[i])
+
+
+# A forward flow and a host of the ground truth, as json.dumps(...,
+# sort_keys=True) writes their dicts: every value but a host's label is an
+# int, a dotted quad, a fixed name or true/false, so none needs escaping.
 _FLOW_JSON = ('{"block": %d, "category": "%s", "dst_ip": "%s", "dst_port": %d, '
               '"hops_exact": %s, "n_bytes": %d, "n_packets": %d, "path_hops": %d, '
               '"proto": %d, "src_ip": "%s", "src_port": %d}')
+_HOST_JSON = ('{"fingerprint_effective": %s, "hops": %d, "initial_ttl": %d, "ip": "%s", '
+              '"os_label": %s, "side": "%s", "syn_emitted": %s}')
 _CATEGORY_NAMES = {c: c.value for c in AppCategory}
 
 
@@ -163,11 +216,14 @@ _CATEGORY_NAMES = {c: c.value for c in AppCategory}
 class GroundTruth:
     """What a generated trace holds: its hosts, totals and planned flows.
 
-    The flows are the forward rows of the plan, kept as its columns.
+    The hosts are the resolved host table, the flows the forward rows of
+    the plan, both kept as columns. A host's fingerprint is effective
+    exactly when it sent a SYN (see ``_build_truth``).
     """
 
     plan: _Plan                 # the forward flows are its first n_forward rows
-    hosts: List[TrueHost]
+    hosts: HostTable
+    syn_emitted: np.ndarray     # bool, per host: sent >= 1 SYN in its own direction
     packet_bytes: int
     total_packets: int
     total_bytes: int
@@ -181,24 +237,29 @@ class GroundTruth:
     def write_json(self, path) -> None:
         """One compact line, the bytes of ``json.dumps(truth, sort_keys=True)``.
 
-        ``json.dumps`` writes all but the flows, host labels escaped as it
-        escapes them; each flow is ``_FLOW_JSON`` over the plan's columns, a
-        forward flow's path the sum of its hosts' hops, exact when both
-        hosts' fingerprints are effective.
+        ``json.dumps`` writes the header and each distinct host label, once.
+        Each host is ``_HOST_JSON`` over the host table's columns, and each
+        flow ``_FLOW_JSON`` over the plan's: a forward flow's path is the
+        sum of its hosts' hops, exact when both hosts' fingerprints are
+        effective.
         """
-        plan, nf = self.plan, self.plan.n_forward
+        plan, nf, hosts = self.plan, self.plan.n_forward, self.hosts
         src, dst = plan.src[:nf], plan.dst[:nf]
-        ips = np.array([h.ip for h in self.hosts], dtype=object)
-        hops = np.array([h.hops_to_monitor for h in self.hosts], dtype=np.int64)
-        effective = np.array([h.fingerprint_effective for h in self.hosts], dtype=bool)
+        ips = np.array(hosts.ip, dtype=object)
+        effective = self.syn_emitted
         n_packets = plan.n_packets[:nf]
         flows = zip(  # in _FLOW_JSON's order
             plan.block[:nf].tolist(), map(_CATEGORY_NAMES.__getitem__, plan.category),
             ips[dst].tolist(), plan.dst_port[:nf].tolist(),
             np.where(effective[src] & effective[dst], "true", "false").tolist(),
             (n_packets * self.packet_bytes).tolist(), n_packets.tolist(),
-            (hops[src] + hops[dst]).tolist(), plan.proto[:nf].tolist(),
+            (hosts.hops[src] + hosts.hops[dst]).tolist(), plan.proto[:nf].tolist(),
             ips[src].tolist(), plan.src_port[:nf].tolist())
+        emitted = np.where(effective, "true", "false").tolist()
+        labels = [json.dumps(x) for x in hosts.labels]      # labels[0], None, is null
+        host_rows = zip(  # in _HOST_JSON's order
+            emitted, hosts.hops.tolist(), hosts.initial_ttl.tolist(), hosts.ip,
+            map(labels.__getitem__, hosts.label.tolist()), hosts.side, emitted)
         head = json.dumps({
             "version": 1,
             "seed": self.seed, "tau": self.tau, "duration": self.duration,
@@ -206,19 +267,16 @@ class GroundTruth:
                        "forward_packets": self.forward_packets,
                        "forward_bytes": self.forward_bytes,
                        "beacon": self.beacon},
-            "hosts": [{"ip": h.ip, "side": h.side, "initial_ttl": h.initial_ttl,
-                       "hops": h.hops_to_monitor, "os_label": h.os_label,
-                       "syn_emitted": h.syn_emitted,
-                       "fingerprint_effective": h.fingerprint_effective}
-                      for h in self.hosts],
-            "flows": [],
+            "hosts": [], "flows": [],
         }, sort_keys=True)
-        # "duration", a number, is the only key before "flows"
-        before, key, after = head.partition('"flows": [')
+        # "duration", a number, is the only key before "flows" and "hosts"
+        before, _, after = head.partition('"flows": [], "hosts": []')
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(before + key)
+            fh.write(before + '"flows": [')
             fh.write(", ".join(map(_FLOW_JSON.__mod__, flows)))
-            fh.write(after + "\n")
+            fh.write('], "hosts": [')
+            fh.write(", ".join(map(_HOST_JSON.__mod__, host_rows)))
+            fh.write("]" + after + "\n")
 
 
 def sample_flow_size(rng: random.Random, alpha: float, cap: int, x_min: int = 2) -> int:
@@ -248,70 +306,72 @@ def _poisson(rng: random.Random, lam: float) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class _ResolvedHost:
-    spec: HostSpec
-    addr: int                            # the IPv4 address as a 32-bit value
-    initial_ttl: int
-    entry: Optional[FingerprintEntry]    # the DB entry to craft SYNs from
-
-    @property
-    def observed_ttl(self) -> int:
-        return self.initial_ttl - self.spec.hops_to_monitor
+# What ipaddress.IPv4Address accepts: four decimal octets, 0..255, of ASCII
+# digits and with no leading zero
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}", re.ASCII)
 
 
-@functools.lru_cache(maxsize=1 << 16)   # a host's address is checked, then resolved
 def _ipv4(text: str) -> int:
     """A dotted quad's 32-bit value; ValueError for anything else, IPv6 included."""
-    return int(ipaddress.IPv4Address(text))
+    if not _DOTTED_QUAD.fullmatch(text):
+        raise ValueError(f"not an IPv4 dotted quad: {text!r}")
+    return int.from_bytes(socket.inet_aton(text), "big")
 
 
-def _resolve_hosts(spec: ScenarioSpec, db: FingerprintDb) -> List[_ResolvedHost]:
-    resolved: List[_ResolvedHost] = []
-    seen = set()
-    matched = {}     # (label, observed TTL) -> the entry its crafted SYN matches
-    for h in spec.hosts:
-        if h.ip in seen:
-            raise ScenarioError(f"duplicate host ip {h.ip}")
-        seen.add(h.ip)
-        entry = None
-        if h.os_label is not None:
-            entry = db.find(h.os_label)
-            if entry is None:
-                raise ScenarioError(f"host {h.ip}: unknown fingerprint label {h.os_label!r}")
-            if entry.window_size is None or entry.options_layout is None:
-                raise ScenarioError(
-                    f"host {h.ip}: entry {h.os_label!r} has wildcard window/options; "
-                    "cannot craft a SYN from it")
-            initial = entry.initial_ttl
-            if h.initial_ttl is not None and h.initial_ttl != initial:
-                raise ScenarioError(
-                    f"host {h.ip}: initial_ttl {h.initial_ttl} contradicts "
-                    f"{h.os_label!r} ({initial})")
-        else:
-            if h.initial_ttl is None:
-                raise ScenarioError(f"host {h.ip}: needs initial_ttl or os_label")
-            initial = h.initial_ttl
-        if h.hops_to_monitor >= initial:
-            raise ScenarioError(f"host {h.ip}: hops {h.hops_to_monitor} >= initial TTL {initial}")
-        rh = _ResolvedHost(spec=h, addr=_ipv4(h.ip), initial_ttl=initial, entry=entry)
-        if entry is not None:
-            # The SYN this host will send must match back to an entry with
-            # the same initial TTL, or hop recovery would be silently wrong.
-            # Hosts of one label and one observed TTL send the same SYN.
-            key = (h.os_label, rh.observed_ttl)
-            if key not in matched:
-                matched[key] = match_fingerprint(SynSignature(
-                    window_size=entry.window_size, observed_ttl=rh.observed_ttl,
-                    df_flag=True if entry.df_flag is None else entry.df_flag,
-                    mss=_craft_mss(entry), options_layout=entry.options_layout), db)
-            hit = matched[key]
-            if hit is None or hit.initial_ttl != initial:
-                raise ScenarioError(
-                    f"host {h.ip}: crafted SYN for {h.os_label!r} resolves to "
-                    f"{hit.os_label if hit else 'no entry'}; ambiguous database")
-        resolved.append(rh)
-    return resolved
+def _resolve_hosts(hosts: HostTable, db: FingerprintDb) -> HostTable:
+    """The table with each host's initial TTL and each label's entry.
+
+    Each check runs on whole columns, and a label's crafted SYN is matched
+    once per observed TTL. The first host that fails one is refused, with
+    the first check it fails, as a host-by-host walk would refuse it.
+    """
+    ip, hops, given, label = hosts.ip, hosts.hops, hosts.initial_ttl, hosts.label
+    labels = hosts.labels
+    entries = (None, *map(db.find, labels[1:]))
+    labeled = label > 0
+    unknown = np.array([e is None for e in entries])[label] & labeled
+    wildcard = np.array([e is not None and (e.window_size is None or e.options_layout is None)
+                         for e in entries])[label]
+    entry_ttl = np.array([0 if e is None else e.initial_ttl for e in entries])[label]
+    initial = np.where(labeled, entry_ttl, given)
+    duplicate = np.ones(len(ip), dtype=bool)
+    duplicate[np.unique(hosts.addr, return_index=True)[1]] = False
+    checks = [
+        (duplicate, lambda i: f"duplicate host ip {ip[i]}"),
+        (unknown, lambda i: f"host {ip[i]}: unknown fingerprint label {labels[label[i]]!r}"),
+        (wildcard, lambda i: f"host {ip[i]}: entry {labels[label[i]]!r} has wildcard "
+                             "window/options; cannot craft a SYN from it"),
+        (labeled & (given > 0) & (given != entry_ttl),
+         lambda i: f"host {ip[i]}: initial_ttl {given[i]} contradicts "
+                   f"{labels[label[i]]!r} ({entry_ttl[i]})"),
+        (~labeled & (given == 0), lambda i: f"host {ip[i]}: needs initial_ttl or os_label"),
+        (hops >= initial, lambda i: f"host {ip[i]}: hops {hops[i]} >= initial TTL {initial[i]}"),
+    ]
+    # The SYN a labeled host will send must match back to an entry with
+    # the same initial TTL, or hop recovery would be silently wrong. Hosts
+    # of one label and one observed TTL, one class, send the same SYN.
+    cls = label * 256 + (initial - hops)
+    passed = labeled & ~np.logical_or.reduce([bad for bad, _ in checks])
+    hit = {}         # class -> the entry its crafted SYN matches
+    for c in set(cls[passed].tolist()):
+        entry = entries[c // 256]
+        hit[c] = match_fingerprint(SynSignature(
+            window_size=entry.window_size, observed_ttl=c % 256,
+            df_flag=True if entry.df_flag is None else entry.df_flag,
+            mss=_craft_mss(entry), options_layout=entry.options_layout), db)
+    wrong = np.array([c for c, e in hit.items()
+                      if e is None or e.initial_ttl != entries[c // 256].initial_ttl],
+                     dtype=np.int64)
+    checks.append((passed & (cls[:, None] == wrong).any(axis=1), lambda i: (
+        f"host {ip[i]}: crafted SYN for {labels[label[i]]!r} resolves to "
+        f"{getattr(hit[int(cls[i])], 'os_label', 'no entry')}; ambiguous database")))
+
+    refused = np.logical_or.reduce([bad for bad, _ in checks])
+    if refused.any():
+        i = int(np.argmax(refused))
+        raise ScenarioError(next(message(i) for bad, message in checks if bad[i]))
+    return replace(hosts, initial_ttl=initial, entries=entries)
 
 
 def _craft_mss(entry: FingerprintEntry) -> Optional[int]:
@@ -347,14 +407,12 @@ class _Plan:
         cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
         return cls(*cols, category=category, n_forward=len(rows))
 
-    def syn_first(self, hosts: Sequence[_ResolvedHost]) -> np.ndarray:
+    def syn_first(self, hosts: HostTable) -> np.ndarray:
         """Which flows open with a fingerprint SYN: TCP from a labeled host."""
-        labeled = np.array([h.entry is not None for h in hosts], dtype=bool)
-        return (self.proto == PROTO_TCP) & labeled[self.src]
+        return (self.proto == PROTO_TCP) & (hosts.label[self.src] > 0)
 
 
-def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
-                       hosts: Sequence[_ResolvedHost]) -> _Plan:
+def _plan_random_flows(spec: ScenarioSpec, rng: random.Random, hosts: HostTable) -> _Plan:
     """Each block's flows: keys carried over from the block before, then new ones.
 
     A category and each host or port are drawn inline from ``rng.random``
@@ -362,8 +420,8 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
     and ``rng.choice(seq)`` draw them, so a seed plans the flows those
     calls would plan, in the same order.
     """
-    src_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "src"]
-    dst_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "dst"]
+    src_hosts = [i for i, side in enumerate(hosts.side) if side == "src"]
+    dst_hosts = [i for i, side in enumerate(hosts.side) if side == "dst"]
     if not src_hosts or not dst_hosts:
         raise ScenarioError("random planning needs at least one src and one dst host")
 
@@ -430,32 +488,31 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random,
     return _Plan.of_rows(rows, category)
 
 
-def _plan_explicit_flows(spec: ScenarioSpec,
-                         hosts: Sequence[_ResolvedHost]) -> _Plan:
-    index = {h.spec.ip: i for i, h in enumerate(hosts)}
+def _plan_explicit_flows(spec: ScenarioSpec, flows: FlowTable, hosts: HostTable) -> _Plan:
+    index = {ip: i for i, ip in enumerate(hosts.ip)}
+    side = hosts.side
     seen = set()
     rows = []
     category = []
-    for plan in spec.flows:
-        if plan.block >= spec.n_blocks:
-            raise ScenarioError(f"flow block {plan.block} outside 0..{spec.n_blocks - 1}")
-        cell = (plan.block, plan.src_ip, plan.dst_ip, plan.src_port,
-                plan.dst_port, plan.proto)
+    for block, src_ip, dst_ip, src_port, dst_port, proto, n_packets in zip(
+            flows.block, flows.src_ip, flows.dst_ip, flows.src_port, flows.dst_port,
+            flows.proto, flows.n_packets):
+        if block >= spec.n_blocks:
+            raise ScenarioError(f"flow block {block} outside 0..{spec.n_blocks - 1}")
+        cell = (block, src_ip, dst_ip, src_port, dst_port, proto)
         if cell in seen:
-            raise ScenarioError(f"duplicate flow in block {plan.block}: {cell[1:]}")
+            raise ScenarioError(f"duplicate flow in block {block}: {cell[1:]}")
         seen.add(cell)
-        src = index.get(plan.src_ip)
-        dst = index.get(plan.dst_ip)
+        src = index.get(src_ip)
+        dst = index.get(dst_ip)
         if src is None or dst is None:
-            raise ScenarioError(f"flow references unknown host {plan.src_ip}/{plan.dst_ip}")
-        if hosts[src].spec.side != "src" or hosts[dst].spec.side != "dst":
+            raise ScenarioError(f"flow references unknown host {src_ip}/{dst_ip}")
+        if side[src] != "src" or side[dst] != "dst":
             raise ScenarioError(
-                f"flow {plan.src_ip}->{plan.dst_ip} crosses host sides; "
+                f"flow {src_ip}->{dst_ip} crosses host sides; "
                 "forward flows go src-side to dst-side")
-        rows.append((plan.block, src, dst, plan.src_port, plan.dst_port,
-                     plan.proto, plan.n_packets))
-        category.append(classify(FlowKey(plan.src_ip, plan.dst_ip, plan.src_port,
-                                         plan.dst_port, plan.proto)))
+        rows.append((block, src, dst, src_port, dst_port, proto, n_packets))
+        category.append(classify(FlowKey(src_ip, dst_ip, src_port, dst_port, proto)))
     return _Plan.of_rows(rows, category)
 
 
@@ -477,14 +534,13 @@ def _with_reverse_flows(plan: _Plan) -> _Plan:
                  category=plan.category, n_forward=plan.n_forward)
 
 
-def _plan_scenario(spec: ScenarioSpec,
-                   db: FingerprintDb) -> Tuple[List[_ResolvedHost], _Plan]:
+def _plan_scenario(spec: ScenarioSpec, db: FingerprintDb) -> Tuple[HostTable, _Plan]:
     """Check the scenario and plan every flow; raise ScenarioError if infeasible."""
-    _validate_spec(spec)
+    hosts, flows = _validate_spec(spec)
     rng = random.Random(spec.seed)
-    hosts = _resolve_hosts(spec, db)
-    if spec.flows is not None:
-        plan = _plan_explicit_flows(spec, hosts)
+    hosts = _resolve_hosts(hosts, db)
+    if flows is not None:
+        plan = _plan_explicit_flows(spec, flows, hosts)
     else:
         plan = _plan_random_flows(spec, rng, hosts)
     if spec.bidirectional:
@@ -535,13 +591,13 @@ def generate(spec: ScenarioSpec, pcap_path,
     return pcap_path, truth
 
 
-def _frame_table(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan,
+def _frame_table(spec: ScenarioSpec, hosts: HostTable, plan: _Plan,
                  syn_first: np.ndarray, link: bytes) -> np.ndarray:
     """Each flow's data frame (row i) and first frame (row n + i), led by ``link``.
 
     Every frame a flow sends is one of its two, and all have one length. Each
     row starts as a template from ``build_ipv4_packet``, one per protocol and
-    one per crafted SYN, with zero TTL and addresses; then the flow's TTL,
+    one per label that sends a crafted SYN, with zero TTL and addresses; then the flow's TTL,
     addresses, TCP/UDP ports and the IPv4 header checksum are written in.
     """
     n = len(plan.block)
@@ -549,20 +605,21 @@ def _frame_table(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan
     protos, data_tmpl = np.unique(plan.proto, return_inverse=True)
     templates = [build_ipv4_packet(_ANY, _ANY, int(p), tcp_flags=TCP_ACK,
                                    tcp_window=16384, **common) for p in protos.tolist()]
-    entries = {}     # fingerprint entry -> index of its SYN template
-    syn_tmpl = np.full(len(hosts), -1)     # host -> its SYN's template
-    for h in np.unique(plan.src[syn_first]).tolist():
-        entry = hosts[h].entry
-        if entry not in entries:
-            entries[entry] = len(templates)
-            templates.append(build_ipv4_packet(
-                _ANY, _ANY, PROTO_TCP,
-                df=True if entry.df_flag is None else entry.df_flag,
-                tcp_flags=TCP_SYN, tcp_window=entry.window_size,
-                tcp_options=build_tcp_options(entry.options_layout, _craft_mss(entry)),
-                **common))
-        syn_tmpl[h] = entries[entry]
-    first_tmpl = np.where(syn_first, syn_tmpl[plan.src], data_tmpl)
+    label = hosts.label[plan.src]
+    syn_tmpl = np.full(len(hosts.labels), -1)     # label -> its SYN's template
+    # the labels whose hosts send a SYN, in order; np.unique(labels) would
+    # import numpy.ma to ask whether its argument is masked
+    sending = np.bincount(label[syn_first], minlength=len(hosts.labels))
+    for k in np.flatnonzero(sending).tolist():
+        entry = hosts.entries[k]
+        syn_tmpl[k] = len(templates)
+        templates.append(build_ipv4_packet(
+            _ANY, _ANY, PROTO_TCP,
+            df=True if entry.df_flag is None else entry.df_flag,
+            tcp_flags=TCP_SYN, tcp_window=entry.window_size,
+            tcp_options=build_tcp_options(entry.options_layout, _craft_mss(entry)),
+            **common))
+    first_tmpl = np.where(syn_first, syn_tmpl[label], data_tmpl)
     width = len(link) + min(spec.packet_bytes, spec.snaplen - len(link))
     stack = np.frombuffer(b"".join(link + t for t in templates),
                           dtype=np.uint8).reshape(len(templates), width)
@@ -570,8 +627,8 @@ def _frame_table(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan
     table = stack[np.stack([data_tmpl, first_tmpl])]
 
     ip = len(link)
-    table[:, :, ip + 8] = np.array([h.observed_ttl for h in hosts], dtype=np.uint8)[plan.src]
-    addrs = np.array([h.addr for h in hosts], dtype=">u4")
+    table[:, :, ip + 8] = (hosts.initial_ttl - hosts.hops)[plan.src]    # the observed TTL
+    addrs = hosts.addr.astype(">u4")
     table[:, :, ip + 12:ip + 16] = addrs[plan.src].view(np.uint8).reshape(n, 4)
     table[:, :, ip + 16:ip + 20] = addrs[plan.dst].view(np.uint8).reshape(n, 4)
     ported = (plan.proto == PROTO_TCP) | (plan.proto == PROTO_UDP)
@@ -622,7 +679,7 @@ def ground_truth_path(pcap_path) -> Path:
     return p.with_name(p.stem + ".ground_truth.json")
 
 
-def _build_truth(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan,
+def _build_truth(spec: ScenarioSpec, hosts: HostTable, plan: _Plan,
                  syn_first: np.ndarray, beacon: bool) -> GroundTruth:
     """The ground truth, totals included, read off the plan.
 
@@ -636,13 +693,8 @@ def _build_truth(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan
     flow_packets = int(plan.n_packets.sum())
     emitted = np.zeros(len(hosts), dtype=bool)
     emitted[plan.src[syn_first]] = True
-    true_hosts = [TrueHost(ip=rh.spec.ip, side=rh.spec.side,
-                           initial_ttl=rh.initial_ttl,
-                           hops_to_monitor=rh.spec.hops_to_monitor,
-                           os_label=rh.spec.os_label,
-                           syn_emitted=e, fingerprint_effective=e)
-                  for rh, e in zip(hosts, emitted.tolist())]
-    return GroundTruth(plan=plan, hosts=true_hosts, packet_bytes=spec.packet_bytes,
+    return GroundTruth(plan=plan, hosts=hosts, syn_emitted=emitted,
+                       packet_bytes=spec.packet_bytes,
                        total_packets=flow_packets + int(beacon),
                        total_bytes=(flow_packets * spec.packet_bytes
                                     + int(beacon) * BEACON_LEN),
@@ -652,27 +704,29 @@ def _build_truth(spec: ScenarioSpec, hosts: Sequence[_ResolvedHost], plan: _Plan
                        seed=spec.seed)
 
 
-def _validate_spec(spec: ScenarioSpec) -> None:
-    """Refuse a spec with a field out of its range, or fields that do not fit.
+def _validate_spec(spec: ScenarioSpec) -> Tuple[HostTable, Optional[FlowTable]]:
+    """The spec's host and flow tables, or a refusal of a field out of its
+    range or of fields that do not fit.
 
     Every field of the spec, of each host and of each explicit flow is
     checked against its entry in the field tables below, for a spec built
-    in Python as for one read from a file. The checks here after that span
+    in Python as for one read from a file; the tables ``load_scenario``
+    reads were checked as it read them. The checks here after that span
     fields; so do the host and flow ones made while planning.
     """
-    rows = [("", spec, _KEYS)]
-    rows += [(f"host {h.ip} ", h, _HOST_COLUMNS) for h in spec.hosts]
-    rows += [(f"flow {i} ", p, _FLOW_COLUMNS) for i, p in enumerate(spec.flows or ())]
-    for where, obj, table in rows:
-        for name, f in table.items():
-            _in_range(where + name, f, getattr(obj, f.attr))
+    for name, f in _KEYS.items():
+        _in_range(name, f, getattr(spec, f.attr))
+    hosts = spec.hosts if isinstance(spec.hosts, HostTable) else _host_table(spec.hosts)
+    flows = spec.flows
+    if flows is not None and not isinstance(flows, FlowTable):
+        flows = _flow_table(flows)
     if spec.n_blocks < 1:
         raise ScenarioError("duration must cover at least one block")
     if spec.n_blocks * spec.tau_us >= MAX_END_US:
         raise ScenarioError("the trace must end before 2**32 s, the limit of a "
                             "pcap timestamp")
-    if spec.flows is not None:
-        return
+    if flows is not None:
+        return hosts, flows
     rate = _arrivals(spec.flows_per_block)[1]
     # a planned flow has 2 packets or more, each in its own microsecond
     if 2 * rate > spec.tau_us:
@@ -686,6 +740,7 @@ def _validate_spec(spec: ScenarioSpec) -> None:
         raise ScenarioError(f"random plan too large: about {work:.3g} blocks plus "
                             f"expected flows (n_blocks {spec.n_blocks}, flows_per_block "
                             f"{spec.flows_per_block!r}, key_repeat_prob {p}); {_RANDOM_PLAN}")
+    return hosts, None
 
 
 # ---------------------------------------------------------------------------
@@ -695,27 +750,86 @@ class _Field(NamedTuple):
     """One scenario input: the field it sets, its parser and its range."""
 
     attr: str                      # the field of ScenarioSpec, HostSpec or FlowPlan
-    parse: Callable[[str], Any]    # a scenario file's text to the value
+    parse: Callable[[str], Any]    # a scenario file's text (or an address's) to the value
     ok: Callable[[Any], Any]       # true when the value is in range
     allowed: str                   # the range, in words
 
 
-def _in_range(name: str, f: _Field, value: Any = None, text: Optional[str] = None) -> Any:
-    """``value``, or ``text`` parsed, if the field's range holds it.
+def _fits(f: _Field, cell: Any, parse: bool) -> bool:
+    """Whether ``cell``, parsed first if ``parse``, is in ``f``'s range; a
+    value that does not parse, or that ``f.ok`` cannot judge, is not."""
+    try:
+        return bool(f.ok(f.parse(cell) if parse else cell))
+    except (LookupError, TypeError, ValueError):
+        return False
 
-    A value that does not parse, or that ``f.ok`` refuses or cannot
-    judge, is refused with the field's name and range.
+
+def _column(f: _Field, cells: list, parse: bool) -> Tuple[list, int]:
+    """``cells`` as values of ``f``, parsed first if ``parse``, and -1; or
+    ``[]`` and the index of the first cell that ``f`` refuses.
+
+    The whole column is parsed and checked in one pass; only a column
+    with a refused cell is walked cell by cell, to find it.
     """
     try:
-        if text is not None:
-            value = f.parse(text)
-        ok = f.ok(value)
+        values = list(map(f.parse, cells)) if parse else cells
+        if all(map(f.ok, values)):
+            return values, -1
     except (LookupError, TypeError, ValueError):
-        ok = False
-    if not ok:
-        shown = value if text is None else text
-        raise ScenarioError(f"bad {name} {shown!r}: must be {f.allowed}")
-    return value
+        pass
+    return [], [_fits(f, cell, parse) for cell in cells].index(False)
+
+
+def _refusal(name: str, f: _Field, cell: Any) -> str:
+    return f"bad {name} {cell!r}: must be {f.allowed}"
+
+
+def _in_range(name: str, f: _Field, cell: Any, parse: bool = False) -> Any:
+    """``cell``'s value, parsed first if ``parse``, if the field's range
+    holds it; otherwise refused with the field's name and range."""
+    values, bad = _column(f, [cell], parse)
+    if bad >= 0:
+        raise ScenarioError(_refusal(name, f, cell))
+    return values[0]
+
+
+def _columns(table: Dict[str, _Field], cells: Dict[str, list],
+             parse: Collection[str]) -> Tuple[Dict[str, list], Any]:
+    """Each column of ``cells`` (name -> cells) as its field's values.
+
+    The columns that ``parse`` names are parsed first. Also returns the
+    first refusal, ``(row, name, cell)`` for the earliest row with a cell
+    out of range (its first such column), or None.
+    """
+    values, refused = {}, []
+    for k, (name, col) in enumerate(cells.items()):
+        values[name], i = _column(table[name], col, name in parse)
+        if i >= 0:
+            refused.append((i, k, name, col[i]))
+    if not refused:
+        return values, None
+    row, _, name, cell = min(refused)
+    return values, (row, name, cell)
+
+
+def _host_table(hosts: Sequence[HostSpec]) -> HostTable:
+    """HostSpecs as a host table, each field checked once against its column."""
+    cells = {name: [getattr(h, f.attr) for h in hosts] for name, f in _HOST_COLUMNS.items()}
+    values, refused = _columns(_HOST_COLUMNS, cells, _ADDRESSES)
+    if refused:
+        row, name, cell = refused
+        raise ScenarioError(_refusal(f"host {hosts[row].ip} {name}", _HOST_COLUMNS[name], cell))
+    return HostTable.of_columns(cells["ip"], values)
+
+
+def _flow_table(flows: Sequence[FlowPlan]) -> FlowTable:
+    """FlowPlans as a flow table, each field checked once against its column."""
+    cells = {name: [getattr(p, f.attr) for p in flows] for name, f in _FLOW_COLUMNS.items()}
+    refused = _columns(_FLOW_COLUMNS, cells, _ADDRESSES)[1]
+    if refused:
+        row, name, cell = refused
+        raise ScenarioError(_refusal(f"flow {row} {name}", _FLOW_COLUMNS[name], cell))
+    return FlowTable(*cells.values())
 
 
 def _between(lo, hi) -> Callable[[Any], bool]:
@@ -744,10 +858,13 @@ def _mix_ok(mix: Dict[AppCategory, float]) -> bool:
             and abs(sum(mix.values()) - 1.0) <= 1e-9)
 
 
-def _host_ip(text: str) -> bool:
-    """A dotted quad (ValueError otherwise) that the t=0 beacon does not use."""
-    _ipv4(text)
-    return text not in (BEACON_SRC, BEACON_DST)
+def _or_none(parse: Callable[[str], Any]) -> Callable[[Optional[str]], Any]:
+    """``parse``, passing over None: a host line fills "os" or "ttl", not both."""
+    return lambda text: None if text is None else parse(text)
+
+
+def _not_beacon(addr: int) -> bool:
+    return addr not in _BEACON_ADDRS
 
 
 # The random planner takes Python steps per block and per flow and holds
@@ -759,7 +876,10 @@ _RANDOM_PLAN = ("at most 2**20 are planned: shorten the duration, lower the rate
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _LINKS = {"ethernet": LINKTYPE_ETHERNET, "raw": LINKTYPE_RAW_IP}
+_BEACON_ADDRS = (_ipv4(BEACON_SRC), _ipv4(BEACON_DST))
 _HOST_IP = f"an IPv4 dotted quad other than the beacon's {BEACON_SRC} and {BEACON_DST}"
+# the columns a HostSpec or FlowPlan holds as text, as a file does: addresses
+_ADDRESSES = ("ip", "src_ip", "dst_ip")
 _PORTS = "in 0..65535 (ports are 16 bits)"
 
 # The flat "key = value" lines; a spec's own fields.
@@ -793,19 +913,20 @@ _KEYS: Dict[str, _Field] = {
 
 # A [hosts] line: ip hops side, then os:<label> or ttl:<initial>.
 _HOST_COLUMNS: Dict[str, _Field] = {
-    "ip": _Field("ip", str, _host_ip, _HOST_IP),
+    "ip": _Field("ip", _ipv4, _not_beacon, _HOST_IP),
     "hops": _Field("hops_to_monitor", int, _between(0, 255), "in 0..255"),
     "side": _Field("side", str, ("src", "dst").__contains__, "src or dst"),
-    "os": _Field("os_label", str.strip, lambda v: v is None or v != "",
+    "os": _Field("os_label", _or_none(str.strip), lambda v: v is None or v != "",
                  "a fingerprint database label"),
-    "ttl": _Field("initial_ttl", int, lambda v: v is None or 1 <= v <= 255, "in 1..255"),
+    "ttl": _Field("initial_ttl", _or_none(int), lambda v: v is None or 1 <= v <= 255,
+                  "in 1..255"),
 }
 
 # A [flows] line, column by column.
 _FLOW_COLUMNS: Dict[str, _Field] = {
     "block": _Field("block", int, lambda v: v >= 0, ">= 0"),
-    "src_ip": _Field("src_ip", str, _host_ip, _HOST_IP),
-    "dst_ip": _Field("dst_ip", str, _host_ip, _HOST_IP),
+    "src_ip": _Field("src_ip", _ipv4, _not_beacon, _HOST_IP),
+    "dst_ip": _Field("dst_ip", _ipv4, _not_beacon, _HOST_IP),
     "sport": _Field("src_port", int, _between(0, 0xFFFF), _PORTS),
     "dport": _Field("dst_port", int, _between(0, 0xFFFF), _PORTS),
     "proto": _Field("proto", int, _between(0, 0xFF),
@@ -818,16 +939,40 @@ _FLOW_COLUMNS: Dict[str, _Field] = {
 # ---------------------------------------------------------------------------
 # Scenario files
 
-def _row(table: Dict[str, _Field], names: Sequence[str], texts: Sequence[str]) -> dict:
-    """Each named column's text, parsed and range-checked, by the field it sets."""
-    return {table[n].attr: _in_range(n, table[n], text=t) for n, t in zip(names, texts)}
+def _read_hosts(rows: List[tuple]) -> Tuple[Optional[HostTable], Any]:
+    """Host lines, as (lineno, ip, hops, side, "os" or "ttl", value), to a
+    host table, or None and the (lineno, message) of the first bad line."""
+    lines, ips, hops, sides, stacks, values = (
+        map(list, zip(*rows)) if rows else ([] for _ in range(6)))
+    cells = {"ip": ips, "hops": hops, "side": sides,     # a row fills "os" or "ttl"
+             **{name: [v if s == name else None for s, v in zip(stacks, values)]
+                for name in ("os", "ttl")}}
+    parsed, refused = _columns(_HOST_COLUMNS, cells, cells)
+    if refused:
+        row, name, cell = refused
+        return None, (lines[row], _refusal(name, _HOST_COLUMNS[name], cell))
+    return HostTable.of_columns(ips, parsed), None
+
+
+def _read_flows(rows: List[tuple]) -> Tuple[Optional[FlowTable], Any]:
+    """Flow lines, as (lineno, *columns), to a flow table, or None and the
+    (lineno, message) of the first bad line."""
+    lines, *columns = (map(list, zip(*rows)) if rows
+                       else ([] for _ in range(1 + len(_FLOW_COLUMNS))))
+    cells = dict(zip(_FLOW_COLUMNS, columns))
+    parsed, refused = _columns(_FLOW_COLUMNS, cells, cells)
+    if refused:
+        row, name, cell = refused
+        return None, (lines[row], _refusal(name, _FLOW_COLUMNS[name], cell))
+    return FlowTable(*(cells[n] if n in _ADDRESSES else parsed[n] for n in _FLOW_COLUMNS)), None
 
 
 def load_scenario(path) -> ScenarioSpec:
     """Parse the flat key-value + host/flow table format shown above.
 
     The file must be UTF-8; every value is parsed and range-checked by its
-    field's table entry, and refused with ``file:line``.
+    field's table entry, the host and flow tables a column at a time, and
+    the first bad line is refused with ``file:line``.
     """
     data = Path(path).read_bytes()
     try:
@@ -836,8 +981,9 @@ def load_scenario(path) -> ScenarioSpec:
         raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start} "
                             f"({exc.reason})") from exc
     spec = ScenarioSpec()
-    hosts: List[HostSpec] = []
-    flows: List[FlowPlan] = []
+    host_rows: List[tuple] = []
+    flow_rows: List[tuple] = []
+    refused = []     # (lineno, message) of the first bad line of each kind
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -856,21 +1002,29 @@ def load_scenario(path) -> ScenarioSpec:
                 if not colon or stack not in ("os", "ttl"):
                     raise ValueError("host column 4 must be os:<label> or ttl:<n>, "
                                      f"got {parts[3]!r}")
-                hosts.append(HostSpec(**_row(_HOST_COLUMNS, ("ip", "hops", "side", stack),
-                                             (*parts[:3], value))))
+                host_rows.append((lineno, *parts[:3], stack, value))
             elif section == "[flows]":
                 parts = line.split()
                 if len(parts) != len(_FLOW_COLUMNS):
                     raise ValueError(f"flow line needs {len(_FLOW_COLUMNS)} columns")
-                flows.append(FlowPlan(**_row(_FLOW_COLUMNS, _FLOW_COLUMNS, parts)))
+                flow_rows.append((lineno, *parts))
             else:
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key not in _KEYS:
                     raise ValueError(f"unknown scenario key {key!r}")
-                setattr(spec, _KEYS[key].attr, _in_range(key, _KEYS[key], text=value.strip()))
+                setattr(spec, _KEYS[key].attr, _in_range(key, _KEYS[key], value.strip(),
+                                                               parse=True))
         except ValueError as exc:
-            raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
+            refused.append((lineno, str(exc)))
+            break
+    # the table lines read before a bad line are checked by column
+    hosts, bad_host = _read_hosts(host_rows)
+    flows, bad_flow = _read_flows(flow_rows)
+    refused += [bad for bad in (bad_host, bad_flow) if bad]
+    if refused:
+        lineno, message = min(refused)
+        raise ScenarioError(f"{path}:{lineno}: {message}")
     spec.hosts = hosts
     if flows:
         spec.flows = flows

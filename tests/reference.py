@@ -4,8 +4,8 @@ The package computes on columns; these are the plain-Python views the
 tests state their expectations in: address strings, a Packets table built
 from PacketRecords, row-by-row equality, the flows.csv rows of a Flows
 table, one host's estimate, the fallback initial TTL, and the generator's
-stdlib-call random planner, per-flow ground truth and frame-at-a-time pcap
-emitter.
+stdlib-call random planner, per-host and per-flow ground truth and
+frame-at-a-time pcap emitter.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from flowlens.pcapio import (COLUMNS, LINKTYPE_ETHERNET, PROTO_ICMP, PROTO_TCP,
                              PROTO_UDP, TCP_ACK, TCP_SYN, PacketRecord, Packets,
                              PcapWriter, build_ipv4_packet, build_tcp_options, ipv4_strs,
                              wrap_ethernet)
-from flowlens.synth import (BEACON_DST, BEACON_LEN, BEACON_SRC, GroundTruth, ScenarioError,
-                            ScenarioSpec, sample_flow_size, _arrivals, _craft_mss,
+from flowlens.synth import (BEACON_DST, BEACON_LEN, BEACON_SRC, GroundTruth, HostTable,
+                            ScenarioError, ScenarioSpec, sample_flow_size, _arrivals, _craft_mss,
                             _OTHER_TCP_PORTS, _Plan, _poisson, _UDP_PORTS)
 
 
@@ -103,22 +103,22 @@ def infer_initial_ttl(observed_ttl: int) -> int:
     return next(ttl for ttl in STANDARD_INITIAL_TTLS if ttl >= observed_ttl)
 
 
-def _flow_frames(spec: ScenarioSpec, hosts, plan, i: int,
+def _flow_frames(spec: ScenarioSpec, hosts: HostTable, plan, i: int,
                  link: bytes) -> Tuple[bytes, bytes]:
     """Flow i's data frame and first frame (its SYN, if it opens with one),
     each led by ``link``: all of the flow's packets are one of the two."""
-    src, dst = hosts[plan.src[i]], hosts[plan.dst[i]]
+    src, dst = int(plan.src[i]), int(plan.dst[i])
     proto = int(plan.proto[i])
-    common = dict(ttl=src.observed_ttl, ip_len=spec.packet_bytes,
+    common = dict(ttl=int(hosts.initial_ttl[src] - hosts.hops[src]), ip_len=spec.packet_bytes,
                   src_port=int(plan.src_port[i]), dst_port=int(plan.dst_port[i]),
                   max_bytes=spec.snaplen - len(link))
-    data = link + build_ipv4_packet(src.spec.ip, dst.spec.ip, proto, tcp_flags=TCP_ACK,
+    data = link + build_ipv4_packet(hosts.ip[src], hosts.ip[dst], proto, tcp_flags=TCP_ACK,
                                     tcp_window=16384, **common)
-    entry = src.entry
+    entry = hosts.entries[hosts.label[src]]
     if proto != PROTO_TCP or entry is None:
         return data, data
     syn = build_ipv4_packet(
-        src.spec.ip, dst.spec.ip, PROTO_TCP,
+        hosts.ip[src], hosts.ip[dst], PROTO_TCP,
         df=True if entry.df_flag is None else entry.df_flag,
         tcp_flags=TCP_SYN, tcp_window=entry.window_size,
         tcp_options=build_tcp_options(entry.options_layout, _craft_mss(entry)),
@@ -126,7 +126,7 @@ def _flow_frames(spec: ScenarioSpec, hosts, plan, i: int,
     return data, link + syn
 
 
-def emit_pcap(spec: ScenarioSpec, hosts, plan, pcap_path: Path) -> None:
+def emit_pcap(spec: ScenarioSpec, hosts: HostTable, plan, pcap_path: Path) -> None:
     """The pcap of a planned scenario, one frame and one Python int at a time.
 
     Each block's packets are sorted by (ideal slot, flow, j) and the k-th
@@ -160,11 +160,11 @@ def emit_pcap(spec: ScenarioSpec, hosts, plan, pcap_path: Path) -> None:
                 writer.write(base + (k * tau_us) // total, e[3], orig_len=orig_len)
 
 
-def plan_random_flows(spec: ScenarioSpec, rng: random.Random, hosts) -> _Plan:
+def plan_random_flows(spec: ScenarioSpec, rng: random.Random, hosts: HostTable) -> _Plan:
     """The random plan drawn with ``rng.choices``, ``rng.choice`` and
     ``sample_flow_size``, the calls whose draws the generator makes inline."""
-    src_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "src"]
-    dst_hosts = [i for i, h in enumerate(hosts) if h.spec.side == "dst"]
+    src_hosts = [i for i, side in enumerate(hosts.side) if side == "src"]
+    dst_hosts = [i for i, side in enumerate(hosts.side) if side == "dst"]
     if not src_hosts or not dst_hosts:
         raise ScenarioError("random planning needs at least one src and one dst host")
 
@@ -241,9 +241,29 @@ class TrueFlow(NamedTuple):
                        self.dst_port, self.proto)
 
 
+class TrueHost(NamedTuple):
+    """One host of a ground truth."""
+
+    ip: str
+    side: str
+    initial_ttl: int
+    hops_to_monitor: int
+    os_label: Optional[str]
+    syn_emitted: bool               # emitted >= 1 SYN in its own direction
+    fingerprint_effective: bool     # labeled and actually emitted a SYN
+
+
+def true_hosts(gt: GroundTruth) -> List[TrueHost]:
+    """The hosts of a ground truth, one TrueHost each, in scenario order."""
+    h = gt.hosts
+    return [TrueHost(h.ip[i], h.side[i], int(h.initial_ttl[i]), int(h.hops[i]),
+                     h.labels[h.label[i]], bool(e), bool(e))
+            for i, e in enumerate(gt.syn_emitted.tolist())]
+
+
 def true_flows(gt: GroundTruth) -> List[TrueFlow]:
     """The forward flows of a ground truth, one TrueFlow each, in plan order."""
-    plan, hosts = gt.plan, gt.hosts
+    plan, hosts = gt.plan, true_hosts(gt)
     flows = []
     for i in range(plan.n_forward):
         src, dst = hosts[int(plan.src[i])], hosts[int(plan.dst[i])]
@@ -269,7 +289,7 @@ def truth_dict(gt: GroundTruth) -> dict:
                    "hops": h.hops_to_monitor, "os_label": h.os_label,
                    "syn_emitted": h.syn_emitted,
                    "fingerprint_effective": h.fingerprint_effective}
-                  for h in gt.hosts],
+                  for h in true_hosts(gt)],
         "flows": [{"block": f.block, "src_ip": f.src_ip, "dst_ip": f.dst_ip,
                    "src_port": f.src_port, "dst_port": f.dst_port,
                    "proto": f.proto, "n_packets": f.n_packets,

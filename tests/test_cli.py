@@ -195,6 +195,30 @@ def test_analyze_leaves_numpy_ma_unimported(tmp_path):
     assert (tmp_path / "out" / "llcd.csv").exists()
 
 
+def test_generate_leaves_numpy_ma_unimported(tmp_path):
+    # as for analyze: the generator's host and label sets are taken without
+    # a plain np.unique, which imports numpy.ma to ask whether it is masked
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy\n"
+                           "print('numpy.ma' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    if bare.stdout.strip() != "False":
+        pytest.skip("a bare import numpy loads numpy.ma here")
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text("duration = 0.5\nseed = 3\nflows_per_block = fixed:4\n" + _HOSTS
+                        + "10.0.0.2 7 src os:Windows 2000\n")
+    code = ("import sys\n"
+            "from flowlens.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules, code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "generate", "--scenario",
+                           str(scenario), "--out", str(tmp_path / "gen")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0", proc.stdout
+    assert (tmp_path / "gen" / "trace.pcap").exists()
+
+
 def test_multiple_traces_get_subdirs(kept_trace, rejected_trace, tmp_path, capsys):
     out = tmp_path / "multi"
     code = main(["analyze", str(kept_trace), str(rejected_trace),
@@ -362,6 +386,40 @@ def test_generate_exit_codes_in_a_child(text, code, message, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and message in proc.stderr, proc.stderr
     assert out.exists() == (code == 0)
+
+
+# 999 valid host lines: the refused value is on the last line of 1000
+_MANY_HOSTS = "".join(f"10.0.{i // 250}.{i % 250 + 1} 5 src ttl:64\n" if i < 500
+                      else f"198.18.{i // 250}.{i % 250 + 1} 5 dst os:Linux 2.4\n"
+                      for i in range(999))
+
+
+@pytest.mark.parametrize("last, column, value, allowed", [
+    ("10.0.9.999 5 src ttl:64", "ip", "10.0.9.999", "an IPv4 dotted quad other than "
+     "the beacon's 192.0.2.255 and 192.0.2.254"),
+    ("192.0.2.254 5 dst ttl:64", "ip", "192.0.2.254", "an IPv4 dotted quad"),
+    ("010.0.9.1 5 src ttl:64", "ip", "010.0.9.1", "an IPv4 dotted quad"),
+    ("10.0.9.1 256 src ttl:64", "hops", "256", "in 0..255"),
+    ("10.0.9.1 -1 src ttl:64", "hops", "-1", "in 0..255"),
+    ("10.0.9.1 five src ttl:64", "hops", "five", "in 0..255"),
+    ("10.0.9.1 5 up ttl:64", "side", "up", "src or dst"),
+    ("10.0.9.1 5 src os:", "os", "", "a fingerprint database label"),
+    ("10.0.9.1 5 src ttl:0", "ttl", "0", "in 1..255"),
+    ("10.0.9.1 5 src ttl:256", "ttl", "256", "in 1..255"),
+    ("10.0.9.1 5 src ttl:sixty", "ttl", "sixty", "in 1..255"),
+], ids=["ip", "ip-beacon", "ip-leading-zero", "hops", "hops-negative", "hops-word",
+        "side", "os-empty", "ttl-zero", "ttl-256", "ttl-word"])
+def test_generate_refuses_the_last_of_1000_hosts(last, column, value, allowed, tmp_path,
+                                                 capsys):
+    """A host value out of range on the last line is refused with its line,
+    its column and the column's range, before anything is made."""
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text("duration = 0.5\n[hosts]\n" + _MANY_HOSTS + last + "\n")
+    out = tmp_path / "gen"
+    assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert f"{scenario}:1002: bad {column} {value!r}: must be {allowed}" in err, err
+    assert not out.exists()
 
 
 # Every key set, and an explicit plan, so that no mutant plans a large trace.

@@ -19,7 +19,8 @@ from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 
 from helpers import hop_means_scenario, mk_flows, mk_packet, random_scenario
-from reference import Host, from_records, host_row, infer_initial_ttl, ipv4_int
+from reference import (Host, from_records, host_row, infer_initial_ttl, ipv4_int,
+                       true_hosts)
 
 LINUX_SIG = SynSignature(window_size=5840, observed_ttl=52, df_flag=True,
                          mss=1460, options_layout=("MSS", "SACK", "TS", "NOP", "WS"))
@@ -246,7 +247,7 @@ def test_generator_ground_truth_recovered_exactly(tmp_path):
     rev = records.take(records.src >> 24 != 10)
     fwd_est = estimate_hosts(fwd, FingerprintDb.default())
     rev_est = estimate_hosts(rev, FingerprintDb.default())
-    for h in gt.hosts:
+    for h in true_hosts(gt):
         if not h.fingerprint_effective:
             continue
         est = host_row(fwd_est if h.side == "src" else rev_est, h.ip)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import ipaddress
 import json
 import math
 import random
 import statistics
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,13 +22,14 @@ from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP)
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import (FlowPlan, HostSpec, ScenarioError, ScenarioSpec,
-                            _plan_random_flows, _plan_scenario, _poisson, _resolve_hosts,
-                            generate, ground_truth_path, load_scenario, sample_flow_size)
+                            _ipv4, _plan_random_flows, _plan_scenario, _poisson,
+                            _resolve_hosts, _validate_spec, generate, ground_truth_path,
+                            load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
 
 from helpers import FP_LABELS, SRC_NET, flow_keys, random_scenario, table1_scenario
 from reference import (emit_pcap, host_row, ipv4_str, plan_random_flows, true_flows,
-                       truth_dict)
+                       true_hosts, truth_dict)
 
 
 def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
@@ -195,7 +198,7 @@ def _one_host_each_icmp():
 def test_planner_draws_as_the_stdlib_calls(spec):
     """The inline draws plan what rng.choices, rng.choice and sample_flow_size
     plan, and leave the generator in the same state."""
-    hosts = _resolve_hosts(spec, FingerprintDb.default())
+    hosts = _resolve_hosts(_validate_spec(spec)[0], FingerprintDb.default())
     rng, oracle_rng = random.Random(spec.seed), random.Random(spec.seed)
     got = _plan_random_flows(spec, rng, hosts)
     want = plan_random_flows(spec, oracle_rng, hosts)
@@ -272,26 +275,107 @@ def test_ground_truth_json_round_trip(tmp_path):
     assert json.loads(ground_truth_path(path).read_text()) == truth_dict(gt)
 
 
+_ODD_LABEL = 'Odd "quoted" \\ stack \u00e9'     # JSON escapes a quote, a backslash, é
+_ODD_ENTRY = f"5840|64|1|MSS,SACK,TS,NOP,WS|*|{_ODD_LABEL}\n"
+
+
 def _odd_label_scenario():
     """A label JSON escapes: a quote, a backslash and a non-ASCII letter."""
-    hosts = [HostSpec("10.0.0.1", 5, "src", os_label='Odd "quoted" \\ stack \u00e9'),
+    hosts = [HostSpec("10.0.0.1", 5, "src", os_label=_ODD_LABEL),
              HostSpec("10.0.0.2", 7, "src", initial_ttl=128),
              HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
     return ScenarioSpec(duration=0.3, flows_per_block="fixed:4", hosts=hosts)
+
+
+def _large_table_scenario():
+    """2000 hosts, half on each side: every label of the built-in database
+    and the odd one, the rest random labels or ttl: hosts."""
+    r = random.Random(2000)
+    labels = [e.os_label for e in FingerprintDb.default().entries] + [_ODD_LABEL]
+    hosts = []
+    for i in range(2000):
+        side, net = ("src", "10.0") if i < 1000 else ("dst", "198.18")
+        ip = f"{net}.{i // 250}.{i % 250 + 1}"
+        label = labels[i % 1000] if i % 1000 < len(labels) else r.choice(labels + [None] * 6)
+        ttl = r.choice([64, 128, 255]) if label is None else None
+        hosts.append(HostSpec(ip, r.randint(0, 20), side, initial_ttl=ttl, os_label=label))
+    return ScenarioSpec(duration=0.5, seed=3, flows_per_block="fixed:400", flow_size_cap=20,
+                        hosts=hosts)
+
+
+_DEFAULT_DB = resources.files("flowlens.data").joinpath("fingerprints.default").read_text()
 
 
 @pytest.mark.parametrize("make_spec, db_text", [
     (lambda: ScenarioSpec(duration=0.5, hosts=[], flows=[]), None),
     (_late_flow_scenario, None),        # the t=0 beacon; hosts without an os_label
     (lambda: random_scenario(5), None),
-    (_odd_label_scenario, '5840|64|1|MSS,SACK,TS,NOP,WS|*|Odd "quoted" \\ stack \u00e9\n'),
-], ids=["empty", "beacon", "random", "odd-label"])
+    (_odd_label_scenario, _ODD_ENTRY),
+    (_large_table_scenario, _DEFAULT_DB + _ODD_ENTRY),
+], ids=["empty", "beacon", "random", "odd-label", "large-table"])
 def test_ground_truth_file_is_json_dumps(make_spec, db_text, tmp_path):
     """The file holds what json.dumps(..., sort_keys=True) writes for the truth."""
     db = FingerprintDb.loads(db_text) if db_text else None
     path, gt = generate(make_spec(), tmp_path / "t.pcap", db)
     want = json.dumps(truth_dict(gt), sort_keys=True) + "\n"
     assert ground_truth_path(path).read_bytes() == want.encode("ascii")
+
+
+def test_scenario_file_hosts_give_the_specs_truth(tmp_path):
+    """A host table read from a file plans and writes what its HostSpecs do."""
+    spec = _large_table_scenario()
+    db = FingerprintDb.loads(_DEFAULT_DB + _ODD_ENTRY)
+    lines = [f"seed = {spec.seed}", f"duration = {spec.duration}",
+             f"flows_per_block = {spec.flows_per_block}",
+             f"flow_size_cap = {spec.flow_size_cap}", "[hosts]"]
+    lines += [f"{h.ip} {h.hops_to_monitor} {h.side} "
+              + (f"ttl:{h.initial_ttl}" if h.os_label is None else f"os:{h.os_label}")
+              for h in spec.hosts]
+    (tmp_path / "large.scenario").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_scenario(tmp_path / "large.scenario")
+    assert list(loaded.hosts) == spec.hosts
+    a, _ = generate(spec, tmp_path / "a" / "t.pcap", db)
+    b, _ = generate(loaded, tmp_path / "b" / "t.pcap", db)
+    assert a.read_bytes() == b.read_bytes()
+    assert ground_truth_path(a).read_bytes() == ground_truth_path(b).read_bytes()
+
+
+# Octet-like pieces: ASCII and non-ASCII digits, signs, hex, spaces, empties
+_OCTETS = st.one_of(st.integers(0, 300).map(str), st.sampled_from(
+    ["", "0", "00", "01", "007", "255", "256", "+1", "-1", "0x1", " 1", "1 ", "1\n",
+     "\u0661", "\uff15", "\u0663\u0663", "1_0", "\t2", "1e2"]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=20),
+                 st.lists(st.integers(0, 255).map(str), min_size=4, max_size=4).map(".".join),
+                 st.lists(_OCTETS, min_size=1, max_size=6).map(".".join),
+                 st.tuples(st.sampled_from(["", " ", "\n", "\t"]),
+                           st.lists(_OCTETS, min_size=4, max_size=4).map(".".join),
+                           st.sampled_from(["", " ", "\n", ".", "\r\n"])).map("".join)))
+@example("01.2.3.4")
+@example("1.2.3.4\n")
+@example(" 1.2.3.4 ")
+@example("+1.2.3.4")
+@example("0x1.2.3.4")
+@example("1.2.3")
+@example("1.2.3.4.")
+@example("256.0.0.0")
+@example("\u0661.2.3.4")
+@example("\uff15.2.3.4")
+@example("255.255.255.255")
+@example("0.0.0.0")
+def test_address_parser_is_ipaddress(text):
+    """_ipv4 accepts exactly the strings ipaddress.IPv4Address does, as the same value."""
+    try:
+        want = int(ipaddress.IPv4Address(text))
+    except ValueError:
+        want = None
+    try:
+        got = _ipv4(text)
+    except ValueError:
+        got = None
+    assert got == want
 
 
 def test_table1_scenario_breakdown(tmp_path):
@@ -388,6 +472,23 @@ def test_scenario_file_errors(tmp_path):
     with pytest.raises(ScenarioError, match="os:"):
         load_scenario(bad)
 
+    # the tables are checked a column at a time, but the refused line is
+    # the first bad one, whatever its column, section or fault
+    hosts = ["10.0.0.1 5 src ttl:64", "10.0.0.2 300 src ttl:64",
+             "10.0.0.999 5 src ttl:64", "203.0.113.1 5 dst os:"]
+    flows = ["0 10.0.0.1 203.0.113.1 1024 80 6 0", "0 10.0.0.1 203.0.113.1 70000 80 6 5"]
+    for lines, where in (
+            (["[hosts]", *hosts], "bad.scenario:3: bad hops '300'"),
+            (["[hosts]", *hosts[::-1]], "bad.scenario:2: bad os ''"),
+            (["[hosts]", *hosts[2:], "[flows]", *flows], "bad.scenario:2: bad ip"),
+            (["[flows]", *flows, "[hosts]", *hosts], "bad.scenario:2: bad n_packets '0'"),
+            (["[flows]", *flows[1:], "[hosts]", *hosts], "bad.scenario:2: bad sport"),
+            (["[hosts]", hosts[0], "[oops]", hosts[1]], "bad.scenario:3: unknown section"),
+            (["[hosts]", hosts[1], "[oops]"], "bad.scenario:2: bad hops")):
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ScenarioError, match=where):
+            load_scenario(bad)
+
 
 def test_spec_validation_errors(tmp_path):
     with pytest.raises(ScenarioError, match="side"):
@@ -417,6 +518,9 @@ def test_spec_validation_errors(tmp_path):
             (ScenarioSpec(duration="2", hosts=[]), "bad duration '2'"),
             (ScenarioSpec(hosts=[dataclasses.replace(src, ip="192.0.2.255")]),
              "bad host 192.0.2.255 ip"),
+            (ScenarioSpec(hosts=[src, dataclasses.replace(dst, side="up"),
+                                 dataclasses.replace(dst, ip="203.0.113.9", hops_to_monitor=-1)]),
+             "bad host 203.0.113.1 side 'up'"),
             (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, dst_port=70000)]),
              "bad flow 0 dport 70000: must be in 0..65535 .ports"),
             (ScenarioSpec(duration=0.01, hosts=[]), "duration must cover"),
