@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
 import numpy as np
 
-from .flows import FlowKey, Flows
+from .flows import Flows
 from .pcapio import PROTO_TCP, PROTO_UDP
 
 DEFAULT_HTTP_PORTS: FrozenSet[int] = frozenset({80})
@@ -21,37 +20,32 @@ class AppCategory(enum.Enum):
     OTHER = "other"
 
 
-def classify(key: FlowKey, http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS) -> AppCategory:
-    """Total, deterministic port/protocol classification of one flow key.
+CATEGORIES = tuple(AppCategory)     # the category at each position categories() gives
 
-    Flows are unidirectional, so the server port can sit on either side.
+
+def categories(proto: np.ndarray, src_port: np.ndarray, dst_port: np.ndarray,
+               http_ports: FrozenSet[int]) -> np.ndarray:
+    """Each flow's position in CATEGORIES, by protocol and port.
+
+    TCP with an HTTP port on either side is HTTP (flows are unidirectional,
+    so the server port can sit on either side), other TCP is OTHER_TCP,
+    UDP is UDP and every other protocol OTHER.
     """
-    if key.proto == PROTO_TCP:
-        if key.src_port in http_ports or key.dst_port in http_ports:
-            return AppCategory.HTTP
-        return AppCategory.OTHER_TCP
-    if key.proto == PROTO_UDP:
-        return AppCategory.UDP
-    return AppCategory.OTHER
-
-
-@dataclass(frozen=True)
-class AppBreakdown:
-    proportions: Dict[AppCategory, float]   # sums to 1, every category present
+    tcp = proto == PROTO_TCP
+    ports = sorted(http_ports)
+    http = tcp & (np.isin(src_port, ports) | np.isin(dst_port, ports))
+    return np.where(tcp, np.where(http, 0, 1), np.where(proto == PROTO_UDP, 2, 3))
 
 
 def breakdown(flows: Flows, greedy_only: bool = False,
-              http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS) -> AppBreakdown:
-    """Share of each of classify's categories among the flow rows."""
-    tcp = flows.proto == PROTO_TCP
-    ports = sorted(http_ports)
-    http = tcp & (np.isin(flows.src_port, ports) | np.isin(flows.dst_port, ports))
-    # position in AppCategory: HTTP, OTHER_TCP, UDP, OTHER
-    category = np.where(tcp, np.where(http, 0, 1), np.where(flows.proto == PROTO_UDP, 2, 3))
+              http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS) -> Dict[AppCategory, float]:
+    """Share of each category among the flow rows: every category present,
+    the shares summing to 1."""
+    category = categories(flows.proto, flows.src_port, flows.dst_port, http_ports)
     if greedy_only:
         category = category[flows.is_greedy]
     n = len(category)
     if n == 0:
         raise ValueError("no flows to classify")
-    counts = np.bincount(category, minlength=len(AppCategory)).tolist()
-    return AppBreakdown(proportions={cat: c / n for cat, c in zip(AppCategory, counts)})
+    counts = np.bincount(category, minlength=len(CATEGORIES)).tolist()
+    return {cat: c / n for cat, c in zip(CATEGORIES, counts)}

@@ -1,10 +1,10 @@
 """Command-line front end: analyze traces, generate scenarios, check DBs.
 
 Exit codes: 0 success, 2 at least one trace rejected by the skewness gate,
-64 usage error, 65 invalid fingerprint database or a trace whose analysis
-failed, 66 unreadable input or an output generate cannot write. A batch
-goes on past a failed trace and exits with the highest of its traces'
-codes.
+64 usage error, 65 invalid fingerprint database or scenario, 66 unreadable
+input or an output generate cannot write, 70 an unexpected error (a bug),
+reported with its traceback. A batch goes on past a failed trace and
+exits with the highest of its traces' codes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -26,8 +27,14 @@ EXIT_GATE_REJECTED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
+EXIT_SOFTWARE = 70
 
-log = logging.getLogger(__name__)
+
+def _unexpected(where: str) -> int:
+    """Report the exception being handled, which no refusal covers, as a bug."""
+    print(f"{where}: unexpected error", file=sys.stderr)
+    traceback.print_exc()
+    return EXIT_SOFTWARE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,13 +131,10 @@ def _cmd_analyze(args) -> int:
             write_report(result, out_root / stem if multi else out_root)
         except (OSError, PcapFormatError) as exc:
             print(f"flowlens analyze: {trace}: {exc}", file=sys.stderr)
-            code = EXIT_NOINPUT
+            code = max(code, EXIT_NOINPUT)
             continue
-        except Exception as exc:        # one trace's failure must not end the batch
-            log.debug("analysis of %s failed", trace, exc_info=True)
-            print(f"flowlens analyze: {trace}: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            code = max(code, EXIT_DATA)
+        except Exception:       # one trace's failure must not end the batch
+            code = max(code, _unexpected(f"flowlens analyze: {trace}"))
             continue
         print(json.dumps(result.gate_line(), sort_keys=True), flush=True)
         if not result.gate_kept and not params.force:
@@ -175,16 +179,13 @@ def _cmd_db_check(args) -> int:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "fingerprint-db":
-        return _cmd_db_check(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    command = {"analyze": _cmd_analyze, "generate": _cmd_generate,
+               "fingerprint-db": _cmd_db_check}[args.command]
+    try:
+        return command(args)
+    except Exception:
+        return _unexpected(f"flowlens {args.command}")
 
 
 if __name__ == "__main__":

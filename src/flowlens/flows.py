@@ -11,48 +11,23 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .pcapio import Packets
 
-
-@dataclass(frozen=True, order=True)
-class FlowKey:
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    proto: int
-
-
-@dataclass(frozen=True)
-class BlockingConfig:
-    tau: float = 0.1            # block length, seconds
-    min_packets: int = 2        # flow admission threshold
-    greedy_threshold: int = 20  # strictly more packets than this => greedy
-
-    def __post_init__(self):
-        if not (self.tau > 0 and np.isfinite(self.tau)):
-            raise ValueError("tau must be positive and finite")
-        if not 1 <= round(self.tau * 1e6) <= np.iinfo(np.int64).max:    # ts_us is int64
-            raise ValueError("tau must be between 1 and 2**63 - 1 microseconds")
-        if self.min_packets < 2:
-            raise ValueError("min_packets must be >= 2")
-        if self.greedy_threshold < self.min_packets:
-            raise ValueError("greedy_threshold must be >= min_packets")
-
-    @property
-    def tau_us(self) -> int:
-        return round(self.tau * 1e6)
+if TYPE_CHECKING:
+    from .report import AnalysisParams
 
 
 @dataclass(eq=False)
 class Flows:
     """Per-(block, 5-tuple) flow records as columns, one row per record.
 
-    Rows come in (block, FlowKey) order. The address columns hold 32-bit
-    values.
+    Rows come in (block, src_ip, dst_ip, src_port, dst_port, proto) order,
+    addresses compared as their dotted-quad strings. The address columns
+    hold 32-bit values.
     """
 
     block: np.ndarray           # int64 block index
@@ -83,19 +58,19 @@ def _string_order(addrs: np.ndarray) -> np.ndarray:
             | _OCTET_RANK[addrs >> 8 & 0xFF] << 8 | _OCTET_RANK[addrs & 0xFF])
 
 
-def aggregate(packets: Packets, cfg: BlockingConfig) -> Flows:
+def aggregate(packets: Packets, params: AnalysisParams) -> Flows:
     """Group packets into per-(block, 5-tuple) flow records.
 
     Flows with fewer than min_packets packets are dropped here; they still
     count toward throughput, which is computed from the raw packet stream.
     Non-first fragments carry no 5-tuple and are likewise excluded.
     Blocks are half-open, [i*tau, (i+1)*tau): a boundary packet joins the
-    later one. Records come in (block, FlowKey) order.
+    later one. Records come in the order of Flows' rows.
     """
     keyed = ~packets.is_fragment
-    block = packets.ts_us[keyed] // cfg.tau_us
+    block = packets.ts_us[keyed] // params.tau_us
     src, dst = packets.src[keyed], packets.dst[keyed]
-    # FlowKey compares dotted-quad strings ("10.0.0.10" < "10.0.0.2")
+    # addresses compare as dotted-quad strings ("10.0.0.10" < "10.0.0.2")
     pair = _string_order(src).astype(np.uint64) << 32 | _string_order(dst)
     # sport 16 | dport 16 | proto 8 | ttl 8 bits: the rest of the key, then the TTL
     low = (packets.src_port[keyed].astype(np.int64) << 32
@@ -120,7 +95,7 @@ def aggregate(packets: Packets, cfg: BlockingConfig) -> Flows:
     score = np.diff(np.append(ttl_starts, len(order))) << 8 | (low[ttl_starts] & 0xFF)
     rep_ttl = np.maximum.reduceat(score, np.flatnonzero(new_flow[ttl_starts])) & 0xFF
 
-    admitted = n_packets >= cfg.min_packets
+    admitted = n_packets >= params.min_packets
     first = starts[admitted]
     key_low, rows = low[first] >> 8, order[first]
     n_packets = n_packets[admitted]
@@ -130,14 +105,14 @@ def aggregate(packets: Packets, cfg: BlockingConfig) -> Flows:
                  proto=(key_low & 0xFF).astype(np.uint8),
                  n_packets=n_packets, n_bytes=n_bytes[admitted],
                  rep_ttl=rep_ttl[admitted].astype(np.uint8),
-                 is_greedy=n_packets > cfg.greedy_threshold)
+                 is_greedy=n_packets > params.greedy_threshold)
 
 
-def greedy_throughput_equivalent(cfg: BlockingConfig, avg_packet_bytes: float) -> float:
+def greedy_throughput_equivalent(params: AnalysisParams, avg_packet_bytes: float) -> float:
     """Bits per second a flow sends when it just clears the greedy threshold."""
     if avg_packet_bytes <= 0:
         raise ValueError("avg_packet_bytes must be positive")
-    return cfg.greedy_threshold * avg_packet_bytes * 8 / cfg.tau
+    return params.greedy_threshold * avg_packet_bytes * 8 / params.tau
 
 
 FLOWS_CSV_HEADER = ["block_index", "src_ip", "dst_ip", "src_port", "dst_port",

@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -37,17 +37,24 @@ class AnalysisParams:
     force: bool = False
 
     def __post_init__(self):
-        self.blocking()                          # tau and the thresholds
+        if not (self.tau > 0 and np.isfinite(self.tau)):
+            raise ValueError("tau must be positive and finite")
+        if not 1 <= self.tau_us <= np.iinfo(np.int64).max:    # ts_us is int64
+            raise ValueError("tau must be between 1 and 2**63 - 1 microseconds")
+        if self.min_packets < 2:
+            raise ValueError("min_packets must be >= 2")
+        if self.greedy_threshold < self.min_packets:
+            raise ValueError("greedy_threshold must be >= min_packets")
         if np.isnan(self.skew_min):
             raise ValueError("skew_min must be a number")
         ingest.DirectionFilter.parse(self.keep)
 
-    def blocking(self) -> flows.BlockingConfig:
-        return flows.BlockingConfig(tau=self.tau, min_packets=self.min_packets,
-                                    greedy_threshold=self.greedy_threshold)
+    @property
+    def tau_us(self) -> int:
+        """The block length in whole microseconds."""
+        return round(self.tau * 1e6)
 
     def to_dict(self) -> dict:
-        cfg = self.blocking()
         return {
             "tau": self.tau,
             "min_packets": self.min_packets,
@@ -59,7 +66,7 @@ class AnalysisParams:
             "avg_packet_bytes": DEFAULT_AVG_PACKET_BYTES,
             "force": self.force,
             "greedy_equivalent_bps":
-                flows.greedy_throughput_equivalent(cfg, DEFAULT_AVG_PACKET_BYTES),
+                flows.greedy_throughput_equivalent(self, DEFAULT_AVG_PACKET_BYTES),
         }
 
 
@@ -72,14 +79,14 @@ class AnalysisResult:
     gate_kept: bool
     analyzed: bool                      # downstream sections were computed
     records: Optional[flows.Flows] = None
-    curve: Optional[tail.LlcdCurve] = None
+    curve: Optional[Tuple[Tuple[int, float], ...]] = None   # tail.llcd's points
     fit: Optional[tail.TailFit] = None
     fit_reason: Optional[str] = None    # why fit is absent
     flow_hops: Optional[np.ndarray] = None   # path hops per record, -1 if unknown
     hist_all: Optional[hops.HopHistogram] = None
     hist_greedy: Optional[hops.HopHistogram] = None
-    app_all: Optional[apps.AppBreakdown] = None
-    app_greedy: Optional[apps.AppBreakdown] = None
+    app_all: Optional[Dict[apps.AppCategory, float]] = None
+    app_greedy: Optional[Dict[apps.AppCategory, float]] = None
     fwd_host_estimates: Optional[hops.HostEstimates] = None
     rev_host_estimates: Optional[hops.HostEstimates] = None
 
@@ -116,8 +123,7 @@ def analyze_trace(pcap_path, params: AnalysisParams,
     if not result.analyzed:
         return result
 
-    cfg = params.blocking()
-    result.records = flows.aggregate(fwd, cfg)
+    result.records = flows.aggregate(fwd, params)
 
     if len(result.records):
         result.curve = tail.llcd(result.records.n_packets)
@@ -149,19 +155,17 @@ def _app_table(result: AnalysisResult) -> dict:
     table = {}
     for cat in apps.AppCategory:
         table[cat.value] = {
-            "all": result.app_all.proportions[cat] if result.app_all else None,
-            "greedy": result.app_greedy.proportions[cat] if result.app_greedy else None,
+            "all": result.app_all[cat] if result.app_all else None,
+            "greedy": result.app_greedy[cat] if result.app_greedy else None,
         }
     return table
 
 
-def report_dict(result: AnalysisResult, generated_at: Optional[str] = None) -> dict:
-    if generated_at is None:
-        generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+def report_dict(result: AnalysisResult) -> dict:
     s = result.summary
     doc = {
         "trace_id": result.trace_id,
-        "generated_at": generated_at,
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "parameters": result.params.to_dict(),
         "ingest": {"total": s.total, "kept": s.kept, "skipped": s.skipped,
                    "non_ipv4": s.non_ipv4, "malformed": s.malformed,
@@ -213,8 +217,7 @@ def write_report(result: AnalysisResult, out_dir) -> Path:
 
     if result.analyzed:
         flows.write_flows_csv(result.records, out_dir / "flows.csv")
-        curve = result.curve or tail.LlcdCurve(points=())
-        tail.write_llcd_csv(curve, out_dir / "llcd.csv")
+        tail.write_llcd_csv(result.curve or (), out_dir / "llcd.csv")
         hops.write_hops_csv(result.hist_all, out_dir / "hops_all.csv")
         hops.write_hops_csv(result.hist_greedy, out_dir / "hops_greedy.csv")
 

@@ -55,12 +55,12 @@ whose use of the stream Python does not promise to keep.
 from __future__ import annotations
 
 import bisect
+import ipaddress
 import itertools
 import json
 import math
+import numbers
 import random
-import re
-import socket
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -69,8 +69,7 @@ from typing import (Any, Callable, Collection, Dict, List, NamedTuple, Optional,
 
 import numpy as np
 
-from .apps import AppCategory, classify
-from .flows import FlowKey
+from .apps import CATEGORIES, DEFAULT_HTTP_PORTS, AppCategory, categories
 from .hops import FingerprintDb, FingerprintEntry, MTU_TOKEN, match_fingerprint
 from .pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, MAX_CAPLEN, PROTO_ICMP,
                      PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN, PcapWriter,
@@ -306,17 +305,13 @@ def _poisson(rng: random.Random, lam: float) -> int:
     return total
 
 
-# What ipaddress.IPv4Address accepts: four decimal octets, 0..255, of ASCII
-# digits and with no leading zero
-_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_DOTTED_QUAD = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}", re.ASCII)
-
-
 def _ipv4(text: str) -> int:
-    """A dotted quad's 32-bit value; ValueError for anything else, IPv6 included."""
-    if not _DOTTED_QUAD.fullmatch(text):
-        raise ValueError(f"not an IPv4 dotted quad: {text!r}")
-    return int.from_bytes(socket.inet_aton(text), "big")
+    """A dotted quad's 32-bit value; ValueError for any other string, IPv6
+    included, and TypeError for a non-string, which IPv4Address would read
+    as an address's int or bytes."""
+    if not isinstance(text, str):
+        raise TypeError(f"not a dotted-quad string: {text!r}")
+    return int(ipaddress.IPv4Address(text))
 
 
 def _resolve_hosts(hosts: HostTable, db: FingerprintDb) -> HostTable:
@@ -493,7 +488,6 @@ def _plan_explicit_flows(spec: ScenarioSpec, flows: FlowTable, hosts: HostTable)
     side = hosts.side
     seen = set()
     rows = []
-    category = []
     for block, src_ip, dst_ip, src_port, dst_port, proto, n_packets in zip(
             flows.block, flows.src_ip, flows.dst_ip, flows.src_port, flows.dst_port,
             flows.proto, flows.n_packets):
@@ -512,8 +506,9 @@ def _plan_explicit_flows(spec: ScenarioSpec, flows: FlowTable, hosts: HostTable)
                 f"flow {src_ip}->{dst_ip} crosses host sides; "
                 "forward flows go src-side to dst-side")
         rows.append((block, src, dst, src_port, dst_port, proto, n_packets))
-        category.append(classify(FlowKey(src_ip, dst_ip, src_port, dst_port, proto)))
-    return _Plan.of_rows(rows, category)
+    category = categories(*(np.array(c, dtype=np.int64) for c in (
+        flows.proto, flows.src_port, flows.dst_port)), DEFAULT_HTTP_PORTS)
+    return _Plan.of_rows(rows, [CATEGORIES[i] for i in category.tolist()])
 
 
 def _with_reverse_flows(plan: _Plan) -> _Plan:
@@ -691,15 +686,15 @@ def _build_truth(spec: ScenarioSpec, hosts: HostTable, plan: _Plan,
     nf = plan.n_forward
     fwd_packets = int(plan.n_packets[:nf].sum())
     flow_packets = int(plan.n_packets.sum())
+    packet_bytes = int(spec.packet_bytes)   # a numpy integer is not JSON
     emitted = np.zeros(len(hosts), dtype=bool)
     emitted[plan.src[syn_first]] = True
     return GroundTruth(plan=plan, hosts=hosts, syn_emitted=emitted,
-                       packet_bytes=spec.packet_bytes,
+                       packet_bytes=packet_bytes,
                        total_packets=flow_packets + int(beacon),
-                       total_bytes=(flow_packets * spec.packet_bytes
-                                    + int(beacon) * BEACON_LEN),
+                       total_bytes=flow_packets * packet_bytes + int(beacon) * BEACON_LEN,
                        forward_packets=fwd_packets,
-                       forward_bytes=fwd_packets * spec.packet_bytes,
+                       forward_bytes=fwd_packets * packet_bytes,
                        beacon=beacon, tau=spec.tau, duration=spec.duration,
                        seed=spec.seed)
 
@@ -832,8 +827,10 @@ def _flow_table(flows: Sequence[FlowPlan]) -> FlowTable:
     return FlowTable(*cells.values())
 
 
-def _between(lo, hi) -> Callable[[Any], bool]:
-    return lambda v: lo <= v <= hi
+def _integer(lo, hi) -> Callable[[Any], bool]:
+    """An integer (a numpy one too) in lo..hi; a float such as 2.5 is
+    refused, not truncated later."""
+    return lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi
 
 
 def _arrivals(text: str) -> Tuple[str, float]:
@@ -894,18 +891,18 @@ _KEYS: Dict[str, _Field] = {
     # u ** (-1 / alpha), u down to 2**-53, overflows a float below alpha 53/1023
     "flow_size_alpha": _Field("flow_size_alpha", float, lambda a: a >= 0.06,
                               "at least 0.06 (a smaller exponent overflows a float draw)"),
-    "flow_size_cap": _Field("flow_size_cap", int, _between(2, MAX_END_US),
+    "flow_size_cap": _Field("flow_size_cap", int, _integer(2, MAX_END_US),
                             f"in 2..{MAX_END_US} (a packet per microsecond at most)"),
-    "packet_bytes": _Field("packet_bytes", int, _between(MIN_PACKET_BYTES, 0xFFFF),
+    "packet_bytes": _Field("packet_bytes", int, _integer(MIN_PACKET_BYTES, 0xFFFF),
                            f"in {MIN_PACKET_BYTES}..65535"),
     "bidirectional": _Field("bidirectional", lambda t: _BOOL[t.lower()],
                             lambda v: isinstance(v, bool), "true or false (yes/no, 1/0)"),
     "app_mix": _Field("app_mix", _app_mix, _mix_ok,
                       "category:fraction pairs over http, other_tcp, udp and other, "
                       "each fraction finite and >= 0, summing to 1"),
-    "key_repeat_prob": _Field("key_repeat_prob", float, _between(0, 1), "in 0..1"),
+    "key_repeat_prob": _Field("key_repeat_prob", float, lambda p: 0 <= p <= 1, "in 0..1"),
     # the transport headers are kept; a reader refuses records above MAX_CAPLEN
-    "snaplen": _Field("snaplen", int, _between(MIN_PACKET_BYTES + 14, MAX_CAPLEN),
+    "snaplen": _Field("snaplen", int, _integer(MIN_PACKET_BYTES + 14, MAX_CAPLEN),
                       f"in {MIN_PACKET_BYTES + 14}..{MAX_CAPLEN}"),
     "link": _Field("linktype", _LINKS.__getitem__, lambda v: v in _LINKS.values(),
                    "ethernet or raw"),
@@ -914,24 +911,25 @@ _KEYS: Dict[str, _Field] = {
 # A [hosts] line: ip hops side, then os:<label> or ttl:<initial>.
 _HOST_COLUMNS: Dict[str, _Field] = {
     "ip": _Field("ip", _ipv4, _not_beacon, _HOST_IP),
-    "hops": _Field("hops_to_monitor", int, _between(0, 255), "in 0..255"),
+    "hops": _Field("hops_to_monitor", int, _integer(0, 255), "in 0..255"),
     "side": _Field("side", str, ("src", "dst").__contains__, "src or dst"),
     "os": _Field("os_label", _or_none(str.strip), lambda v: v is None or v != "",
                  "a fingerprint database label"),
-    "ttl": _Field("initial_ttl", _or_none(int), lambda v: v is None or 1 <= v <= 255,
+    "ttl": _Field("initial_ttl", _or_none(int),
+                  lambda v: v is None or (isinstance(v, numbers.Integral) and 1 <= v <= 255),
                   "in 1..255"),
 }
 
 # A [flows] line, column by column.
 _FLOW_COLUMNS: Dict[str, _Field] = {
-    "block": _Field("block", int, lambda v: v >= 0, ">= 0"),
+    "block": _Field("block", int, _integer(0, math.inf), ">= 0"),
     "src_ip": _Field("src_ip", _ipv4, _not_beacon, _HOST_IP),
     "dst_ip": _Field("dst_ip", _ipv4, _not_beacon, _HOST_IP),
-    "sport": _Field("src_port", int, _between(0, 0xFFFF), _PORTS),
-    "dport": _Field("dst_port", int, _between(0, 0xFFFF), _PORTS),
-    "proto": _Field("proto", int, _between(0, 0xFF),
+    "sport": _Field("src_port", int, _integer(0, 0xFFFF), _PORTS),
+    "dport": _Field("dst_port", int, _integer(0, 0xFFFF), _PORTS),
+    "proto": _Field("proto", int, _integer(0, 0xFF),
                     "in 0..255 (the IPv4 protocol field is 8 bits)"),
-    "n_packets": _Field("n_packets", int, _between(1, MAX_END_US),
+    "n_packets": _Field("n_packets", int, _integer(1, MAX_END_US),
                         f"in 1..{MAX_END_US} (a packet per microsecond at most)"),
 }
 

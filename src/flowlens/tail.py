@@ -24,11 +24,6 @@ MIN_TAIL_POINTS = 10
 
 
 @dataclass(frozen=True)
-class LlcdCurve:
-    points: Tuple[Tuple[int, float], ...]   # (x, P(sample > x)), x increasing
-
-
-@dataclass(frozen=True)
 class TailFit:
     alpha: float        # power-law exponent, the negated log-log slope
     x_min: int
@@ -36,8 +31,9 @@ class TailFit:
     n_tail: int         # curve points in the fit region
 
 
-def llcd(samples: Sequence[int]) -> LlcdCurve:
-    """Empirical complementary CDF evaluated at every distinct sample value."""
+def llcd(samples: Sequence[int]) -> Tuple[Tuple[int, float], ...]:
+    """Empirical complementary CDF evaluated at every distinct sample value:
+    its (x, P(sample > x)) points, x increasing."""
     if len(samples) == 0:
         raise ValueError("llcd needs at least one sample")
     arr = np.asarray(samples)
@@ -47,14 +43,12 @@ def llcd(samples: Sequence[int]) -> LlcdCurve:
     n = int(arr.size)
     greater = n - np.cumsum(counts)          # |{s : s > x}| for each distinct x
     mask = greater > 0
-    points = tuple((int(x), float(g) / n)
-                   for x, g in zip(values[mask], greater[mask]))
-    return LlcdCurve(points=points)
+    return tuple((int(x), float(g) / n) for x, g in zip(values[mask], greater[mask]))
 
 
-def fit_tail(curve: LlcdCurve, x_min: int = 20) -> TailFit:
-    """Least-squares line in log-log space over points with x >= x_min."""
-    tail = [(x, p) for x, p in curve.points if x >= x_min]
+def fit_tail(points: Sequence[Tuple[int, float]], x_min: int) -> TailFit:
+    """Least-squares line in log-log space over the llcd points with x >= x_min."""
+    tail = [(x, p) for x, p in points if x >= x_min]
     if len(tail) < MIN_TAIL_POINTS:
         raise InsufficientTailError(
             f"insufficient tail: {len(tail)} points at x >= {x_min}, "
@@ -71,9 +65,9 @@ def fit_tail(curve: LlcdCurve, x_min: int = 20) -> TailFit:
                    r_squared=r_squared, n_tail=len(tail))
 
 
-def write_llcd_csv(curve: LlcdCurve, path) -> None:
+def write_llcd_csv(points: Sequence[Tuple[int, float]], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "p"])
-        for x, p in curve.points:
+        for x, p in points:
             w.writerow([x, repr(p)])

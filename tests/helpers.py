@@ -9,14 +9,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from flowlens.flows import FlowKey, Flows
+from flowlens.flows import Flows
 from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              PacketRecord, SynSignature, build_ipv4_packet,
                              build_tcp_options, wrap_ethernet)
 from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
 
-from reference import flow_rows, ipv4_int
+from reference import FlowKey, flow_rows, ipv4_int
 
 SRC_NET = "10.0.0.0/8"          # all scenario src-side hosts live here
 FP_LABELS = ["Linux 2.4", "Windows 2000", "FreeBSD 4.x", "Solaris 8",

@@ -2,8 +2,9 @@
 
 The package computes on columns; these are the plain-Python views the
 tests state their expectations in: address strings, a Packets table built
-from PacketRecords, row-by-row equality, the flows.csv rows of a Flows
-table, one host's estimate, the fallback initial TTL, and the generator's
+from PacketRecords, row-by-row equality, the flow key and one flow's
+application category, the flows.csv rows of a Flows table, one host's
+estimate, the fallback initial TTL, and the generator's
 stdlib-call random planner, per-host and per-flow ground truth and
 frame-at-a-time pcap emitter.
 """
@@ -13,13 +14,14 @@ from __future__ import annotations
 import itertools
 import random
 import socket
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from flowlens.apps import AppCategory
-from flowlens.flows import FlowKey, Flows
+from flowlens.apps import DEFAULT_HTTP_PORTS, AppCategory
+from flowlens.flows import Flows
 from flowlens.hops import STANDARD_INITIAL_TTLS, HostEstimates
 from flowlens.pcapio import (COLUMNS, LINKTYPE_ETHERNET, PROTO_ICMP, PROTO_TCP,
                              PROTO_UDP, TCP_ACK, TCP_SYN, PacketRecord, Packets,
@@ -65,6 +67,31 @@ def same_packets(a: Packets, b: Packets) -> bool:
                 for x, y, (name, _) in zip(a.columns(), b.columns(), COLUMNS)
                 if name != "sig")
             and _row_sigs(a) == _row_sigs(b))
+
+
+@dataclass(frozen=True, order=True)
+class FlowKey:
+    """A flow's 5-tuple; keys sort as flows.csv's rows do within a block."""
+
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    proto: int
+
+
+def classify(key: FlowKey, http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS) -> AppCategory:
+    """One flow's category, by protocol and port.
+
+    Flows are unidirectional, so the server port can sit on either side.
+    """
+    if key.proto == PROTO_TCP:
+        if key.src_port in http_ports or key.dst_port in http_ports:
+            return AppCategory.HTTP
+        return AppCategory.OTHER_TCP
+    if key.proto == PROTO_UDP:
+        return AppCategory.UDP
+    return AppCategory.OTHER
 
 
 def flow_rows(flows: Flows) -> Iterator[tuple]:

@@ -13,17 +13,17 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from flowlens.apps import AppCategory, classify
+from flowlens.apps import AppCategory
 from flowlens.cli import main
-from flowlens.flows import BlockingConfig, aggregate, greedy_throughput_equivalent
+from flowlens.flows import aggregate, greedy_throughput_equivalent
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate, sample_flow_size
-from flowlens.tail import LlcdCurve, fit_tail, llcd
+from flowlens.tail import fit_tail, llcd
 from flowlens.variability import gate_trace, skewness, throughput_series
 
 from helpers import SRC_NET, flow_keys, hop_means_scenario, mk_packet, \
     random_scenario, table1_scenario
-from reference import flow_rows, from_records, true_flows
+from reference import classify, flow_rows, from_records, true_flows
 
 
 @contextmanager
@@ -72,7 +72,7 @@ def test_criterion_2_tail_fit_recovery():
             assert abs(fit.alpha - alpha) <= 0.1, \
                 f"alpha {alpha}: estimated {fit.alpha:.4f}"
         for alpha in (1.0, 1.2, 1.5, 2.0):
-            curve = LlcdCurve(points=tuple((x, x ** -alpha) for x in range(20, 201)))
+            curve = tuple((x, x ** -alpha) for x in range(20, 201))
             fit = fit_tail(curve, x_min=20)
             assert abs(fit.alpha - alpha) <= 1e-6
             assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -108,12 +108,12 @@ def test_criterion_4_paper_shape_reproduction(tmp_path):
 
         path, _ = generate(table1_scenario(), tmp_path / "t1.pcap")
         result = analyze_trace(path, params)
-        mix = result.app_all.proportions
+        mix = result.app_all
         assert mix[AppCategory.HTTP] == pytest.approx(0.54, abs=0.01)
         assert mix[AppCategory.OTHER_TCP] == pytest.approx(0.38, abs=0.01)
         assert mix[AppCategory.UDP] == pytest.approx(0.07, abs=0.01)
         assert mix[AppCategory.OTHER] == pytest.approx(0.01, abs=0.01)
-        assert result.app_greedy.proportions[AppCategory.HTTP] == \
+        assert result.app_greedy[AppCategory.HTTP] == \
             pytest.approx(0.70, abs=0.01)
 
         path, _ = generate(hop_means_scenario(), tmp_path / "hops.pcap")
@@ -124,7 +124,7 @@ def test_criterion_4_paper_shape_reproduction(tmp_path):
 
 def test_criterion_5_throughput_equivalence():
     with criterion(5, "greedy-threshold throughput equivalence is exactly 1.12 Mbps"):
-        cfg = BlockingConfig(tau=0.1, min_packets=2, greedy_threshold=20)
+        cfg = AnalysisParams(tau=0.1, min_packets=2, greedy_threshold=20)
         assert greedy_throughput_equivalent(cfg, 700) == 1_120_000.0
 
 
@@ -132,7 +132,7 @@ def test_criterion_6_conservation_and_partition():
     with criterion(6, "conservation/partition/LLCD invariants on 100 random inputs, < 10 s"):
         start = time.monotonic()
         rng = random.Random(60)
-        cfg = BlockingConfig()
+        cfg = AnalysisParams()
         for _ in range(100):
             packets = [mk_packet(rng.randrange(0, 1_000_000) / 1e6,
                                  src=f"10.0.0.{rng.randint(1, 5)}",
@@ -160,7 +160,7 @@ def test_criterion_6_conservation_and_partition():
             brute = [(x, sum(1 for s in samples if s > x) / n)
                      for x in sorted(set(samples))
                      if any(s > x for s in samples)]
-            assert list(llcd(samples).points) == brute
+            assert list(llcd(samples)) == brute
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
 

@@ -4,11 +4,11 @@ import pytest
 
 from collections import Counter
 
-from flowlens.apps import AppCategory, breakdown, classify
-from flowlens.flows import FlowKey
+from flowlens.apps import CATEGORIES, DEFAULT_HTTP_PORTS, AppCategory, breakdown, categories
 from flowlens.pcapio import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 from helpers import mk_flows
+from reference import FlowKey, classify
 
 
 def key(sport=34567, dport=80, proto=PROTO_TCP):
@@ -19,26 +19,35 @@ def rec(k, n=3, greedy=False):
     return (0, k, n, greedy)
 
 
+def category(k, http_ports=DEFAULT_HTTP_PORTS):
+    """categories' answer for the one flow `k`, as an AppCategory."""
+    flows = mk_flows([rec(k)])
+    (i,) = categories(flows.proto, flows.src_port, flows.dst_port, http_ports).tolist()
+    return CATEGORIES[i]
+
+
 def test_classify_port_80_both_sides():
-    assert classify(key(dport=80)) is AppCategory.HTTP
-    assert classify(key(sport=80, dport=34567)) is AppCategory.HTTP
+    assert category(key(dport=80)) is AppCategory.HTTP
+    assert category(key(sport=80, dport=34567)) is AppCategory.HTTP
 
 
 def test_classify_other_tcp():
-    assert classify(key(dport=21)) is AppCategory.OTHER_TCP
-    assert classify(key(dport=443)) is AppCategory.OTHER_TCP   # default is 80 only
+    assert category(key(dport=21)) is AppCategory.OTHER_TCP
+    assert category(key(dport=443)) is AppCategory.OTHER_TCP   # default is 80 only
 
 
 def test_classify_udp_and_other():
-    assert classify(key(dport=53, proto=PROTO_UDP)) is AppCategory.UDP
-    assert classify(key(sport=0, dport=0, proto=PROTO_ICMP)) is AppCategory.OTHER
-    assert classify(key(proto=47)) is AppCategory.OTHER
+    assert category(key(dport=53, proto=PROTO_UDP)) is AppCategory.UDP
+    assert category(key(sport=80, dport=80, proto=PROTO_UDP)) is AppCategory.UDP
+    assert category(key(sport=0, dport=0, proto=PROTO_ICMP)) is AppCategory.OTHER
+    assert category(key(proto=47)) is AppCategory.OTHER
 
 
 def test_classify_custom_http_ports():
     ports = frozenset({80, 8080})
-    assert classify(key(dport=8080), ports) is AppCategory.HTTP
-    assert classify(key(dport=8080)) is AppCategory.OTHER_TCP
+    assert category(key(dport=8080), ports) is AppCategory.HTTP
+    assert category(key(dport=8080)) is AppCategory.OTHER_TCP
+    assert category(key(dport=80), frozenset({8080})) is AppCategory.OTHER_TCP
 
 
 def _table1_records():
@@ -56,16 +65,16 @@ def _table1_records():
 
 def test_breakdown_planted_table():
     b = breakdown(mk_flows(_table1_records()))
-    assert b.proportions[AppCategory.HTTP] == pytest.approx(0.54)
-    assert b.proportions[AppCategory.OTHER_TCP] == pytest.approx(0.38)
-    assert b.proportions[AppCategory.UDP] == pytest.approx(0.07)
-    assert b.proportions[AppCategory.OTHER] == pytest.approx(0.01)
+    assert b[AppCategory.HTTP] == pytest.approx(0.54)
+    assert b[AppCategory.OTHER_TCP] == pytest.approx(0.38)
+    assert b[AppCategory.UDP] == pytest.approx(0.07)
+    assert b[AppCategory.OTHER] == pytest.approx(0.01)
 
 
 def test_breakdown_all_http():
     b = breakdown(mk_flows([rec(key(sport=i, dport=80)) for i in range(1, 6)]))
-    assert b.proportions[AppCategory.HTTP] == 1.0
-    assert all(b.proportions[c] == 0.0 for c in AppCategory if c is not AppCategory.HTTP)
+    assert b[AppCategory.HTTP] == 1.0
+    assert all(b[c] == 0.0 for c in AppCategory if c is not AppCategory.HTTP)
 
 
 def test_breakdown_greedy_only():
@@ -73,8 +82,8 @@ def test_breakdown_greedy_only():
     records += [rec(key(sport=100 + i, dport=22), n=25, greedy=True) for i in range(3)]
     records += [rec(key(sport=200 + i, dport=80), n=2) for i in range(40)]
     b = breakdown(mk_flows(records), greedy_only=True)
-    assert b.proportions[AppCategory.HTTP] == pytest.approx(0.7)
-    assert b.proportions[AppCategory.OTHER_TCP] == pytest.approx(0.3)
+    assert b[AppCategory.HTTP] == pytest.approx(0.7)
+    assert b[AppCategory.OTHER_TCP] == pytest.approx(0.3)
 
 
 def test_breakdown_empty_errors():
@@ -85,7 +94,8 @@ def test_breakdown_empty_errors():
 
 
 def test_proportions_sum_to_one():
-    # and each share is classify's count over the rows, whatever the ports
+    # categories gives each row the reference classifier's category, and
+    # each share is that category's count over the rows, whatever the ports
     import random
     rng = random.Random(4)
     for _ in range(25):
@@ -94,10 +104,14 @@ def test_proportions_sum_to_one():
                            proto=rng.choice([PROTO_TCP, PROTO_UDP, PROTO_ICMP])),
                        n=rng.choice([2, 25]), greedy=rng.random() < 0.3)
                    for i in range(rng.randint(1, 60))]
-        b = breakdown(mk_flows(records), http_ports=ports)
-        assert sum(b.proportions.values()) == pytest.approx(1.0, abs=1e-9)
-        counts = Counter(classify(k, ports) for _, k, _, _ in records)
-        assert b.proportions == {cat: counts[cat] / len(records) for cat in AppCategory}
+        flows = mk_flows(records)
+        want = [classify(k, ports) for _, k, _, _ in records]
+        got = categories(flows.proto, flows.src_port, flows.dst_port, ports)
+        assert [CATEGORIES[i] for i in got.tolist()] == want
+        b = breakdown(flows, http_ports=ports)
+        assert sum(b.values()) == pytest.approx(1.0, abs=1e-9)
+        counts = Counter(want)
+        assert b == {cat: counts[cat] / len(records) for cat in AppCategory}
 
 
 def test_filter_then_classify_commutes():

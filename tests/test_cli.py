@@ -14,17 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.apps import AppCategory, classify
+from flowlens.apps import AppCategory
 from flowlens.cli import build_parser, main
-from flowlens.flows import FlowKey
 from flowlens.report import AnalysisParams
 from flowlens.synth import generate
-from flowlens.tail import LlcdCurve, fit_tail
+from flowlens.tail import fit_tail
 from flowlens.variability import skewness
 
 from helpers import (SRC_NET, mk_packet, random_scenario, skewed_trace,
                      table1_scenario, write_pcap)
-from reference import true_flows
+from reference import FlowKey, classify, true_flows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -260,16 +259,38 @@ def test_unexpected_error_isolated_per_trace(kept_trace, rejected_trace, tmp_pat
 
     monkeypatch.setattr(cli, "analyze_trace", failing_on_kept)
     out = tmp_path / "multi"
-    assert main(["analyze", str(kept_trace), str(rejected_trace), "--out", str(out)]) == 65
+    # a bug, not a refusal: exit 70 (EX_SOFTWARE) and its traceback
+    assert main(["analyze", str(kept_trace), str(rejected_trace), "--out", str(out)]) == 70
     captured = capsys.readouterr()
-    assert f"flowlens analyze: {kept_trace}: RuntimeError: boom" in captured.err
-    assert "Traceback" not in captured.err
+    assert f"flowlens analyze: {kept_trace}: unexpected error\nTraceback" in captured.err
+    assert captured.err.rstrip().endswith("RuntimeError: boom")
     assert [json.loads(l)["trace"] for l in captured.out.strip().splitlines()] == ["rejected"]
     assert (out / "rejected" / "report.json").exists()
     assert not (out / "kept").exists()
-    # an unreadable trace still outranks a failed one
-    assert main(["analyze", str(kept_trace), str(tmp_path / "missing.pcap"),
-                 "--out", str(tmp_path / "m2")]) == 66
+    # the batch goes on and exits with its highest code: a bug outranks an
+    # unreadable trace, whichever comes first
+    for traces in ((kept_trace, tmp_path / "missing.pcap"),
+                   (tmp_path / "missing.pcap", kept_trace)):
+        assert main(["analyze", *map(str, traces), "--out", str(tmp_path / "m2")]) == 70
+        assert "missing.pcap" in capsys.readouterr().err
+
+
+def test_unexpected_error_in_generate_and_db_check(tmp_path, capsys, monkeypatch):
+    import flowlens.cli as cli
+    import flowlens.synth as synth
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(synth, "load_scenario", boom)
+    monkeypatch.setattr(cli.FingerprintDb, "load", boom)
+    for argv in (["generate", "--scenario", "s.scenario", "--out", str(tmp_path / "gen")],
+                 ["fingerprint-db", "check", "x.db"]):
+        assert main(argv) == 70
+        err = capsys.readouterr().err
+        assert err.startswith(f"flowlens {argv[0]}: unexpected error\nTraceback")
+        assert err.rstrip().endswith("RuntimeError: boom")
+    assert not (tmp_path / "gen").exists()
 
 
 def test_duplicate_stems_rejected_before_analysis(tmp_path, capsys):
@@ -628,8 +649,7 @@ def test_report_numbers_recomputable_from_sidecars(tmp_path):
 
     llcd_rows = _read_csv(out / "llcd.csv")
     if report["llcd_fit"] is not None:
-        curve = LlcdCurve(points=tuple((int(r["x"]), float(r["p"]))
-                                       for r in llcd_rows))
+        curve = tuple((int(r["x"]), float(r["p"])) for r in llcd_rows)
         refit = fit_tail(curve, x_min=report["llcd_fit"]["x_min"])
         assert report["llcd_fit"]["alpha"] == refit.alpha
         assert report["llcd_fit"]["r_squared"] == refit.r_squared

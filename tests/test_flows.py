@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.flows import (FLOWS_CSV_HEADER, BlockingConfig, Flows, _string_order,
-                            aggregate, greedy_throughput_equivalent, write_flows_csv)
+from flowlens.flows import (FLOWS_CSV_HEADER, Flows, _string_order, aggregate,
+                            greedy_throughput_equivalent, write_flows_csv)
 from flowlens.pcapio import PROTO_TCP, PROTO_UDP
+from flowlens.report import AnalysisParams
 
 from helpers import mk_packet
 from reference import flow_rows, from_records, ipv4_int, ipv4_str
 
-CFG = BlockingConfig()
+CFG = AnalysisParams()
 
 
 def brute_force_group(packets, cfg):
@@ -75,9 +76,9 @@ def test_greedy_flag_strictly_above_20():
 def test_greedy_throughput_equivalent_values():
     assert greedy_throughput_equivalent(CFG, 700) == 1_120_000.0
     assert greedy_throughput_equivalent(
-        BlockingConfig(tau=1.0, greedy_threshold=2, min_packets=2), 1) == 16.0
+        AnalysisParams(tau=1.0, greedy_threshold=2, min_packets=2), 1) == 16.0
     assert greedy_throughput_equivalent(
-        BlockingConfig(tau=0.1, greedy_threshold=40), 700) == 2_240_000.0
+        AnalysisParams(tau=0.1, greedy_threshold=40), 700) == 2_240_000.0
     with pytest.raises(ValueError):
         greedy_throughput_equivalent(CFG, 0)
 
@@ -91,11 +92,13 @@ def test_rep_ttl_modal_with_larger_tie():
 
 
 def test_records_sorted_by_dotted_quad_string():
-    # "10.0.0.10" sorts before "10.0.0.2" as a string, after it as a number
+    # "10.0.0.10" sorts before "10.0.0.2" as a string, after it as a number;
+    # "192." before "3.", whose octet string ranks in the upper half of 0..255's
     packets = [mk_packet(t, src=src) for t in (0.01, 0.02)
-               for src in ("10.0.0.2", "10.0.0.10", "9.0.0.1")]
+               for src in ("10.0.0.2", "10.0.0.10", "9.0.0.1", "3.0.0.1", "192.0.2.1")]
     flows = aggregate(from_records(packets), CFG)
-    assert [row[1] for row in flow_rows(flows)] == ["10.0.0.10", "10.0.0.2", "9.0.0.1"]
+    assert [row[1] for row in flow_rows(flows)] == [
+        "10.0.0.10", "10.0.0.2", "192.0.2.1", "3.0.0.1", "9.0.0.1"]
 
 
 def test_string_order_of_addresses():
@@ -167,11 +170,11 @@ def test_aggregate_matches_brute_force(seed):
 def test_partition_no_packet_lost_or_duplicated(seed):
     rng = random.Random(seed)
     packets = _random_packets(rng, rng.randint(1, 300))
-    flows = aggregate(from_records(packets), BlockingConfig(min_packets=2))
+    flows = aggregate(from_records(packets), AnalysisParams(min_packets=2))
     # every packet maps to exactly one cell; admitted cells cover <= all packets
     total_in_records = int(flows.n_packets.sum())
     assert total_in_records <= len(packets)
-    oracle = brute_force_group(packets, BlockingConfig(min_packets=2))
+    oracle = brute_force_group(packets, AnalysisParams(min_packets=2))
     assert total_in_records == sum(n for n, _ in oracle.values())
 
 
@@ -187,13 +190,18 @@ def test_concatenation_of_block_disjoint_traces():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BlockingConfig(tau=0)
-    with pytest.raises(ValueError):
-        BlockingConfig(min_packets=1)
-    with pytest.raises(ValueError):
-        BlockingConfig(greedy_threshold=1)
-    assert BlockingConfig(tau=0.2).tau_us == 200_000
+    for kwargs, message in (
+            ({"tau": 0}, "tau must be positive and finite"),
+            ({"tau": float("nan")}, "tau must be positive and finite"),
+            ({"tau": float("inf")}, "tau must be positive and finite"),
+            ({"tau": 4e-7}, "tau must be between 1 and 2\\*\\*63 - 1 microseconds"),
+            ({"tau": 1e13}, "tau must be between 1 and 2\\*\\*63 - 1 microseconds"),
+            ({"min_packets": 1}, "min_packets must be >= 2"),
+            ({"greedy_threshold": 1}, "greedy_threshold must be >= min_packets")):
+        with pytest.raises(ValueError, match=message):
+            AnalysisParams(**kwargs)
+    assert AnalysisParams(tau=0.2).tau_us == 200_000
+    assert AnalysisParams(tau=1e-6, min_packets=3, greedy_threshold=3).tau_us == 1
 
 
 # --- flows.csv against the per-row `%`-format writer ----------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlens import hops
-from flowlens.flows import FlowKey
 from flowlens.hops import (MAX_PLAUSIBLE_HOPS, FingerprintDb, FingerprintFormatError,
                            HostEstimates, estimate_hosts, flow_hop_estimates,
                            hop_histogram, match_fingerprint)
@@ -19,7 +18,7 @@ from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 
 from helpers import hop_means_scenario, mk_flows, mk_packet, random_scenario
-from reference import (Host, from_records, host_row, infer_initial_ttl, ipv4_int,
+from reference import (FlowKey, Host, from_records, host_row, infer_initial_ttl, ipv4_int,
                        true_hosts)
 
 LINUX_SIG = SynSignature(window_size=5840, observed_ttl=52, df_flag=True,

@@ -13,6 +13,7 @@ SCRIPTS = ROOT / "scripts"
 # Tiny arguments per script; a new script needs an entry here.
 TINY_ARGS = {
     "alpha_recovery.py": ["--sizes", "1000", "--alphas", "1.5"],
+    "mutants.py": ["--modules", "tail", "--sample", "2"],
 }
 
 
@@ -29,3 +30,7 @@ def test_script_runs_with_src_only(name, tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if name == "mutants.py":
+        # a mutant the copy's src never imports would survive: each of
+        # tail's sites is killed when the mutant is the code under test
+        assert "tail: 2/2 killed" in proc.stdout, proc.stdout

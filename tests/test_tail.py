@@ -2,11 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from flowlens.synth import sample_flow_size
-from flowlens.tail import (MIN_TAIL_POINTS, InsufficientTailError, LlcdCurve,
-                           fit_tail, llcd)
+from flowlens.tail import MIN_TAIL_POINTS, InsufficientTailError, fit_tail, llcd
 
 
 def brute_force_llcd(samples):
@@ -22,12 +22,13 @@ def brute_force_llcd(samples):
 
 def test_llcd_simple_counts():
     curve = llcd([1, 2, 3, 4])
-    assert curve.points == ((1, 0.75), (2, 0.5), (3, 0.25))
+    assert curve == ((1, 0.75), (2, 0.5), (3, 0.25))
 
 
 def test_llcd_degenerate_all_equal():
     curve = llcd([5, 5, 5, 5])
-    assert curve.points == ()
+    assert curve == ()
+    assert llcd([7]) == ()
 
 
 def test_llcd_rejects_bad_input():
@@ -42,17 +43,17 @@ def test_llcd_matches_brute_force(seed):
     rng = random.Random(seed)
     samples = [rng.randint(1, 50) for _ in range(rng.randint(1, 1000))]
     curve = llcd(samples)
-    assert list(curve.points) == brute_force_llcd(samples)
+    assert list(curve) == brute_force_llcd(samples)
 
 
 def test_llcd_monotone_in_new_maximum():
     rng = random.Random(5)
     samples = [rng.randint(1, 30) for _ in range(200)]
-    before = dict(llcd(samples).points)
+    before = dict(llcd(samples))
     extended = samples + [max(samples) + 10]
     after_curve = llcd(extended)
-    after = dict(after_curve.points)
-    assert list(after_curve.points) == brute_force_llcd(extended)
+    after = dict(after_curve)
+    assert list(after_curve) == brute_force_llcd(extended)
     for x, p in before.items():
         assert after[x] > p     # a new maximum raises every existing point
 
@@ -62,8 +63,8 @@ def test_curve_invariants_on_random_input():
     for _ in range(25):
         samples = [rng.randint(1, 100) for _ in range(rng.randint(1, 500))]
         curve = llcd(samples)
-        xs = [x for x, _ in curve.points]
-        ps = [p for _, p in curve.points]
+        xs = [x for x, _ in curve]
+        ps = [p for _, p in curve]
         assert xs == sorted(set(xs))
         assert all(ps[i] > ps[i + 1] for i in range(len(ps) - 1))
         assert all(0 < p <= 1 for p in ps)
@@ -72,8 +73,7 @@ def test_curve_invariants_on_random_input():
 # --- tail fitting ---------------------------------------------------------------
 
 def exact_power_curve(alpha, xs):
-    points = tuple((x, x ** -alpha) for x in xs)
-    return LlcdCurve(points=points)
+    return tuple((x, x ** -alpha) for x in xs)
 
 
 def test_noiseless_power_law_recovered_exactly():
@@ -88,7 +88,7 @@ def test_fit_region_respects_x_min():
     # points below x_min carry a different slope; they must not leak in
     low = tuple((x, 0.9 * x ** -0.3) for x in range(2, 20))
     high = tuple((x, x ** -1.5) for x in range(20, 120))
-    curve = LlcdCurve(points=low + high)
+    curve = low + high
     fit = fit_tail(curve, x_min=20)
     assert fit.alpha == pytest.approx(1.5, abs=1e-6)
     assert fit.n_tail == 100
@@ -100,6 +100,17 @@ def test_insufficient_tail_raises():
     curve = exact_power_curve(1.0, range(20, 29))   # nine points: one short
     with pytest.raises(InsufficientTailError):
         fit_tail(curve, x_min=20)
+
+
+def test_r_squared_is_squared_correlation():
+    # for a least-squares line, R^2 is the squared correlation of the points
+    rng = random.Random(0)
+    curve = tuple((x, x ** -1.3 * rng.uniform(0.5, 2.0)) for x in range(20, 60))
+    fit = fit_tail(curve, x_min=20)
+    lx = np.log10([x for x, _ in curve])
+    lp = np.log10([p for _, p in curve])
+    assert 0.5 < fit.r_squared < 0.99
+    assert fit.r_squared == pytest.approx(np.corrcoef(lx, lp)[0, 1] ** 2, rel=1e-9)
 
 
 def test_min_tail_points_suffice():
