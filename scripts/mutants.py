@@ -5,10 +5,10 @@ For each chosen module of src/flowlens, every place where one operator can
 be changed is listed: a comparison flipped to its negation (< to >=, == to
 !=, in to not in, ...), an integer constant +1, or & and |, + and - swapped.
 A fixed sample of them (the same on every run of the same source) is
-tried one at a time. Each mutant is written into a copy of src/ and tests/
-and only its module's test files run against it; a mutant is killed when
-they fail (or time out) and survives when they pass. Prints killed/total
-per module and each survivor's place.
+tried one at a time. Each mutant is written into a copy of src/, tests/ and
+the README, and only its module's test files run against it; a mutant is
+killed when they fail (or time out) and survives when they pass. Prints
+killed/total per module and each survivor's place.
 
 The score is evidence, not a gate: a survivor may be an equivalent mutant.
 
@@ -34,8 +34,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flowlens"
 
 # A module's test files, where they are not just tests/test_<module>.py:
-# report's AnalysisParams checks are tested with the blocking they set.
+# report's AnalysisParams checks are tested with the blocking they set,
+# and synth's scenario-file refusals through the CLI.
 MODULE_TESTS = {
+    "synth": ("test_synth.py", "test_cli.py"),
     "report": ("test_cli.py", "test_golden.py", "test_flows.py"),
 }
 
@@ -154,7 +156,8 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy2(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):    # test_synth reads the README
+            shutil.copy2(ROOT / name, copy)
         results = [check_module(name, copy, args.sample) for name in names]
     return 1 if -1 in results else 0
 

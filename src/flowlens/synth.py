@@ -59,13 +59,10 @@ import ipaddress
 import itertools
 import json
 import math
-import numbers
 import random
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (Any, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,28 +90,12 @@ class ScenarioError(ValueError):
     """The scenario is invalid or infeasible; nothing was emitted."""
 
 
-@dataclass(frozen=True)
-class HostSpec:
-    ip: str
-    hops_to_monitor: int
-    side: str = "src"                  # "src" or "dst"
-    initial_ttl: Optional[int] = None  # required when os_label is None
-    os_label: Optional[str] = None     # entry name in the fingerprint DB
-
-
-@dataclass(frozen=True)
-class FlowPlan:
-    block: int
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    proto: int
-    n_packets: int
-
-
 @dataclass
 class ScenarioSpec:
+    """A scenario as ``load_scenario`` reads it, every value checked."""
+
+    hosts: HostTable
+    flows: Optional[FlowTable] = None    # explicit plan; skips random planning
     duration: float = 1.0
     tau: float = 0.1
     seed: int = 0
@@ -126,12 +107,9 @@ class ScenarioSpec:
         AppCategory.HTTP: 0.54, AppCategory.OTHER_TCP: 0.38,
         AppCategory.UDP: 0.07, AppCategory.OTHER: 0.01})
     bidirectional: bool = True
-    # a list, or the checked HostTable / FlowTable that load_scenario reads
-    hosts: Sequence[HostSpec] = field(default_factory=list)
-    flows: Optional[Sequence[FlowPlan]] = None   # explicit plan; skips random planning
     key_repeat_prob: float = 0.1
     snaplen: int = 96
-    linktype: int = LINKTYPE_ETHERNET
+    link: int = LINKTYPE_ETHERNET        # the pcap link type
 
     @property
     def tau_us(self) -> int:
@@ -143,13 +121,12 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class HostTable(SequenceABC):
+class HostTable:
     """The host table as columns, one row a host in scenario order.
 
-    Every value was parsed and range-checked once, from a scenario file's
-    text or from HostSpecs. ``_resolve_hosts`` gives each host its initial
-    TTL and each label its database entry. Read row by row, the table is
-    a sequence of HostSpec.
+    Every value was parsed and range-checked once, from the scenario
+    file's text. ``_resolve_hosts`` gives each host its initial TTL and
+    each label its database entry.
     """
 
     ip: List[str]              # a checked dotted quad is its own canonical text
@@ -174,15 +151,11 @@ class HostTable(SequenceABC):
     def __len__(self) -> int:
         return len(self.ip)
 
-    def __getitem__(self, i: int) -> HostSpec:
-        return HostSpec(self.ip[i], int(self.hops[i]), self.side[i],
-                        int(self.initial_ttl[i]) or None, self.labels[self.label[i]])
-
 
 @dataclass(frozen=True, eq=False)
-class FlowTable(SequenceABC):
+class FlowTable:
     """The explicit flow table as columns, each value parsed and range-checked
-    once; row by row, a sequence of FlowPlan."""
+    once from the scenario file's text."""
 
     block: List[int]
     src_ip: List[str]
@@ -191,13 +164,6 @@ class FlowTable(SequenceABC):
     dst_port: List[int]
     proto: List[int]
     n_packets: List[int]
-
-    def __len__(self) -> int:
-        return len(self.block)
-
-    def __getitem__(self, i: int) -> FlowPlan:
-        return FlowPlan(self.block[i], self.src_ip[i], self.dst_ip[i], self.src_port[i],
-                        self.dst_port[i], self.proto[i], self.n_packets[i])
 
 
 # A forward flow and a host of the ground truth, as json.dumps(...,
@@ -278,11 +244,11 @@ class GroundTruth:
             fh.write("]" + after + "\n")
 
 
-def sample_flow_size(rng: random.Random, alpha: float, cap: int, x_min: int = 2) -> int:
-    """Integer flow size: floored continuous Pareto, resampled above the cap."""
+def sample_flow_size(rng: random.Random, alpha: float, cap: int) -> int:
+    """Integer flow size: floored continuous Pareto from 2, resampled above the cap."""
     while True:
         u = 1.0 - rng.random()                 # (0, 1]
-        size = math.floor(x_min * u ** (-1.0 / alpha))
+        size = math.floor(2 * u ** (-1.0 / alpha))
         if size <= cap:
             return size
 
@@ -306,11 +272,7 @@ def _poisson(rng: random.Random, lam: float) -> int:
 
 
 def _ipv4(text: str) -> int:
-    """A dotted quad's 32-bit value; ValueError for any other string, IPv6
-    included, and TypeError for a non-string, which IPv4Address would read
-    as an address's int or bytes."""
-    if not isinstance(text, str):
-        raise TypeError(f"not a dotted-quad string: {text!r}")
+    """A dotted quad's 32-bit value; ValueError for any other text, IPv6 included."""
     return int(ipaddress.IPv4Address(text))
 
 
@@ -337,10 +299,6 @@ def _resolve_hosts(hosts: HostTable, db: FingerprintDb) -> HostTable:
         (unknown, lambda i: f"host {ip[i]}: unknown fingerprint label {labels[label[i]]!r}"),
         (wildcard, lambda i: f"host {ip[i]}: entry {labels[label[i]]!r} has wildcard "
                              "window/options; cannot craft a SYN from it"),
-        (labeled & (given > 0) & (given != entry_ttl),
-         lambda i: f"host {ip[i]}: initial_ttl {given[i]} contradicts "
-                   f"{labels[label[i]]!r} ({entry_ttl[i]})"),
-        (~labeled & (given == 0), lambda i: f"host {ip[i]}: needs initial_ttl or os_label"),
         (hops >= initial, lambda i: f"host {ip[i]}: hops {hops[i]} >= initial TTL {initial[i]}"),
     ]
     # The SYN a labeled host will send must match back to an entry with
@@ -483,7 +441,8 @@ def _plan_random_flows(spec: ScenarioSpec, rng: random.Random, hosts: HostTable)
     return _Plan.of_rows(rows, category)
 
 
-def _plan_explicit_flows(spec: ScenarioSpec, flows: FlowTable, hosts: HostTable) -> _Plan:
+def _plan_explicit_flows(spec: ScenarioSpec, hosts: HostTable) -> _Plan:
+    flows = spec.flows
     index = {ip: i for i, ip in enumerate(hosts.ip)}
     side = hosts.side
     seen = set()
@@ -531,11 +490,11 @@ def _with_reverse_flows(plan: _Plan) -> _Plan:
 
 def _plan_scenario(spec: ScenarioSpec, db: FingerprintDb) -> Tuple[HostTable, _Plan]:
     """Check the scenario and plan every flow; raise ScenarioError if infeasible."""
-    hosts, flows = _validate_spec(spec)
+    _validate_spec(spec)
     rng = random.Random(spec.seed)
-    hosts = _resolve_hosts(hosts, db)
-    if flows is not None:
-        plan = _plan_explicit_flows(spec, flows, hosts)
+    hosts = _resolve_hosts(spec.hosts, db)
+    if spec.flows is not None:
+        plan = _plan_explicit_flows(spec, hosts)
     else:
         plan = _plan_random_flows(spec, rng, hosts)
     if spec.bidirectional:
@@ -563,7 +522,7 @@ def generate(spec: ScenarioSpec, pcap_path,
     been checked and planned, so a rejected scenario leaves nothing behind.
     """
     hosts, plan = _plan_scenario(spec, db or FingerprintDb.default())
-    link = wrap_ethernet(b"") if spec.linktype == LINKTYPE_ETHERNET else b""
+    link = wrap_ethernet(b"") if spec.link == LINKTYPE_ETHERNET else b""
     beacon = len(plan.block) > 0 and not (plan.block == 0).any()
     syn_first = plan.syn_first(hosts)
     table = _frame_table(spec, hosts, plan, syn_first, link)
@@ -571,7 +530,7 @@ def generate(spec: ScenarioSpec, pcap_path,
 
     pcap_path = Path(pcap_path)
     pcap_path.parent.mkdir(parents=True, exist_ok=True)
-    with PcapWriter(pcap_path, linktype=spec.linktype, snaplen=spec.snaplen) as writer:
+    with PcapWriter(pcap_path, linktype=spec.link, snaplen=spec.snaplen) as writer:
         if beacon:
             ip = build_ipv4_packet(BEACON_SRC, BEACON_DST, PROTO_ICMP, ttl=64,
                                    ip_len=BEACON_LEN, max_bytes=spec.snaplen - len(link))
@@ -686,7 +645,7 @@ def _build_truth(spec: ScenarioSpec, hosts: HostTable, plan: _Plan,
     nf = plan.n_forward
     fwd_packets = int(plan.n_packets[:nf].sum())
     flow_packets = int(plan.n_packets.sum())
-    packet_bytes = int(spec.packet_bytes)   # a numpy integer is not JSON
+    packet_bytes = spec.packet_bytes
     emitted = np.zeros(len(hosts), dtype=bool)
     emitted[plan.src[syn_first]] = True
     return GroundTruth(plan=plan, hosts=hosts, syn_emitted=emitted,
@@ -699,29 +658,20 @@ def _build_truth(spec: ScenarioSpec, hosts: HostTable, plan: _Plan,
                        seed=spec.seed)
 
 
-def _validate_spec(spec: ScenarioSpec) -> Tuple[HostTable, Optional[FlowTable]]:
-    """The spec's host and flow tables, or a refusal of a field out of its
-    range or of fields that do not fit.
+def _validate_spec(spec: ScenarioSpec) -> None:
+    """Refuse keys that do not fit together.
 
-    Every field of the spec, of each host and of each explicit flow is
-    checked against its entry in the field tables below, for a spec built
-    in Python as for one read from a file; the tables ``load_scenario``
-    reads were checked as it read them. The checks here after that span
-    fields; so do the host and flow ones made while planning.
+    ``load_scenario`` checked each value against its field table as it
+    read it; the checks here span keys, and so do the host and flow ones
+    made while planning.
     """
-    for name, f in _KEYS.items():
-        _in_range(name, f, getattr(spec, f.attr))
-    hosts = spec.hosts if isinstance(spec.hosts, HostTable) else _host_table(spec.hosts)
-    flows = spec.flows
-    if flows is not None and not isinstance(flows, FlowTable):
-        flows = _flow_table(flows)
     if spec.n_blocks < 1:
         raise ScenarioError("duration must cover at least one block")
     if spec.n_blocks * spec.tau_us >= MAX_END_US:
         raise ScenarioError("the trace must end before 2**32 s, the limit of a "
                             "pcap timestamp")
-    if flows is not None:
-        return hosts, flows
+    if spec.flows is not None:
+        return
     rate = _arrivals(spec.flows_per_block)[1]
     # a planned flow has 2 packets or more, each in its own microsecond
     if 2 * rate > spec.tau_us:
@@ -735,70 +685,66 @@ def _validate_spec(spec: ScenarioSpec) -> Tuple[HostTable, Optional[FlowTable]]:
         raise ScenarioError(f"random plan too large: about {work:.3g} blocks plus "
                             f"expected flows (n_blocks {spec.n_blocks}, flows_per_block "
                             f"{spec.flows_per_block!r}, key_repeat_prob {p}); {_RANDOM_PLAN}")
-    return hosts, None
 
 
 # ---------------------------------------------------------------------------
 # Scenario fields: each input's parser and range, stated once
 
 class _Field(NamedTuple):
-    """One scenario input: the field it sets, its parser and its range."""
+    """One scenario input: its parser and its range."""
 
-    attr: str                      # the field of ScenarioSpec, HostSpec or FlowPlan
-    parse: Callable[[str], Any]    # a scenario file's text (or an address's) to the value
+    parse: Callable[[str], Any]    # a scenario file's text to the value
     ok: Callable[[Any], Any]       # true when the value is in range
     allowed: str                   # the range, in words
 
 
-def _fits(f: _Field, cell: Any, parse: bool) -> bool:
-    """Whether ``cell``, parsed first if ``parse``, is in ``f``'s range; a
-    value that does not parse, or that ``f.ok`` cannot judge, is not."""
+def _fits(f: _Field, cell: str) -> bool:
+    """Whether ``cell`` parses to a value in ``f``'s range; a value that
+    does not parse, or that ``f.ok`` cannot judge, is not."""
     try:
-        return bool(f.ok(f.parse(cell) if parse else cell))
+        return bool(f.ok(f.parse(cell)))
     except (LookupError, TypeError, ValueError):
         return False
 
 
-def _column(f: _Field, cells: list, parse: bool) -> Tuple[list, int]:
-    """``cells`` as values of ``f``, parsed first if ``parse``, and -1; or
-    ``[]`` and the index of the first cell that ``f`` refuses.
+def _column(f: _Field, cells: list) -> Tuple[list, int]:
+    """``cells`` parsed as values of ``f``, and -1; or ``[]`` and the index
+    of the first cell that ``f`` refuses.
 
     The whole column is parsed and checked in one pass; only a column
     with a refused cell is walked cell by cell, to find it.
     """
     try:
-        values = list(map(f.parse, cells)) if parse else cells
+        values = list(map(f.parse, cells))
         if all(map(f.ok, values)):
             return values, -1
     except (LookupError, TypeError, ValueError):
         pass
-    return [], [_fits(f, cell, parse) for cell in cells].index(False)
+    return [], [_fits(f, cell) for cell in cells].index(False)
 
 
-def _refusal(name: str, f: _Field, cell: Any) -> str:
+def _refusal(name: str, f: _Field, cell: str) -> str:
     return f"bad {name} {cell!r}: must be {f.allowed}"
 
 
-def _in_range(name: str, f: _Field, cell: Any, parse: bool = False) -> Any:
-    """``cell``'s value, parsed first if ``parse``, if the field's range
-    holds it; otherwise refused with the field's name and range."""
-    values, bad = _column(f, [cell], parse)
+def _in_range(name: str, f: _Field, cell: str) -> Any:
+    """``cell``'s value if the field's range holds it; otherwise refused
+    with the field's name and range."""
+    values, bad = _column(f, [cell])
     if bad >= 0:
         raise ScenarioError(_refusal(name, f, cell))
     return values[0]
 
 
-def _columns(table: Dict[str, _Field], cells: Dict[str, list],
-             parse: Collection[str]) -> Tuple[Dict[str, list], Any]:
-    """Each column of ``cells`` (name -> cells) as its field's values.
+def _columns(table: Dict[str, _Field], cells: Dict[str, list]) -> Tuple[Dict[str, list], Any]:
+    """Each column of ``cells`` (name -> cells) parsed as its field's values.
 
-    The columns that ``parse`` names are parsed first. Also returns the
-    first refusal, ``(row, name, cell)`` for the earliest row with a cell
-    out of range (its first such column), or None.
+    Also returns the first refusal, ``(row, name, cell)`` for the earliest
+    row with a cell out of range (its first such column), or None.
     """
     values, refused = {}, []
     for k, (name, col) in enumerate(cells.items()):
-        values[name], i = _column(table[name], col, name in parse)
+        values[name], i = _column(table[name], col)
         if i >= 0:
             refused.append((i, k, name, col[i]))
     if not refused:
@@ -807,30 +753,14 @@ def _columns(table: Dict[str, _Field], cells: Dict[str, list],
     return values, (row, name, cell)
 
 
-def _host_table(hosts: Sequence[HostSpec]) -> HostTable:
-    """HostSpecs as a host table, each field checked once against its column."""
-    cells = {name: [getattr(h, f.attr) for h in hosts] for name, f in _HOST_COLUMNS.items()}
-    values, refused = _columns(_HOST_COLUMNS, cells, _ADDRESSES)
-    if refused:
-        row, name, cell = refused
-        raise ScenarioError(_refusal(f"host {hosts[row].ip} {name}", _HOST_COLUMNS[name], cell))
-    return HostTable.of_columns(cells["ip"], values)
+def _integer(lo, hi) -> Callable[[int], bool]:
+    """An int in lo..hi."""
+    return lambda v: lo <= v <= hi
 
 
-def _flow_table(flows: Sequence[FlowPlan]) -> FlowTable:
-    """FlowPlans as a flow table, each field checked once against its column."""
-    cells = {name: [getattr(p, f.attr) for p in flows] for name, f in _FLOW_COLUMNS.items()}
-    refused = _columns(_FLOW_COLUMNS, cells, _ADDRESSES)[1]
-    if refused:
-        row, name, cell = refused
-        raise ScenarioError(_refusal(f"flow {row} {name}", _FLOW_COLUMNS[name], cell))
-    return FlowTable(*cells.values())
-
-
-def _integer(lo, hi) -> Callable[[Any], bool]:
-    """An integer (a numpy one too) in lo..hi; a float such as 2.5 is
-    refused, not truncated later."""
-    return lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi
+def _any(value) -> bool:
+    """Every value that parses is in range."""
+    return True
 
 
 def _arrivals(text: str) -> Tuple[str, float]:
@@ -851,8 +781,7 @@ def _app_mix(text: str) -> Dict[AppCategory, float]:
 
 
 def _mix_ok(mix: Dict[AppCategory, float]) -> bool:
-    return (all(isinstance(c, AppCategory) and 0 <= f < math.inf for c, f in mix.items())
-            and abs(sum(mix.values()) - 1.0) <= 1e-9)
+    return all(0 <= f < math.inf for f in mix.values()) and abs(sum(mix.values()) - 1.0) <= 1e-9
 
 
 def _or_none(parse: Callable[[str], Any]) -> Callable[[Optional[str]], Any]:
@@ -875,61 +804,53 @@ _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0":
 _LINKS = {"ethernet": LINKTYPE_ETHERNET, "raw": LINKTYPE_RAW_IP}
 _BEACON_ADDRS = (_ipv4(BEACON_SRC), _ipv4(BEACON_DST))
 _HOST_IP = f"an IPv4 dotted quad other than the beacon's {BEACON_SRC} and {BEACON_DST}"
-# the columns a HostSpec or FlowPlan holds as text, as a file does: addresses
-_ADDRESSES = ("ip", "src_ip", "dst_ip")
 _PORTS = "in 0..65535 (ports are 16 bits)"
 
-# The flat "key = value" lines; a spec's own fields.
+# The flat "key = value" lines, each a ScenarioSpec field of the same name.
 _KEYS: Dict[str, _Field] = {
-    "duration": _Field("duration", float, lambda d: 0 < d < 2**33,
+    "duration": _Field(float, lambda d: 0 < d < 2**33,
                        "> 0 and below 2**33 s (a trace must end before 2**32 s)"),
-    "tau": _Field("tau", float, lambda t: 0 < t < 2**32 and round(t * 1e6) >= 1,
+    "tau": _Field(float, lambda t: 0 < t < 2**32 and round(t * 1e6) >= 1,
                   "at least one microsecond and below 2**32 s"),
-    "seed": _Field("seed", int, lambda v: isinstance(v, int), "an integer"),
-    "flows_per_block": _Field("flows_per_block", str, _arrivals,
-                              "fixed:<k> or poisson:<rate>, finite and >= 0"),
+    "seed": _Field(int, _any, "an integer"),
+    "flows_per_block": _Field(str, _arrivals, "fixed:<k> or poisson:<rate>, finite and >= 0"),
     # u ** (-1 / alpha), u down to 2**-53, overflows a float below alpha 53/1023
-    "flow_size_alpha": _Field("flow_size_alpha", float, lambda a: a >= 0.06,
+    "flow_size_alpha": _Field(float, lambda a: a >= 0.06,
                               "at least 0.06 (a smaller exponent overflows a float draw)"),
-    "flow_size_cap": _Field("flow_size_cap", int, _integer(2, MAX_END_US),
+    "flow_size_cap": _Field(int, _integer(2, MAX_END_US),
                             f"in 2..{MAX_END_US} (a packet per microsecond at most)"),
-    "packet_bytes": _Field("packet_bytes", int, _integer(MIN_PACKET_BYTES, 0xFFFF),
+    "packet_bytes": _Field(int, _integer(MIN_PACKET_BYTES, 0xFFFF),
                            f"in {MIN_PACKET_BYTES}..65535"),
-    "bidirectional": _Field("bidirectional", lambda t: _BOOL[t.lower()],
-                            lambda v: isinstance(v, bool), "true or false (yes/no, 1/0)"),
-    "app_mix": _Field("app_mix", _app_mix, _mix_ok,
+    "bidirectional": _Field(lambda t: _BOOL[t.lower()], _any, "true or false (yes/no, 1/0)"),
+    "app_mix": _Field(_app_mix, _mix_ok,
                       "category:fraction pairs over http, other_tcp, udp and other, "
                       "each fraction finite and >= 0, summing to 1"),
-    "key_repeat_prob": _Field("key_repeat_prob", float, lambda p: 0 <= p <= 1, "in 0..1"),
+    "key_repeat_prob": _Field(float, lambda p: 0 <= p <= 1, "in 0..1"),
     # the transport headers are kept; a reader refuses records above MAX_CAPLEN
-    "snaplen": _Field("snaplen", int, _integer(MIN_PACKET_BYTES + 14, MAX_CAPLEN),
+    "snaplen": _Field(int, _integer(MIN_PACKET_BYTES + 14, MAX_CAPLEN),
                       f"in {MIN_PACKET_BYTES + 14}..{MAX_CAPLEN}"),
-    "link": _Field("linktype", _LINKS.__getitem__, lambda v: v in _LINKS.values(),
-                   "ethernet or raw"),
+    "link": _Field(_LINKS.__getitem__, _any, "ethernet or raw"),
 }
 
 # A [hosts] line: ip hops side, then os:<label> or ttl:<initial>.
 _HOST_COLUMNS: Dict[str, _Field] = {
-    "ip": _Field("ip", _ipv4, _not_beacon, _HOST_IP),
-    "hops": _Field("hops_to_monitor", int, _integer(0, 255), "in 0..255"),
-    "side": _Field("side", str, ("src", "dst").__contains__, "src or dst"),
-    "os": _Field("os_label", _or_none(str.strip), lambda v: v is None or v != "",
+    "ip": _Field(_ipv4, _not_beacon, _HOST_IP),
+    "hops": _Field(int, _integer(0, 255), "in 0..255"),
+    "side": _Field(str, ("src", "dst").__contains__, "src or dst"),
+    "os": _Field(_or_none(str.strip), lambda v: v is None or v != "",
                  "a fingerprint database label"),
-    "ttl": _Field("initial_ttl", _or_none(int),
-                  lambda v: v is None or (isinstance(v, numbers.Integral) and 1 <= v <= 255),
-                  "in 1..255"),
+    "ttl": _Field(_or_none(int), lambda v: v is None or 1 <= v <= 255, "in 1..255"),
 }
 
 # A [flows] line, column by column.
 _FLOW_COLUMNS: Dict[str, _Field] = {
-    "block": _Field("block", int, _integer(0, math.inf), ">= 0"),
-    "src_ip": _Field("src_ip", _ipv4, _not_beacon, _HOST_IP),
-    "dst_ip": _Field("dst_ip", _ipv4, _not_beacon, _HOST_IP),
-    "sport": _Field("src_port", int, _integer(0, 0xFFFF), _PORTS),
-    "dport": _Field("dst_port", int, _integer(0, 0xFFFF), _PORTS),
-    "proto": _Field("proto", int, _integer(0, 0xFF),
-                    "in 0..255 (the IPv4 protocol field is 8 bits)"),
-    "n_packets": _Field("n_packets", int, _integer(1, MAX_END_US),
+    "block": _Field(int, _integer(0, math.inf), ">= 0"),
+    "src_ip": _Field(_ipv4, _not_beacon, _HOST_IP),
+    "dst_ip": _Field(_ipv4, _not_beacon, _HOST_IP),
+    "sport": _Field(int, _integer(0, 0xFFFF), _PORTS),
+    "dport": _Field(int, _integer(0, 0xFFFF), _PORTS),
+    "proto": _Field(int, _integer(0, 0xFF), "in 0..255 (the IPv4 protocol field is 8 bits)"),
+    "n_packets": _Field(int, _integer(1, MAX_END_US),
                         f"in 1..{MAX_END_US} (a packet per microsecond at most)"),
 }
 
@@ -945,7 +866,7 @@ def _read_hosts(rows: List[tuple]) -> Tuple[Optional[HostTable], Any]:
     cells = {"ip": ips, "hops": hops, "side": sides,     # a row fills "os" or "ttl"
              **{name: [v if s == name else None for s, v in zip(stacks, values)]
                 for name in ("os", "ttl")}}
-    parsed, refused = _columns(_HOST_COLUMNS, cells, cells)
+    parsed, refused = _columns(_HOST_COLUMNS, cells)
     if refused:
         row, name, cell = refused
         return None, (lines[row], _refusal(name, _HOST_COLUMNS[name], cell))
@@ -958,11 +879,13 @@ def _read_flows(rows: List[tuple]) -> Tuple[Optional[FlowTable], Any]:
     lines, *columns = (map(list, zip(*rows)) if rows
                        else ([] for _ in range(1 + len(_FLOW_COLUMNS))))
     cells = dict(zip(_FLOW_COLUMNS, columns))
-    parsed, refused = _columns(_FLOW_COLUMNS, cells, cells)
+    parsed, refused = _columns(_FLOW_COLUMNS, cells)
     if refused:
         row, name, cell = refused
         return None, (lines[row], _refusal(name, _FLOW_COLUMNS[name], cell))
-    return FlowTable(*(cells[n] if n in _ADDRESSES else parsed[n] for n in _FLOW_COLUMNS)), None
+    # a checked dotted quad is its own canonical text, the hosts' key
+    flows = dict(parsed, src_ip=cells["src_ip"], dst_ip=cells["dst_ip"])
+    return FlowTable(*flows.values()), None
 
 
 def load_scenario(path) -> ScenarioSpec:
@@ -978,7 +901,7 @@ def load_scenario(path) -> ScenarioSpec:
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start} "
                             f"({exc.reason})") from exc
-    spec = ScenarioSpec()
+    keys = {}
     host_rows: List[tuple] = []
     flow_rows: List[tuple] = []
     refused = []     # (lineno, message) of the first bad line of each kind
@@ -1011,8 +934,7 @@ def load_scenario(path) -> ScenarioSpec:
                 key = key.strip()
                 if key not in _KEYS:
                     raise ValueError(f"unknown scenario key {key!r}")
-                setattr(spec, _KEYS[key].attr, _in_range(key, _KEYS[key], value.strip(),
-                                                               parse=True))
+                keys[key] = _in_range(key, _KEYS[key], value.strip())
         except ValueError as exc:
             refused.append((lineno, str(exc)))
             break
@@ -1023,7 +945,4 @@ def load_scenario(path) -> ScenarioSpec:
     if refused:
         lineno, message = min(refused)
         raise ScenarioError(f"{path}:{lineno}: {message}")
-    spec.hosts = hosts
-    if flows:
-        spec.flows = flows
-    return spec
+    return ScenarioSpec(hosts, flows if flow_rows else None, **keys)

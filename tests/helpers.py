@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 import struct
+import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              PacketRecord, SynSignature, build_ipv4_packet,
                              build_tcp_options, wrap_ethernet)
-from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
+from flowlens.synth import ScenarioSpec, load_scenario
 
 from reference import FlowKey, flow_rows, ipv4_int
 
@@ -136,6 +137,55 @@ def skewed_trace(path, block_weights: Sequence[int]) -> Path:
     return write_pcap(records, path)
 
 
+class HostSpec(NamedTuple):
+    """A [hosts] line; exactly one of initial_ttl and os_label is given."""
+
+    ip: str
+    hops_to_monitor: int
+    side: str = "src"
+    initial_ttl: Optional[int] = None
+    os_label: Optional[str] = None
+
+
+class FlowPlan(NamedTuple):
+    """A [flows] line."""
+
+    block: int
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    proto: int
+    n_packets: int
+
+
+def _key_text(value) -> str:
+    """A key's value as a scenario file writes it; a float in full, as repr does."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, dict):
+        return ",".join(f"{c.value}:{f!r}" for c, f in value.items())
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def scenario(hosts: Sequence[HostSpec] = (), flows: Sequence[FlowPlan] = (),
+             **keys) -> ScenarioSpec:
+    """The spec ``load_scenario`` reads from a file of ``keys`` as
+    "key = value" lines, the host table and, if there are flows, the flow
+    table; no flows means random planning."""
+    lines = [f"{key} = {_key_text(value)}" for key, value in keys.items()]
+    lines.append("[hosts]")
+    lines += [f"{h.ip} {h.hops_to_monitor} {h.side} "
+              + (f"ttl:{h.initial_ttl}" if h.os_label is None else f"os:{h.os_label}")
+              for h in hosts]
+    if flows:
+        lines += ["[flows]", *(" ".join(map(str, f)) for f in flows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "test.scenario"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_scenario(path)
+
+
 def random_scenario(seed: int) -> ScenarioSpec:
     """A randomized but always-feasible scenario with known host ground truth."""
     r = random.Random(seed * 1_000_003 + 17)
@@ -156,11 +206,11 @@ def random_scenario(seed: int) -> ScenarioSpec:
         else:
             hosts.append(HostSpec(ip, r.randint(0, 15), "dst",
                                   initial_ttl=r.choice([64, 128, 255])))
-    return ScenarioSpec(duration=r.choice([0.5, 1.0, 1.5]), tau=0.1, seed=seed,
-                        flows_per_block=f"poisson:{r.randint(2, 6)}",
-                        flow_size_alpha=r.choice([1.2, 1.5, 2.0]),
-                        flow_size_cap=500, packet_bytes=700, hosts=hosts,
-                        key_repeat_prob=r.choice([0.0, 0.2, 0.4]))
+    return scenario(hosts, duration=r.choice([0.5, 1.0, 1.5]), tau=0.1, seed=seed,
+                    flows_per_block=f"poisson:{r.randint(2, 6)}",
+                    flow_size_alpha=r.choice([1.2, 1.5, 2.0]),
+                    flow_size_cap=500, packet_bytes=700,
+                    key_repeat_prob=r.choice([0.0, 0.2, 0.4]))
 
 
 def table1_scenario(seed: int = 1) -> ScenarioSpec:
@@ -197,7 +247,7 @@ def table1_scenario(seed: int = 1) -> ScenarioSpec:
     # one ICMP flow ("other"); ports are zero so the host pair is the key
     flows.append(FlowPlan(block=3, src_ip="10.0.0.1", dst_ip="203.0.113.2",
                           src_port=0, dst_port=0, proto=PROTO_ICMP, n_packets=2))
-    return ScenarioSpec(duration=1.0, tau=0.1, seed=seed, hosts=hosts, flows=flows)
+    return scenario(hosts, flows, duration=1.0, tau=0.1, seed=seed)
 
 
 def hop_means_scenario(seed: int = 1) -> ScenarioSpec:
@@ -229,4 +279,4 @@ def hop_means_scenario(seed: int = 1) -> ScenarioSpec:
     add(8, "10.0.1.9", "203.0.113.8", 25)      # greedy, 9+8 = 17 hops
     add(133, "10.0.1.10", "203.0.113.11", 2)   # 10+11 = 21 hops
     add(267, "10.0.1.10", "203.0.113.10", 2)   # 10+10 = 20 hops
-    return ScenarioSpec(duration=1.0, tau=0.1, seed=seed, hosts=hosts, flows=flows)
+    return scenario(hosts, flows, duration=1.0, tau=0.1, seed=seed)

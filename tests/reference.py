@@ -165,8 +165,8 @@ def emit_pcap(spec: ScenarioSpec, hosts: HostTable, plan, pcap_path: Path) -> No
         per_block.setdefault(block, []).append(i)
     tau_us = spec.tau_us
     beacon = bool(per_block) and 0 not in per_block
-    link = wrap_ethernet(b"") if spec.linktype == LINKTYPE_ETHERNET else b""
-    with PcapWriter(pcap_path, linktype=spec.linktype, snaplen=spec.snaplen) as writer:
+    link = wrap_ethernet(b"") if spec.link == LINKTYPE_ETHERNET else b""
+    with PcapWriter(pcap_path, linktype=spec.link, snaplen=spec.snaplen) as writer:
         if beacon:
             ip = build_ipv4_packet(BEACON_SRC, BEACON_DST, PROTO_ICMP, ttl=64,
                                    ip_len=BEACON_LEN, max_bytes=spec.snaplen - len(link))

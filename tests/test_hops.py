@@ -17,7 +17,8 @@ from flowlens.pcapio import PROTO_TCP, SynSignature, ipv4_strs, parse_tcp_option
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 
-from helpers import hop_means_scenario, mk_flows, mk_packet, random_scenario
+from helpers import (FlowPlan, HostSpec, hop_means_scenario, mk_flows, mk_packet,
+                     random_scenario, scenario)
 from reference import (FlowKey, Host, from_records, host_row, infer_initial_ttl, ipv4_int,
                        true_hosts)
 
@@ -444,7 +445,6 @@ def test_planted_means_scenario(tmp_path):
 
 
 def test_greedy_hops_planted_gap_of_five(tmp_path):
-    from flowlens.synth import FlowPlan, HostSpec, ScenarioSpec
     hosts = [HostSpec("10.0.2.1", 4, "src", os_label="Linux 2.4"),
              HostSpec("10.0.2.2", 6, "src", os_label="Windows 2000"),
              HostSpec("203.0.113.21", 6, "dst", os_label="FreeBSD 4.x"),
@@ -455,7 +455,7 @@ def test_greedy_hops_planted_gap_of_five(tmp_path):
               for i in range(3)]
     flows += [FlowPlan(0, "10.0.2.2", "203.0.113.23", 3010, 80, PROTO_TCP, 2)]
     # greedy mean = 10; all-flows mean = (10 + 3*16 + 17)/5 = 15
-    spec = ScenarioSpec(duration=0.5, tau=0.1, seed=3, hosts=hosts, flows=flows)
+    spec = scenario(hosts, flows, duration=0.5, tau=0.1, seed=3)
     path, _ = generate(spec, tmp_path / "gap.pcap")
     result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True))
     gap = result.hist_all.mean - result.hist_greedy.mean

@@ -8,6 +8,7 @@ import random
 import re
 import statistics
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +19,17 @@ from flowlens.apps import AppCategory
 from flowlens.flows import aggregate
 from flowlens.hops import FingerprintDb
 from flowlens.ingest import read_trace
-from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
-                             PROTO_TCP, PROTO_UDP)
+from flowlens.pcapio import LINKTYPE_RAW_IP, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from flowlens.report import AnalysisParams, analyze_trace
-from flowlens.synth import (FlowPlan, HostSpec, ScenarioError, ScenarioSpec,
+from flowlens.synth import (_FLOW_COLUMNS, _HOST_COLUMNS, _KEYS, ScenarioError,
                             _plan_random_flows, _plan_scenario, _poisson,
                             _resolve_hosts, _validate_spec, generate, ground_truth_path,
                             load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
 
-from helpers import FP_LABELS, SRC_NET, flow_keys, random_scenario, table1_scenario
-from reference import (classify, emit_pcap, host_row, ipv4_str, plan_random_flows,
+from helpers import (FP_LABELS, SRC_NET, FlowPlan, HostSpec, flow_keys, random_scenario,
+                     scenario, table1_scenario)
+from reference import (classify, emit_pcap, host_row, ipv4_int, ipv4_str, plan_random_flows,
                        true_flows, true_hosts, truth_dict)
 
 
@@ -64,11 +65,12 @@ def test_deterministic_output_bytes(tmp_path):
     assert ground_truth_path(path_a).read_text() == ground_truth_path(path_b).read_text()
 
 
-def _late_flow_scenario():
+def _late_flow_scenario(block=3):
+    """One 5-packet flow in ``block`` of five, with no reverse flow."""
     hosts = [HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
              HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
-    late = [FlowPlan(3, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 5)]
-    return ScenarioSpec(duration=0.5, hosts=hosts, flows=late, bidirectional=False)
+    late = [FlowPlan(block, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 5)]
+    return scenario(hosts, late, duration=0.5, bidirectional=False)
 
 
 @pytest.mark.parametrize("make_spec, pcap_sha, truth_sha", [
@@ -81,7 +83,7 @@ def _late_flow_scenario():
      "63a439351842a3d0971f2af5ba36ba337c91545ce8fcbee4fd5333c4aa96be85",
      "d6374feccf058c921afbf8adcb4fa93371e7b9274f9b6cca9dc824721bd68e25"),
     # raw IP link type: same plan, no Ethernet header
-    (lambda: dataclasses.replace(random_scenario(5), linktype=LINKTYPE_RAW_IP),
+    (lambda: dataclasses.replace(random_scenario(5), link=LINKTYPE_RAW_IP),
      "93cba975b0f9a05cd36d3902130ef07c0c6a1a97c9faa384ef3f73653322229a",
      "ce9963c11b3457f2ad2bb529ce9607b3418ca4364000a26230697cacc1e016f8"),
     # block 0 empty: the t=0 beacon
@@ -111,23 +113,24 @@ def emitter_scenarios(draw):
     dsts = [host(f"203.0.113.{i + 1}", "dst") for i in range(draw(st.integers(1, 3)))]
     n_blocks = draw(st.integers(1, 5))
     tau = draw(st.sampled_from([0.001, 0.01, 0.1]))   # 0.001: slots tie and collide
-    spec = ScenarioSpec(duration=n_blocks * tau, tau=tau, seed=draw(st.integers(0, 2**32)),
-                        flows_per_block=draw(st.sampled_from(["poisson:3", "fixed:2"])),
-                        flow_size_cap=40, packet_bytes=draw(st.integers(64, 200)),
-                        bidirectional=draw(st.booleans()), hosts=srcs + dsts,
-                        key_repeat_prob=draw(st.sampled_from([0.0, 0.5])),
-                        snaplen=draw(st.sampled_from([78, 96, 160])),
-                        linktype=draw(st.sampled_from([LINKTYPE_ETHERNET, LINKTYPE_RAW_IP])))
+    keys = dict(duration=n_blocks * tau, tau=tau, seed=draw(st.integers(0, 2**32)),
+                flows_per_block=draw(st.sampled_from(["poisson:3", "fixed:2"])),
+                flow_size_cap=40, packet_bytes=draw(st.integers(64, 200)),
+                bidirectional=draw(st.booleans()),
+                key_repeat_prob=draw(st.sampled_from([0.0, 0.5])),
+                snaplen=draw(st.sampled_from([78, 96, 160])),
+                link=draw(st.sampled_from(["ethernet", "raw"])))
+    flows = []
     if draw(st.booleans()):     # explicit plan; block 0 left empty draws the beacon
         first_block = draw(st.integers(0, min(1, n_blocks - 1)))
         cells = draw(st.lists(st.tuples(
             st.integers(first_block, n_blocks - 1), st.sampled_from(srcs),
             st.sampled_from(dsts), st.integers(0, 65535), st.integers(0, 65535),
             st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP, 47])),
-            max_size=8, unique=True))
-        spec.flows = [FlowPlan(b, s.ip, d.ip, sp, dp, proto, draw(st.integers(1, 30)))
-                      for b, s, d, sp, dp, proto in cells]
-    return spec
+            min_size=1, max_size=8, unique=True))
+        flows = [FlowPlan(b, s.ip, d.ip, sp, dp, proto, draw(st.integers(1, 30)))
+                 for b, s, d, sp, dp, proto in cells]
+    return scenario(srcs + dsts, flows, **keys)
 
 
 def _huge_tau_scenario():
@@ -135,7 +138,7 @@ def _huge_tau_scenario():
     hosts = [HostSpec("10.0.0.1", 5, "src", os_label="Linux 2.4"),
              HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
     flows = [FlowPlan(0, "10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP, 3000)]
-    return ScenarioSpec(duration=4e9, tau=4e9, hosts=hosts, flows=flows)
+    return scenario(hosts, flows, duration=4e9, tau=4e9)
 
 
 def _double_carry_scenario():
@@ -143,7 +146,7 @@ def _double_carry_scenario():
     hosts = [HostSpec("10.255.255.255", 92, "src", initial_ttl=255),
              HostSpec("203.0.255.61", 5, "dst", initial_ttl=64)]
     flows = [FlowPlan(0, "10.255.255.255", "203.0.255.61", 1024, 80, PROTO_TCP, 2)]
-    return ScenarioSpec(duration=0.1, hosts=hosts, flows=flows, bidirectional=False)
+    return scenario(hosts, flows, duration=0.1, bidirectional=False)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -175,21 +178,21 @@ def planner_scenarios(draw):
     mix = {c: w / sum(weights) for c, w in zip(cats, weights)}
     arrivals = draw(st.one_of(st.integers(0, 6).map("fixed:{}".format),
                               st.sampled_from([0, 0.5, 3, 7.5]).map("poisson:{}".format)))
-    return ScenarioSpec(duration=draw(st.integers(1, 8)) * 0.1, seed=draw(st.integers(0, 2**64)),
-                        flows_per_block=arrivals, app_mix=mix,
-                        flow_size_alpha=draw(st.sampled_from([0.5, 1.5, 3.0])),
-                        flow_size_cap=draw(st.sampled_from([2, 40, 2000])),
-                        key_repeat_prob=draw(st.sampled_from([0.0, 0.1, 1.0])),
-                        hosts=hosts("10.0.0", "src") + hosts("203.0.113", "dst"))
+    return scenario(hosts("10.0.0", "src") + hosts("203.0.113", "dst"),
+                    duration=draw(st.integers(1, 8)) * 0.1, seed=draw(st.integers(0, 2**64)),
+                    flows_per_block=arrivals, app_mix=mix,
+                    flow_size_alpha=draw(st.sampled_from([0.5, 1.5, 3.0])),
+                    flow_size_cap=draw(st.sampled_from([2, 40, 2000])),
+                    key_repeat_prob=draw(st.sampled_from([0.0, 0.1, 1.0])))
 
 
 def _one_host_each_icmp():
     """Every flow ICMP between one host pair: each new flow after a block's
     first collides, and its 16 redraws run out."""
-    return ScenarioSpec(duration=0.5, seed=3, flows_per_block="fixed:3",
-                        app_mix={AppCategory.OTHER: 1.0}, key_repeat_prob=0.1,
-                        hosts=[HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
-                               HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)])
+    return scenario([HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
+                     HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)],
+                    duration=0.5, seed=3, flows_per_block="fixed:3",
+                    app_mix={AppCategory.OTHER: 1.0}, key_repeat_prob=0.1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -198,7 +201,8 @@ def _one_host_each_icmp():
 def test_planner_draws_as_the_stdlib_calls(spec):
     """The inline draws plan what rng.choices, rng.choice and sample_flow_size
     plan, and leave the generator in the same state."""
-    hosts = _resolve_hosts(_validate_spec(spec)[0], FingerprintDb.default())
+    _validate_spec(spec)
+    hosts = _resolve_hosts(spec.hosts, FingerprintDb.default())
     rng, oracle_rng = random.Random(spec.seed), random.Random(spec.seed)
     got = _plan_random_flows(spec, rng, hosts)
     want = plan_random_flows(spec, oracle_rng, hosts)
@@ -217,9 +221,15 @@ def test_different_seed_different_bytes(tmp_path):
     assert path_a.read_bytes() != path_b.read_bytes()
 
 
+def _empty_scenario():
+    """Two hosts and no flows."""
+    return scenario([HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
+                     HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)],
+                    duration=0.5, flows_per_block="fixed:0")
+
+
 def test_empty_scenario_valid_pcap(tmp_path):
-    spec = ScenarioSpec(duration=0.5, hosts=[], flows=[])
-    path, gt = generate(spec, tmp_path / "empty.pcap")
+    path, gt = generate(_empty_scenario(), tmp_path / "empty.pcap")
     records, summary = read_trace(path)
     assert len(records) == 0 and summary.total == 0
     assert true_flows(gt) == [] and gt.total_packets == 0 and not gt.beacon
@@ -229,7 +239,7 @@ def test_infeasible_block_rejected_before_emission(tmp_path):
     hosts = [HostSpec("10.0.0.1", 5, "src", initial_ttl=64),
              HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
     flows = [FlowPlan(0, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 1001)]
-    spec = ScenarioSpec(duration=0.01, tau=0.001, hosts=hosts, flows=flows)
+    spec = scenario(hosts, flows, duration=0.01, tau=0.001)
     out = tmp_path / "never.pcap"
     with pytest.raises(ScenarioError, match="slots"):
         generate(spec, out)
@@ -241,7 +251,7 @@ def test_single_flow_example(tmp_path):
     hosts = [HostSpec("10.0.0.1", 13, "src", os_label="Windows 2000"),
              HostSpec("203.0.113.1", 4, "dst", os_label="Linux 2.4")]
     flows = [FlowPlan(0, "10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP, 25)]
-    spec = ScenarioSpec(duration=0.1, hosts=hosts, flows=flows)
+    spec = scenario(hosts, flows, duration=0.1)
     path, gt, result = assert_closed_loop(spec, tmp_path)
 
     assert result.records.n_packets.tolist() == [25]
@@ -263,9 +273,7 @@ def test_beacon_only_when_block_zero_empty(tmp_path):
     # thanks to the beacon the flow stays in its planned block
     assert aggregate(records, AnalysisParams()).block.tolist() == [3]
 
-    early = [FlowPlan(0, "10.0.0.1", "203.0.113.1", 1, 80, PROTO_TCP, 5)]
-    spec2 = dataclasses.replace(_late_flow_scenario(), flows=early)
-    _, gt2 = generate(spec2, tmp_path / "early.pcap")
+    _, gt2 = generate(_late_flow_scenario(block=0), tmp_path / "early.pcap")
     assert not gt2.beacon
 
 
@@ -284,10 +292,10 @@ def _odd_label_scenario():
     hosts = [HostSpec("10.0.0.1", 5, "src", os_label=_ODD_LABEL),
              HostSpec("10.0.0.2", 7, "src", initial_ttl=128),
              HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)]
-    return ScenarioSpec(duration=0.3, flows_per_block="fixed:4", hosts=hosts)
+    return scenario(hosts, duration=0.3, flows_per_block="fixed:4")
 
 
-def _large_table_scenario():
+def _large_table_hosts():
     """2000 hosts, half on each side: every label of the built-in database
     and the odd one, the rest random labels or ttl: hosts."""
     r = random.Random(2000)
@@ -299,15 +307,19 @@ def _large_table_scenario():
         label = labels[i % 1000] if i % 1000 < len(labels) else r.choice(labels + [None] * 6)
         ttl = r.choice([64, 128, 255]) if label is None else None
         hosts.append(HostSpec(ip, r.randint(0, 20), side, initial_ttl=ttl, os_label=label))
-    return ScenarioSpec(duration=0.5, seed=3, flows_per_block="fixed:400", flow_size_cap=20,
-                        hosts=hosts)
+    return hosts
+
+
+def _large_table_scenario():
+    return scenario(_large_table_hosts(), duration=0.5, seed=3, flows_per_block="fixed:400",
+                    flow_size_cap=20)
 
 
 _DEFAULT_DB = resources.files("flowlens.data").joinpath("fingerprints.default").read_text()
 
 
 @pytest.mark.parametrize("make_spec, db_text", [
-    (lambda: ScenarioSpec(duration=0.5, hosts=[], flows=[]), None),
+    (_empty_scenario, None),
     (_late_flow_scenario, None),        # the t=0 beacon; hosts without an os_label
     (lambda: random_scenario(5), None),
     (_odd_label_scenario, _ODD_ENTRY),
@@ -321,23 +333,17 @@ def test_ground_truth_file_is_json_dumps(make_spec, db_text, tmp_path):
     assert ground_truth_path(path).read_bytes() == want.encode("ascii")
 
 
-def test_scenario_file_hosts_give_the_specs_truth(tmp_path):
-    """A host table read from a file plans and writes what its HostSpecs do."""
-    spec = _large_table_scenario()
-    db = FingerprintDb.loads(_DEFAULT_DB + _ODD_ENTRY)
-    lines = [f"seed = {spec.seed}", f"duration = {spec.duration}",
-             f"flows_per_block = {spec.flows_per_block}",
-             f"flow_size_cap = {spec.flow_size_cap}", "[hosts]"]
-    lines += [f"{h.ip} {h.hops_to_monitor} {h.side} "
-              + (f"ttl:{h.initial_ttl}" if h.os_label is None else f"os:{h.os_label}")
-              for h in spec.hosts]
-    (tmp_path / "large.scenario").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    loaded = load_scenario(tmp_path / "large.scenario")
-    assert list(loaded.hosts) == spec.hosts
-    a, _ = generate(spec, tmp_path / "a" / "t.pcap", db)
-    b, _ = generate(loaded, tmp_path / "b" / "t.pcap", db)
-    assert a.read_bytes() == b.read_bytes()
-    assert ground_truth_path(a).read_bytes() == ground_truth_path(b).read_bytes()
+def test_scenario_file_hosts_give_the_specs_truth():
+    """A host table read from a file holds its lines' values, column by column."""
+    rows = _large_table_hosts()
+    hosts = _large_table_scenario().hosts
+    assert len(hosts) == len(rows)
+    assert hosts.ip == [h.ip for h in rows]
+    assert hosts.addr.tolist() == [ipv4_int(h.ip) for h in rows]
+    assert hosts.hops.tolist() == [h.hops_to_monitor for h in rows]
+    assert hosts.side == [h.side for h in rows]
+    assert hosts.initial_ttl.tolist() == [h.initial_ttl or 0 for h in rows]
+    assert [hosts.labels[k] for k in hosts.label.tolist()] == [h.os_label for h in rows]
 
 
 def test_table1_scenario_breakdown(tmp_path):
@@ -379,10 +385,9 @@ def test_large_scenario_alpha_recovery(tmp_path):
     hosts = [HostSpec("10.0.0.1", 9, "src", os_label="Linux 2.4"),
              HostSpec("10.0.0.2", 12, "src", initial_ttl=128),
              HostSpec("203.0.113.1", 8, "dst", os_label="FreeBSD 4.x")]
-    spec = ScenarioSpec(duration=100.0, tau=0.1, seed=42,
-                        flows_per_block="fixed:100", flow_size_alpha=1.5,
-                        flow_size_cap=2000, hosts=hosts,
-                        key_repeat_prob=0.0, bidirectional=False)
+    spec = scenario(hosts, duration=100.0, tau=0.1, seed=42,
+                    flows_per_block="fixed:100", flow_size_alpha=1.5,
+                    flow_size_cap=2000, key_repeat_prob=0.0, bidirectional=False)
     _, gt = generate(spec, tmp_path / "big.pcap")
     sizes = [f.n_packets for f in true_flows(gt)]
     assert len(sizes) > 90_000
@@ -417,10 +422,10 @@ key_repeat_prob = 0.25
     path.write_text(text)
     spec = load_scenario(path)
     assert spec.duration == 2.0 and spec.tau == 0.2 and spec.seed == 11
-    assert len(spec.hosts) == 3
-    assert spec.hosts[0].os_label == "Linux 2.4"
-    assert spec.hosts[1].initial_ttl == 128
-    assert len(spec.flows) == 2 and spec.flows[0].n_packets == 25
+    assert spec.hosts.ip == ["10.0.0.1", "10.0.0.2", "203.0.113.1"]
+    assert [spec.hosts.labels[k] for k in spec.hosts.label] == ["Linux 2.4", None, "FreeBSD 4.x"]
+    assert spec.hosts.initial_ttl.tolist() == [0, 128, 0]
+    assert spec.flows.n_packets == [25, 4] and spec.flows.dst_port == [80, 21]
     assert spec.key_repeat_prob == 0.25
     generate(spec, tmp_path / "demo.pcap")   # parsed spec is generable
 
@@ -453,85 +458,36 @@ def test_scenario_file_errors(tmp_path):
 
 
 def test_spec_validation_errors(tmp_path):
-    with pytest.raises(ScenarioError, match="side"):
-        generate(ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "up", initial_ttl=64)],
-                              flows=[]), tmp_path / "x.pcap")
-    with pytest.raises(ScenarioError, match="hops"):
-        generate(ScenarioSpec(hosts=[HostSpec("10.0.0.1", 70, "src", initial_ttl=64)],
-                              flows=[]), tmp_path / "x.pcap")
-    with pytest.raises(ScenarioError, match="unknown fingerprint"):
-        generate(ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src", os_label="BeOS")],
-                              flows=[]), tmp_path / "x.pcap")
-    with pytest.raises(ScenarioError, match="app_mix"):
-        from flowlens.apps import AppCategory
-        generate(ScenarioSpec(app_mix={AppCategory.HTTP: 0.5}, hosts=[], flows=[]),
-                 tmp_path / "x.pcap")
-
-    # every refusal of a spec built in Python, one case each
+    """Scenarios refused for a value out of its field's range (the bounds
+    are ``test_field_bounds``'), and for each check that spans fields or rows."""
     src = HostSpec("10.0.0.1", 5, "src", initial_ttl=64)
     dst = HostSpec("203.0.113.1", 5, "dst", initial_ttl=64)
     flow = FlowPlan(0, "10.0.0.1", "203.0.113.1", 1024, 80, PROTO_TCP, 5)
     # the second entry's crafted SYN matches the first, whose initial TTL differs
     shadowed = FingerprintDb.loads("5840|255|1|MSS|*|first\n5840|128|1|MSS|*|second\n"
                                    "*|64|1|MSS|*|wildcard\n")
-    for spec, match in (
-            (ScenarioSpec(snaplen=2**32, hosts=[]), "bad snaplen 4294967296"),
-            (ScenarioSpec(seed=1.5, hosts=[]), "bad seed"),
-            (ScenarioSpec(duration="2", hosts=[]), "bad duration '2'"),
-            (ScenarioSpec(hosts=[dataclasses.replace(src, ip="192.0.2.255")]),
-             "bad host 192.0.2.255 ip"),
-            (ScenarioSpec(hosts=[src, dataclasses.replace(dst, side="up"),
-                                 dataclasses.replace(dst, ip="203.0.113.9", hops_to_monitor=-1)]),
-             "bad host 203.0.113.1 side 'up'"),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, dst_port=70000)]),
-             "bad flow 0 dport 70000: must be in 0..65535 .ports"),
-            (ScenarioSpec(duration=0.01, hosts=[]), "duration must cover"),
-            (ScenarioSpec(duration=5e9, tau=1e9, hosts=[]), "2\\*\\*32 s"),
-            (ScenarioSpec(tau=0.001, flows_per_block="poisson:501", hosts=[]),
-             "room for 500 flows"),
-            (ScenarioSpec(hosts=[src, src], flows=[]), "duplicate host"),
-            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src")], flows=[]), "needs initial_ttl"),
-            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src", initial_ttl=64,
-                                          os_label="second")], flows=[]), "contradicts"),
-            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src", os_label="second")],
-                          flows=[]), "ambiguous database"),
-            (ScenarioSpec(hosts=[HostSpec("10.0.0.1", 1, "src", os_label="wildcard")],
-                          flows=[]), "wildcard"),
-            (ScenarioSpec(hosts=[src]), "at least one src and one dst"),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, block=10)]),
-             "flow block 10 outside 0..9"),
-            (ScenarioSpec(hosts=[src, dst], flows=[flow, flow]), "duplicate flow"),
-            (ScenarioSpec(hosts=[src], flows=[flow]), "unknown host"),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(
-                flow, src_ip=dst.ip, dst_ip=src.ip)]), "crosses host sides"),
-            # an address is a str: IPv4Address would read an int or 4 bytes as one
-            (ScenarioSpec(hosts=[dataclasses.replace(src, ip=167772161)]),
-             "bad host 167772161 ip 167772161"),
-            (ScenarioSpec(hosts=[dataclasses.replace(src, ip=b"\n\0\0\1")]),
-             re.escape("bad host %r ip" % b"\n\0\0\1")),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, src_ip=167772161)]),
-             "bad flow 0 src_ip 167772161"),
-            # an integer field holds an int, not a float it would truncate
-            (ScenarioSpec(hosts=[src, dst], flows=[
-                flow, dataclasses.replace(flow, block=1.5, n_packets=2.5)]),
-             "bad flow 1 block 1.5: must be >= 0"),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, n_packets=2.5)]),
-             "bad flow 0 n_packets 2.5"),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, src_port=80.0)]),
-             "bad flow 0 sport 80.0"),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, dst_port=80.5)]),
-             "bad flow 0 dport 80.5"),
-            (ScenarioSpec(hosts=[src, dst], flows=[dataclasses.replace(flow, proto=6.0)]),
-             "bad flow 0 proto 6.0"),
-            (ScenarioSpec(hosts=[dataclasses.replace(src, hops_to_monitor=3.7)]),
-             "bad host 10.0.0.1 hops 3.7"),
-            (ScenarioSpec(hosts=[dataclasses.replace(src, initial_ttl=64.0)]),
-             "bad host 10.0.0.1 ttl 64.0"),
-            (ScenarioSpec(packet_bytes=700.5, hosts=[]), "bad packet_bytes 700.5"),
-            (ScenarioSpec(snaplen=96.5, hosts=[]), "bad snaplen 96.5"),
-            (ScenarioSpec(flow_size_cap=2000.0, hosts=[]), "bad flow_size_cap 2000.0")):
+    for hosts, flows, keys, match in (
+            ([src._replace(side="up")], [], {}, "bad side 'up'"),
+            ([src._replace(hops_to_monitor=70)], [], {}, "hops 70 >= initial TTL 64"),
+            ([src._replace(initial_ttl=None, os_label="BeOS")], [], {}, "unknown fingerprint"),
+            ([src, dst], [], {"app_mix": {AppCategory.HTTP: 0.5}}, "bad app_mix"),
+            # of two bad rows, the first is refused
+            ([src, dst._replace(side="up"), dst._replace(ip="203.0.113.9", hops_to_monitor=-1)],
+             [], {}, "test.scenario:3: bad side 'up'"),
+            ([], [], {"duration": 0.01}, "duration must cover"),
+            ([], [], {"duration": 5e9, "tau": 1e9}, "2\\*\\*32 s"),
+            ([], [], {"tau": 0.001, "flows_per_block": "poisson:501"}, "room for 500 flows"),
+            ([src, src], [], {}, "duplicate host"),
+            ([src._replace(initial_ttl=None, os_label="second")], [], {}, "ambiguous database"),
+            ([src._replace(initial_ttl=None, os_label="wildcard")], [], {}, "wildcard"),
+            ([src], [], {}, "at least one src and one dst"),
+            ([src, dst], [flow._replace(block=10)], {}, "flow block 10 outside 0..9"),
+            ([src, dst], [flow, flow], {}, "duplicate flow"),
+            ([src], [flow], {}, "unknown host"),
+            ([src, dst], [flow._replace(src_ip=dst.ip, dst_ip=src.ip)], {},
+             "crosses host sides")):
         with pytest.raises(ScenarioError, match=match):
-            generate(spec, tmp_path / "x.pcap", shadowed)
+            generate(scenario(hosts, flows, **keys), tmp_path / "x.pcap", shadowed)
         assert not (tmp_path / "x.pcap").exists()
 
     # one label at two observed TTLs: the host 68 hops out sends TTL 60, and
@@ -540,21 +496,55 @@ def test_spec_validation_errors(tmp_path):
     hosts = [HostSpec("10.0.0.1", 28, "src", os_label="high"),
              HostSpec("10.0.0.2", 68, "src", os_label="high")]
     with pytest.raises(ScenarioError, match="10.0.0.2: crafted SYN for 'high' resolves to low"):
-        generate(ScenarioSpec(hosts=hosts, flows=[]), tmp_path / "x.pcap", ttl_db)
+        generate(scenario(hosts), tmp_path / "x.pcap", ttl_db)
 
 
-@pytest.mark.parametrize("planned", [True, False])
-def test_numpy_integers_are_integers(planned, tmp_path):
-    """An integer field takes a numpy integer as the int it equals."""
-    def spec(i):
-        flow = FlowPlan(i(1), "10.0.0.1", "203.0.113.1", i(1024), i(80), i(PROTO_TCP), i(5))
-        return ScenarioSpec(
-            duration=0.5, tau=0.1, packet_bytes=i(700), snaplen=i(96), flow_size_cap=i(2000),
-            hosts=[HostSpec("10.0.0.1", i(5), "src", initial_ttl=i(64)),
-                   HostSpec("203.0.113.1", i(7), "dst", initial_ttl=i(128))],
-            flows=[flow] if planned else None)
-    want, got = tmp_path / "int.pcap", tmp_path / "np.pcap"
-    generate(spec(int), want)
-    generate(spec(np.int64), got)
-    assert got.read_bytes() == want.read_bytes()
-    assert ground_truth_path(got).read_bytes() == ground_truth_path(want).read_bytes()
+# A first host or flow line, then the line under test; "{}" is the value under test.
+_HOST = "[hosts]\n10.0.0.1 5 src ttl:64\n"
+_FLOW = "[flows]\n0 10.0.0.1 203.0.113.1 1024 80 6 5\n"
+
+
+@pytest.mark.parametrize("name, line, accepted, refused", [
+    ("packet_bytes", "packet_bytes = {}", "64", "63"),
+    ("packet_bytes", "packet_bytes = {}", "65535", "65536"),
+    ("snaplen", "snaplen = {}", "78", "77"),
+    ("snaplen", "snaplen = {}", "262144", "262145"),
+    ("flow_size_cap", "flow_size_cap = {}", "2", "1"),
+    ("ip", _HOST + "{} 5 src ttl:64", "192.0.2.253", "192.0.2.255"),
+    ("hops", _HOST + "10.0.0.2 {} src ttl:255", "255", "256"),
+    ("ttl", _HOST + "10.0.0.2 5 src ttl:{}", "1", "0"),
+    ("ttl", _HOST + "10.0.0.2 5 src ttl:{}", "255", "256"),
+    ("block", _FLOW + "{} 10.0.0.1 203.0.113.1 1024 80 6 5", "0", "-1"),
+    ("src_ip", _FLOW + "0 {} 203.0.113.1 1024 80 6 5", "192.0.2.253", "192.0.2.254"),
+    ("sport", _FLOW + "0 10.0.0.1 203.0.113.1 {} 80 6 5", "65535", "65536"),
+    ("dport", _FLOW + "0 10.0.0.1 203.0.113.1 1024 {} 6 5", "65535", "65536"),
+    ("proto", _FLOW + "0 10.0.0.1 203.0.113.1 1024 80 {} 5", "255", "256"),
+    ("proto", _FLOW + "0 10.0.0.1 203.0.113.1 1024 80 {} 5", "0", "-1"),
+    ("n_packets", _FLOW + "0 10.0.0.1 203.0.113.1 1024 80 6 {}", "1", "0"),
+])
+def test_field_bounds(name, line, accepted, refused, tmp_path):
+    """A field's range holds its edge value, and the value past the edge
+    is refused with its line, name and text."""
+    path = tmp_path / "b.scenario"
+    path.write_text(line.format(accepted) + "\n", encoding="utf-8")
+    load_scenario(path)
+    path.write_text(line.format(refused) + "\n", encoding="utf-8")
+    lineno = line.count("\n") + 1
+    where = f"b.scenario:{lineno}: bad {name} '{refused}': must be"
+    with pytest.raises(ScenarioError, match=re.escape(where)):
+        load_scenario(path)
+
+
+def test_readme_scenario_docs(tmp_path):
+    """The README's example scenario generates, and its tables name exactly
+    the scenario keys and the [hosts] and [flows] columns."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    (tmp_path / "readme.scenario").write_text(section.split("```\n")[1], encoding="utf-8")
+    _, truth = generate(load_scenario(tmp_path / "readme.scenario"), tmp_path / "readme.pcap")
+    assert truth.total_packets == 25 + 2       # the planned flow and its reverse flow
+
+    tables = [block.splitlines()[2:] for block in section.split("\n\n") if block.startswith("|")]
+    names = [[name.split(":")[0] for row in rows
+              for name in re.findall(r"`([^`]+)`", row.split("|")[1])] for rows in tables]
+    assert names == [list(_KEYS), list(_HOST_COLUMNS), list(_FLOW_COLUMNS)]
