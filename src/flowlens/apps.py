@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
@@ -38,14 +38,15 @@ def categories(proto: np.ndarray, src_port: np.ndarray, dst_port: np.ndarray,
 
 
 def breakdown(flows: Flows, greedy_only: bool = False,
-              http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS) -> Dict[AppCategory, float]:
+              http_ports: FrozenSet[int] = DEFAULT_HTTP_PORTS
+              ) -> Optional[Dict[AppCategory, float]]:
     """Share of each category among the flow rows: every category present,
-    the shares summing to 1."""
+    the shares summing to 1. None when there are no rows to classify."""
     category = categories(flows.proto, flows.src_port, flows.dst_port, http_ports)
     if greedy_only:
         category = category[flows.is_greedy]
     n = len(category)
     if n == 0:
-        raise ValueError("no flows to classify")
+        return None
     counts = np.bincount(category, minlength=len(CATEGORIES)).tolist()
     return {cat: c / n for cat, c in zip(CATEGORIES, counts)}

@@ -89,11 +89,9 @@ def aggregate(packets: Packets, params: AnalysisParams) -> Flows:
     starts = np.flatnonzero(new_flow)
     n_packets = np.diff(np.append(starts, len(order)))
     n_bytes = np.add.reduceat(ip_len.astype(np.int64), starts)
-    # modal TTL: of each flow's (count, ttl) runs the largest wins, so ties
-    # go to the larger TTL
     ttl_starts = np.flatnonzero(new_ttl)
-    score = np.diff(np.append(ttl_starts, len(order))) << 8 | (low[ttl_starts] & 0xFF)
-    rep_ttl = np.maximum.reduceat(score, np.flatnonzero(new_flow[ttl_starts])) & 0xFF
+    rep_ttl = modal_ttl(np.diff(np.append(ttl_starts, len(order))),
+                        low[ttl_starts] & 0xFF, np.flatnonzero(new_flow[ttl_starts]))
 
     admitted = n_packets >= params.min_packets
     first = starts[admitted]
@@ -108,11 +106,14 @@ def aggregate(packets: Packets, params: AnalysisParams) -> Flows:
                  is_greedy=n_packets > params.greedy_threshold)
 
 
-def greedy_throughput_equivalent(params: AnalysisParams, avg_packet_bytes: float) -> float:
-    """Bits per second a flow sends when it just clears the greedy threshold."""
-    if avg_packet_bytes <= 0:
-        raise ValueError("avg_packet_bytes must be positive")
-    return params.greedy_threshold * avg_packet_bytes * 8 / params.tau
+def modal_ttl(counts: np.ndarray, ttls: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The modal TTL of each segment, ties toward the larger TTL.
+
+    Row i says that `ttls[i]` was seen `counts[i]` times; the segments are
+    the runs of rows from each of `starts` (ascending) to the next. Of a
+    segment's (count, ttl) pairs the largest wins.
+    """
+    return np.maximum.reduceat(counts << 8 | ttls, starts) & 0xFF
 
 
 FLOWS_CSV_HEADER = ["block_index", "src_ip", "dst_ip", "src_port", "dst_port",

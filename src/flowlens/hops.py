@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .flows import Flows
+from .flows import Flows, modal_ttl
 from .pcapio import OPTION_TOKENS, Packets, SynSignature, ipv4_strs
 
 log = logging.getLogger(__name__)
@@ -133,11 +133,7 @@ def _parse_entry(line: str) -> FingerprintEntry:
 
 @dataclass(frozen=True)
 class FingerprintDb:
-    entries: Tuple[FingerprintEntry, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("fingerprint database must not be empty")
+    entries: Tuple[FingerprintEntry, ...]      # never empty: loads refuses that
 
     @classmethod
     def loads(cls, text: str) -> "FingerprintDb":
@@ -254,7 +250,7 @@ def estimate_hosts(packets: Packets, db: FingerprintDb) -> HostEstimates:
     # every (host, ttl) pair with its count, host-major: one run per host
     pairs, counts = np.unique(host.astype(np.int64) << 8 | packets.ttl, return_counts=True)
     runs = np.flatnonzero(np.append(True, pairs[1:] >> 8 != pairs[:-1] >> 8))
-    modal = np.maximum.reduceat(counts << 8 | (pairs & 0xFF), runs) & 0xFF
+    modal = modal_ttl(counts, pairs & 0xFF, runs)
     conflict = np.diff(np.append(runs, len(pairs))) > 1
 
     # each host's earliest matching SYN row; the stable sort keeps time ties in row order

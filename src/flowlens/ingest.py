@@ -26,12 +26,6 @@ class DirectionFilter:
     side: Optional[str] = None      # "src", "dst", or None for all traffic
     prefixes: Tuple[ipaddress.IPv4Network, ...] = ()
 
-    def __post_init__(self):
-        if self.side not in (None, "src", "dst"):
-            raise ValueError(f"bad filter side {self.side!r}")
-        if self.side is not None and not self.prefixes:
-            raise ValueError("prefix filter requires at least one CIDR prefix")
-
     @classmethod
     def parse(cls, spec: str) -> "DirectionFilter":
         """Parse 'src:10.0.0.0/8,192.168.0.0/16' / 'dst:...' / 'all'."""

@@ -540,19 +540,14 @@ def extract_syn_signature(tcp_flags: int, window_size: int, ttl: int,
 
 
 class PcapWriter:
-    """Writes a classic pcap file (microsecond timestamps)."""
+    """Writes a classic little-endian pcap file (microsecond timestamps)."""
 
-    def __init__(self, path, linktype: int = LINKTYPE_ETHERNET,
-                 snaplen: int = 65535, endian: str = "<"):
-        if endian not in ("<", ">"):
-            raise ValueError("endian must be '<' or '>'")
+    def __init__(self, path, linktype: int = LINKTYPE_ETHERNET, snaplen: int = 65535):
         self.linktype = linktype
         self.snaplen = snaplen
-        self._endian = endian
-        self._rec_hdr = struct.Struct(endian + "IIII")
+        self._rec_hdr = struct.Struct("<IIII")
         self._fh = open(path, "wb")
-        self._fh.write(struct.pack(endian + "IHHiIII",
-                                   MAGIC_US, 2, 4, 0, 0, snaplen, linktype))
+        self._fh.write(struct.pack("<IHHiIII", MAGIC_US, 2, 4, 0, 0, snaplen, linktype))
 
     def __enter__(self):
         return self
@@ -582,7 +577,7 @@ class PcapWriter:
         sec, usec = np.divmod(ts_us, 1_000_000)
         if len(sec) and not (sec.min() >= 0 and sec.max() <= 0xFFFFFFFF):
             raise ValueError("timestamp outside a pcap record's 32-bit seconds")
-        head = np.empty((len(data), 4), dtype=self._endian + "u4")
+        head = np.empty((len(data), 4), dtype="<u4")
         head[:, 0] = sec
         head[:, 1] = usec
         head[:, 2] = data.shape[1]

@@ -2,14 +2,14 @@
 
 One run produces report.json plus CSV sidecars (throughput.csv, flows.csv,
 llcd.csv, hops_all.csv, hops_greedy.csv). Every number in report.json is
-recomputable from the sidecars, and re-running on the same input yields
-byte-identical files except for the generated_at stamp.
+recomputable from the sidecars. Every file, report.json included, is a
+function of the input and the parameters only: re-running on the same
+input yields byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
 import json
 import logging
 from dataclasses import dataclass
@@ -65,8 +65,9 @@ class AnalysisParams:
             "fingerprints": self.fingerprints or "default",
             "avg_packet_bytes": DEFAULT_AVG_PACKET_BYTES,
             "force": self.force,
+            # bits per second of a flow that just clears the greedy threshold
             "greedy_equivalent_bps":
-                flows.greedy_throughput_equivalent(self, DEFAULT_AVG_PACKET_BYTES),
+                self.greedy_threshold * DEFAULT_AVG_PACKET_BYTES * 8 / self.tau,
         }
 
 
@@ -97,24 +98,21 @@ class AnalysisResult:
 
 
 def analyze_trace(pcap_path, params: AnalysisParams,
-                  db: Optional[hops.FingerprintDb] = None) -> AnalysisResult:
+                  db: hops.FingerprintDb) -> AnalysisResult:
     """Run the whole pipeline over one capture file.
 
     Direction handling: the keep filter defines forward traffic; the same
     prefixes on the opposite side select the reverse direction, which is
-    only used to estimate destination-side hop distances.
+    only used to estimate destination-side hop distances. `db` is the
+    fingerprint database that `params.fingerprints` names.
     """
-    if db is None:
-        db = (hops.FingerprintDb.load(params.fingerprints)
-              if params.fingerprints else hops.FingerprintDb.default())
-
     packets, summary = ingest.read_trace(pcap_path)
     fwd, rev = ingest.DirectionFilter.parse(params.keep).split(packets)
     summary.kept = len(fwd)
     summary.filtered = len(packets) - len(fwd)
     del packets
 
-    series = variability.throughput_series(fwd, params.tau)
+    series = variability.throughput_series(fwd, params)
     gate_kept = variability.gate_trace(series, params.skew_min)
 
     result = AnalysisResult(trace_id=Path(pcap_path).stem, params=params,
@@ -142,12 +140,8 @@ def analyze_trace(pcap_path, params: AnalysisParams,
     result.fwd_host_estimates = fwd_est
     result.rev_host_estimates = rev_est
 
-    if len(result.records):
-        result.app_all = apps.breakdown(result.records, False, params.http_ports)
-        try:
-            result.app_greedy = apps.breakdown(result.records, True, params.http_ports)
-        except ValueError:
-            result.app_greedy = None
+    result.app_all = apps.breakdown(result.records, False, params.http_ports)
+    result.app_greedy = apps.breakdown(result.records, True, params.http_ports)
     return result
 
 
@@ -165,7 +159,6 @@ def report_dict(result: AnalysisResult) -> dict:
     s = result.summary
     doc = {
         "trace_id": result.trace_id,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "parameters": result.params.to_dict(),
         "ingest": {"total": s.total, "kept": s.kept, "skipped": s.skipped,
                    "non_ipv4": s.non_ipv4, "malformed": s.malformed,

@@ -33,12 +33,8 @@ class TailFit:
 
 def llcd(samples: Sequence[int]) -> Tuple[Tuple[int, float], ...]:
     """Empirical complementary CDF evaluated at every distinct sample value:
-    its (x, P(sample > x)) points, x increasing."""
-    if len(samples) == 0:
-        raise ValueError("llcd needs at least one sample")
+    its (x, P(sample > x)) points, x increasing. No samples give no points."""
     arr = np.asarray(samples)
-    if arr.min() < 1:
-        raise ValueError("samples must be counts >= 1")
     values, counts = np.unique(arr, return_counts=True)
     n = int(arr.size)
     greater = n - np.cumsum(counts)          # |{s : s > x}| for each distinct x

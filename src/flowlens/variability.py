@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .pcapio import Packets
+
+if TYPE_CHECKING:
+    from .report import AnalysisParams
 
 log = logging.getLogger(__name__)
 
@@ -54,34 +57,29 @@ def skewness(values: Sequence[float]) -> float:
     return m3 / m2**1.5
 
 
-def throughput_series(packets: Packets, interval: float) -> ThroughputSeries:
-    """Bits-per-second series over half-open bins [i*interval, (i+1)*interval).
+def throughput_series(packets: Packets, params: AnalysisParams) -> ThroughputSeries:
+    """Bits-per-second series over half-open bins [i*tau, (i+1)*tau).
 
-    Every packet counts, including ones whose flow falls below the flow
-    admission threshold. Empty bins between packets are zero-filled.
+    The bins are the flow blocks, `params.tau_us` long. Every packet counts,
+    including ones whose flow falls below the flow admission threshold.
+    Empty bins between packets are zero-filled.
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    step_us = round(interval * 1e6)
-    if step_us < 1:
-        raise ValueError("interval must be at least one microsecond")
-
     if not len(packets):
         log.warning("empty trace: throughput series has no intervals")
-        return ThroughputSeries(interval=interval, byte_counts=(),
+        return ThroughputSeries(interval=params.tau, byte_counts=(),
                                 mean_bps=0.0, skewness=None)
 
     # float64 sums of integers stay exact below 2**53, far above any bin's bytes
-    per_bin = np.bincount(packets.ts_us // step_us, weights=packets.ip_len)
+    per_bin = np.bincount(packets.ts_us // params.tau_us, weights=packets.ip_len)
     byte_counts = tuple(per_bin.astype(np.int64).tolist())
-    values = _bps(byte_counts, interval)
+    values = _bps(byte_counts, params.tau)
     mean_bps = float(np.mean(values))
     try:
         skew: Optional[float] = skewness(values)
     except DegenerateSeriesError as exc:
         log.warning("skewness undefined for this trace: %s", exc)
         skew = None
-    return ThroughputSeries(interval=interval, byte_counts=byte_counts,
+    return ThroughputSeries(interval=params.tau, byte_counts=byte_counts,
                             mean_bps=mean_bps, skewness=skew)
 
 

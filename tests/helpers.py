@@ -11,6 +11,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from flowlens.flows import Flows
+from flowlens.hops import FingerprintDb
 from flowlens.pcapio import (LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
                              PacketRecord, SynSignature, build_ipv4_packet,
@@ -22,6 +23,7 @@ from reference import FlowKey, flow_rows, ipv4_int
 SRC_NET = "10.0.0.0/8"          # all scenario src-side hosts live here
 FP_LABELS = ["Linux 2.4", "Windows 2000", "FreeBSD 4.x", "Solaris 8",
              "Windows 98", "MacOS 9", "Cisco IOS 12"]
+DB = FingerprintDb.default()    # the database analyze uses without --fingerprints
 
 
 def mk_packet(ts: float, src: str = "10.0.0.1", dst: str = "203.0.113.1",

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 happen; plain `pytest` reports the same outcomes per test.
 """
 
-import json
 import math
 import random
 import time
@@ -15,13 +14,13 @@ import pytest
 
 from flowlens.apps import AppCategory
 from flowlens.cli import main
-from flowlens.flows import aggregate, greedy_throughput_equivalent
+from flowlens.flows import aggregate
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate, sample_flow_size
 from flowlens.tail import fit_tail, llcd
 from flowlens.variability import gate_trace, skewness, throughput_series
 
-from helpers import SRC_NET, flow_keys, hop_means_scenario, mk_packet, \
+from helpers import DB, SRC_NET, flow_keys, hop_means_scenario, mk_packet, \
     random_scenario, table1_scenario
 from reference import classify, flow_rows, from_records, true_flows
 
@@ -43,7 +42,7 @@ def test_criterion_1_closed_loop_oracle(tmp_path):
         for seed in range(1, 21):
             spec = random_scenario(seed)
             path, gt = generate(spec, tmp_path / f"s{seed}.pcap")
-            result = analyze_trace(path, params)
+            result = analyze_trace(path, params, DB)
             keys = flow_keys(result.records)
             got = {(b, k): (n, g, classify(k)) for (b, k), n, g in zip(
                 keys, result.records.n_packets.tolist(), result.records.is_greedy.tolist())}
@@ -107,7 +106,7 @@ def test_criterion_4_paper_shape_reproduction(tmp_path):
         params = AnalysisParams(keep=f"src:{SRC_NET}", force=True)
 
         path, _ = generate(table1_scenario(), tmp_path / "t1.pcap")
-        result = analyze_trace(path, params)
+        result = analyze_trace(path, params, DB)
         mix = result.app_all
         assert mix[AppCategory.HTTP] == pytest.approx(0.54, abs=0.01)
         assert mix[AppCategory.OTHER_TCP] == pytest.approx(0.38, abs=0.01)
@@ -117,7 +116,7 @@ def test_criterion_4_paper_shape_reproduction(tmp_path):
             pytest.approx(0.70, abs=0.01)
 
         path, _ = generate(hop_means_scenario(), tmp_path / "hops.pcap")
-        result = analyze_trace(path, params)
+        result = analyze_trace(path, params, DB)
         assert result.hist_all.mean == pytest.approx(19.85, abs=0.5)
         assert result.hist_greedy.mean == pytest.approx(17.92, abs=0.5)
 
@@ -125,7 +124,7 @@ def test_criterion_4_paper_shape_reproduction(tmp_path):
 def test_criterion_5_throughput_equivalence():
     with criterion(5, "greedy-threshold throughput equivalence is exactly 1.12 Mbps"):
         cfg = AnalysisParams(tau=0.1, min_packets=2, greedy_threshold=20)
-        assert greedy_throughput_equivalent(cfg, 700) == 1_120_000.0
+        assert cfg.to_dict()["greedy_equivalent_bps"] == 1_120_000.0
 
 
 def test_criterion_6_conservation_and_partition():
@@ -141,7 +140,7 @@ def test_criterion_6_conservation_and_partition():
                                  ip_len=rng.randint(20, 1500))
                        for _ in range(rng.randint(1, 300))]
             columns = from_records(packets)
-            series = throughput_series(columns, 0.1)
+            series = throughput_series(columns, cfg)
             assert sum(series.byte_counts) == sum(p.ip_len for p in packets)
 
             flows = aggregate(columns, cfg)
@@ -166,19 +165,13 @@ def test_criterion_6_conservation_and_partition():
 
 
 def test_criterion_7_deterministic_reports(tmp_path):
-    with criterion(7, "re-running analyze yields byte-identical reports (sans timestamp)"):
+    with criterion(7, "re-running analyze yields byte-identical outputs"):
         trace, _ = generate(random_scenario(77), tmp_path / "trace.pcap")
         outs = (tmp_path / "r1", tmp_path / "r2")
         for out in outs:
             code = main(["analyze", str(trace), "--out", str(out),
                          "--keep", f"src:{SRC_NET}", "--force"])
             assert code in (0, 2)
-        docs = []
-        for out in outs:
-            doc = json.loads((out / "report.json").read_text())
-            doc.pop("generated_at")
-            docs.append(json.dumps(doc, sort_keys=True))
-        assert docs[0] == docs[1]
-        for name in ("throughput.csv", "flows.csv", "llcd.csv",
+        for name in ("report.json", "throughput.csv", "flows.csv", "llcd.csv",
                      "hops_all.csv", "hops_greedy.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -86,11 +86,9 @@ def test_breakdown_greedy_only():
     assert b[AppCategory.OTHER_TCP] == pytest.approx(0.3)
 
 
-def test_breakdown_empty_errors():
-    with pytest.raises(ValueError, match="no flows to classify"):
-        breakdown(mk_flows([]))
-    with pytest.raises(ValueError, match="no flows to classify"):
-        breakdown(mk_flows([rec(key())]), greedy_only=True)
+def test_breakdown_empty_is_none():
+    assert breakdown(mk_flows([])) is None
+    assert breakdown(mk_flows([rec(key())]), greedy_only=True) is None
 
 
 def test_proportions_sum_to_one():

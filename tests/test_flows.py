@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlens.flows import (FLOWS_CSV_HEADER, Flows, _string_order, aggregate,
-                            greedy_throughput_equivalent, write_flows_csv)
+                            write_flows_csv)
 from flowlens.pcapio import PROTO_TCP, PROTO_UDP
 from flowlens.report import AnalysisParams
 
@@ -74,13 +74,10 @@ def test_greedy_flag_strictly_above_20():
 
 
 def test_greedy_throughput_equivalent_values():
-    assert greedy_throughput_equivalent(CFG, 700) == 1_120_000.0
-    assert greedy_throughput_equivalent(
-        AnalysisParams(tau=1.0, greedy_threshold=2, min_packets=2), 1) == 16.0
-    assert greedy_throughput_equivalent(
-        AnalysisParams(tau=0.1, greedy_threshold=40), 700) == 2_240_000.0
-    with pytest.raises(ValueError):
-        greedy_throughput_equivalent(CFG, 0)
+    # greedy_threshold packets of DEFAULT_AVG_PACKET_BYTES (700) in one block
+    assert CFG.to_dict()["greedy_equivalent_bps"] == 1_120_000.0
+    assert AnalysisParams(tau=0.1, greedy_threshold=40).to_dict()[
+        "greedy_equivalent_bps"] == 2_240_000.0
 
 
 def test_rep_ttl_modal_with_larger_tie():

@@ -4,8 +4,7 @@ Small seeded traces cover a dst-side keep filter, a gate-rejected trace
 without --force, a forced trace with no flow records and a two-trace batch.
 No output depends on record order, so the dst-side trace with its records
 shuffled, under the same file name, must give the in-order digests.
-report.json is hashed with its generated_at line removed; every other file
-is hashed as written. A change that moves any output byte fails here. If a
+Every file is hashed as written. A change that moves any output byte fails here. If a
 change means to alter the output, recompute the digests with
 `_run_case` and say why in CHANGES.md.
 """
@@ -57,14 +56,8 @@ def _sha256(data: bytes) -> str:
 
 
 def _output_digests(out):
-    digests = {}
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        data = path.read_bytes()
-        if path.name == "report.json":
-            data = b"".join(line for line in data.splitlines(keepends=True)
-                            if not line.startswith(b'  "generated_at": '))
-        digests[path.relative_to(out).as_posix()] = _sha256(data)
-    return digests
+    return {path.relative_to(out).as_posix(): _sha256(path.read_bytes())
+            for path in sorted(p for p in out.rglob("*") if p.is_file())}
 
 
 def _run_case(name, tmp):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlens import hops
+from flowlens.flows import aggregate
 from flowlens.hops import (MAX_PLAUSIBLE_HOPS, FingerprintDb, FingerprintFormatError,
                            HostEstimates, estimate_hosts, flow_hop_estimates,
                            hop_histogram, match_fingerprint)
@@ -17,7 +18,7 @@ from flowlens.pcapio import PROTO_TCP, SynSignature, ipv4_strs, parse_tcp_option
 from flowlens.report import AnalysisParams, analyze_trace
 from flowlens.synth import generate
 
-from helpers import (FlowPlan, HostSpec, hop_means_scenario, mk_flows, mk_packet,
+from helpers import (DB, FlowPlan, HostSpec, hop_means_scenario, mk_flows, mk_packet,
                      random_scenario, scenario)
 from reference import (FlowKey, Host, from_records, host_row, infer_initial_ttl, ipv4_int,
                        true_hosts)
@@ -120,12 +121,16 @@ def test_first_match_wins():
 
 def test_mtu_token_matching():
     db = FingerprintDb.loads("*|64|*|*|mtu|MTUish\n")
-    ok = SynSignature(window_size=1, observed_ttl=60, df_flag=True,
-                      mss=1460, options_layout=("MSS",))
-    bad = SynSignature(window_size=1, observed_ttl=60, df_flag=True,
-                       mss=1400, options_layout=("MSS",))
-    assert match_fingerprint(ok, db) is not None
-    assert match_fingerprint(bad, db) is None
+
+    def matches(mss):
+        sig = SynSignature(window_size=1, observed_ttl=60, df_flag=True,
+                           mss=mss, options_layout=("MSS",))
+        return match_fingerprint(sig, db) is not None
+
+    # each MTU-derived value beside a neighbour that is not one
+    for mss in (536, 966, 1452, 1460):
+        assert matches(mss) and not matches(mss + 1), mss
+    assert not matches(1400)
 
 
 # --- initial TTL inference -------------------------------------------------------
@@ -202,6 +207,23 @@ def test_implausible_hops_rejected():
     assert host_row(est, "10.0.0.6") is None
     assert "10.0.0.6" in est.rejected
     assert est.n_hosts == 1
+
+
+def test_zero_hops_counted():
+    """A host whose modal TTL is a standard initial value is 0 hops away, and a
+    flow between two such hosts has path 0, which the histogram counts."""
+    near, far = "10.0.0.4", "203.0.113.4"
+    fwd = from_records([mk_packet(0.01 * i, src=near, dst=far, ttl=64) for i in range(3)])
+    rev = from_records([mk_packet(0.01 * i, src=far, dst=near, sport=80, dport=1024,
+                                  ttl=64) for i in range(3)])
+    fwd_est, rev_est = estimate_hosts(fwd, DB), estimate_hosts(rev, DB)
+    assert host_row(fwd_est, near).hops == 0 and host_row(rev_est, far).hops == 0
+    assert host_row(fwd_est, near).os_label is None
+    flows = aggregate(fwd, AnalysisParams())
+    path = flow_hop_estimates(flows, fwd_est, rev_est)
+    assert path.tolist() == [0]
+    hist = hop_histogram(flows, path)
+    assert (hist.counts, hist.mean, hist.n) == (((0, 1),), 0.0, 1)
 
 
 def test_match_runs_once_per_distinct_signature(monkeypatch):
@@ -436,7 +458,7 @@ def test_per_instance_weighting_across_blocks():
 def test_planted_means_scenario(tmp_path):
     spec = hop_means_scenario()
     path, gt = generate(spec, tmp_path / "hops.pcap")
-    result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True))
+    result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True), DB)
     assert result.hist_all.mean == pytest.approx(19.85, abs=0.5)
     assert result.hist_greedy.mean == pytest.approx(17.92, abs=0.5)
     # the construction is exact, so the recovery is too
@@ -457,7 +479,7 @@ def test_greedy_hops_planted_gap_of_five(tmp_path):
     # greedy mean = 10; all-flows mean = (10 + 3*16 + 17)/5 = 15
     spec = scenario(hosts, flows, duration=0.5, tau=0.1, seed=3)
     path, _ = generate(spec, tmp_path / "gap.pcap")
-    result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True))
+    result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True), DB)
     gap = result.hist_all.mean - result.hist_greedy.mean
     assert gap == pytest.approx(5.0, abs=0.5)
 
@@ -487,7 +509,7 @@ def test_hop_arithmetic_identity_property():
 def test_histogram_totals_relations(tmp_path):
     spec = random_scenario(55)
     path, _ = generate(spec, tmp_path / "t.pcap")
-    result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True))
+    result = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True), DB)
     estimable = int(np.count_nonzero(result.flow_hops >= 0))
     assert result.hist_all.n == estimable
     assert result.hist_greedy.n <= result.hist_all.n

@@ -22,7 +22,7 @@ from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
 from flowlens.cli import main
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
-from helpers import mk_packet, write_pcap
+from helpers import DB, mk_packet, write_pcap
 from reference import from_records, same_packets
 
 
@@ -46,7 +46,7 @@ def test_non_ip_frames_skipped(tmp_path):
     got, summary = read_trace(path)
     assert len(got) == 2
     assert summary.total == 3 and summary.non_ipv4 == 1
-    summary = analyze_trace(path, AnalysisParams()).summary
+    summary = analyze_trace(path, AnalysisParams(), DB).summary
     assert summary.total == 3 and summary.kept == 2
     assert summary.skipped == 1 and summary.non_ipv4 == 1 and summary.filtered == 0
 
@@ -63,7 +63,7 @@ def test_prefix_filter_counts_by_construction(tmp_path):
     path = write_pcap(records, tmp_path / "t.pcap")
     got, _ = read_trace(path)
     assert len(got) == 1000
-    summary = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True)).summary
+    summary = analyze_trace(path, AnalysisParams(keep="src:10.0.0.0/8", force=True), DB).summary
     assert summary.kept == 400 and summary.filtered == 600 and summary.skipped == 600
 
 
@@ -98,8 +98,6 @@ def test_direction_filter_parse_and_mirror():
     assert everything[0] is packets and everything[1] is packets
     with pytest.raises(ValueError):
         DirectionFilter.parse("sideways:10.0.0.0/8")
-    with pytest.raises(ValueError):
-        DirectionFilter(side="src", prefixes=())
 
 
 @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255), st.booleans()),
@@ -216,17 +214,10 @@ def test_write_read_round_trip(tmp_path_factory, records, linktype):
 
 
 def _analyze_outputs(pcap, keep):
-    """Every file analyze writes, report.json without its generated_at line."""
+    """Every file analyze writes."""
     out = pcap.parent / "out"
-    write_report(analyze_trace(pcap, AnalysisParams(keep=keep, force=True)), out)
-    files = {}
-    for path in sorted(out.iterdir()):
-        data = path.read_bytes()
-        if path.name == "report.json":
-            data = b"".join(line for line in data.splitlines(keepends=True)
-                            if not line.startswith(b'  "generated_at": '))
-        files[path.name] = data
-    return files
+    write_report(analyze_trace(pcap, AnalysisParams(keep=keep, force=True), DB), out)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 @settings(max_examples=40, deadline=None)

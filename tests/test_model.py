@@ -16,17 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlens.apps import AppCategory
-from flowlens.hops import MAX_PLAUSIBLE_HOPS, FingerprintDb, match_fingerprint
+from flowlens.hops import MAX_PLAUSIBLE_HOPS, match_fingerprint
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
                              PROTO_TCP, PROTO_UDP, PacketRecord, SynSignature)
 from flowlens.report import AnalysisParams, analyze_trace, write_report
 
-from helpers import write_pcap
+from helpers import DB, write_pcap
 from reference import infer_initial_ttl
 
 TAU_US = 100_000
 PARAMS = dict(greedy_threshold=3, force=True)
-DB = FingerprintDb.default()
 
 # string order differs from numeric order: "10.0.0.10" < "10.0.0.2" < "9.1.1.1"
 SRCS = ["10.0.0.2", "10.0.0.10", "10.0.0.9", "9.1.1.1"]
@@ -174,7 +173,7 @@ def test_outputs_match_model(tmp_path_factory, records, data, link, ns, endian,
                       linktype=LINKTYPE_RAW_IP if link == "raw" else LINKTYPE_ETHERNET,
                       vlan=link == "vlan", ns=ns, endian=endian, ihl=ihl)
     params = AnalysisParams(keep=keep, http_ports=frozenset(http_ports), **PARAMS)
-    write_report(analyze_trace(pcap, params), tmp / "out")
+    write_report(analyze_trace(pcap, params, DB), tmp / "out")
     flow_rows, throughput, hists, sections = model(records, keep, http_ports)
     assert _rows(tmp / "out" / "flows.csv") == flow_rows
     assert _rows(tmp / "out" / "throughput.csv") == throughput

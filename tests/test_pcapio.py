@@ -12,21 +12,25 @@ from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_TCP,
                              PcapWriter, SynSignature, build_ipv4_packet,
                              build_tcp_options, parse_ipv4, wrap_ethernet)
 
+from helpers import mk_packet, write_pcap
 from reference import from_records, same_packets
 
 
-def _write_simple(path, endian="<", linktype=LINKTYPE_RAW_IP, n=3):
-    with PcapWriter(path, linktype=linktype, endian=endian) as w:
+def _write_simple(path, linktype=LINKTYPE_RAW_IP, n=3):
+    with PcapWriter(path, linktype=linktype) as w:
         for i in range(n):
             pkt = build_ipv4_packet("10.0.0.1", "10.0.0.2", PROTO_TCP, ttl=60,
                                     ip_len=60, src_port=1000 + i, dst_port=80)
             w.write(ts_us=i * 1000, packet=pkt)
+    return path
 
 
 def test_native_and_swapped_byte_order(tmp_path):
-    for endian in ("<", ">"):
-        path = tmp_path / f"t{endian == '>'}.pcap"
-        _write_simple(path, endian=endian)
+    little = _write_simple(tmp_path / "little.pcap")
+    records = [mk_packet(i / 1000, src="10.0.0.1", dst="10.0.0.2", sport=1000 + i,
+                         ttl=60, ip_len=60) for i in range(3)]
+    big = write_pcap(records, tmp_path / "big.pcap", linktype=LINKTYPE_RAW_IP, endian=">")
+    for path in (little, big):
         with PcapReader(path) as r:
             frames = list(r)
         assert len(frames) == 3

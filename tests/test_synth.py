@@ -27,7 +27,7 @@ from flowlens.synth import (_FLOW_COLUMNS, _HOST_COLUMNS, _KEYS, ScenarioError,
                             load_scenario, sample_flow_size)
 from flowlens.tail import fit_tail, llcd
 
-from helpers import (FP_LABELS, SRC_NET, FlowPlan, HostSpec, flow_keys, random_scenario,
+from helpers import (DB, FP_LABELS, SRC_NET, FlowPlan, HostSpec, flow_keys, random_scenario,
                      scenario, table1_scenario)
 from reference import (classify, emit_pcap, host_row, ipv4_int, ipv4_str, plan_random_flows,
                        true_flows, true_hosts, truth_dict)
@@ -36,7 +36,7 @@ from reference import (classify, emit_pcap, host_row, ipv4_int, ipv4_str, plan_r
 def assert_closed_loop(spec, tmp_path, name="loop.pcap"):
     """Generate, re-analyze, and compare against ground truth exactly."""
     path, gt = generate(spec, tmp_path / name)
-    result = analyze_trace(path, AnalysisParams(keep=f"src:{SRC_NET}", force=True))
+    result = analyze_trace(path, AnalysisParams(keep=f"src:{SRC_NET}", force=True), DB)
 
     flows = result.records
     keys = flow_keys(flows)
@@ -505,6 +505,9 @@ _FLOW = "[flows]\n0 10.0.0.1 203.0.113.1 1024 80 6 5\n"
 
 
 @pytest.mark.parametrize("name, line, accepted, refused", [
+    ("duration", "duration = {}", "8589934591", "8589934592"),
+    ("tau", "tau = {}", "0.000001", "0.0000004"),
+    ("key_repeat_prob", "key_repeat_prob = {}", "1", "1.0000000000000002"),
     ("packet_bytes", "packet_bytes = {}", "64", "63"),
     ("packet_bytes", "packet_bytes = {}", "65535", "65536"),
     ("snaplen", "snaplen = {}", "78", "77"),
@@ -533,6 +536,26 @@ def test_field_bounds(name, line, accepted, refused, tmp_path):
     where = f"b.scenario:{lineno}: bad {name} '{refused}': must be"
     with pytest.raises(ScenarioError, match=re.escape(where)):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("keys, refused", [
+    ({"tau": 0.001, "flows_per_block": "poisson:500"}, None),
+    ({"tau": 0.001, "flows_per_block": "poisson:501"}, "room for 500 flows"),
+    ({"duration": 10, "key_repeat_prob": 1, "flows_per_block": "fixed:104"}, None),
+    ({"duration": 10, "key_repeat_prob": 1, "flows_per_block": "fixed:105"},
+     "random plan too large"),
+])
+def test_random_plan_bounds_at_their_edges(keys, refused):
+    """A block has room for tau_us / 2 flows; the planned work of 100 blocks
+    whose 104 flows a block never end is 100 * (1 + 104 * 100) = 1,040,100
+    <= 2**20, and with 105 flows 1,050,100 > 2**20. Checked without planning:
+    a plan past the bound is never made."""
+    spec = scenario(**keys)
+    if refused is None:
+        _validate_spec(spec)
+    else:
+        with pytest.raises(ScenarioError, match=refused):
+            _validate_spec(spec)
 
 
 def test_readme_scenario_docs(tmp_path):

@@ -31,13 +31,6 @@ def test_llcd_degenerate_all_equal():
     assert llcd([7]) == ()
 
 
-def test_llcd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        llcd([])
-    with pytest.raises(ValueError):
-        llcd([0, 1, 2])
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_llcd_matches_brute_force(seed):
     rng = random.Random(seed)

