@@ -35,10 +35,12 @@ PACKAGE = ROOT / "src" / "flowlens"
 
 # A module's test files, where they are not just tests/test_<module>.py:
 # report's AnalysisParams checks are tested with the blocking they set,
-# and synth's scenario-file refusals through the CLI.
+# synth's scenario-file refusals through the CLI, and pcapio's columnar
+# reader against the per-frame parser through read_trace.
 MODULE_TESTS = {
     "synth": ("test_synth.py", "test_cli.py"),
     "report": ("test_cli.py", "test_golden.py", "test_flows.py"),
+    "pcapio": ("test_pcapio.py", "test_ingest.py"),
 }
 
 _FLIPPED = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,

@@ -2,8 +2,10 @@
 
 Supported on the read side:
   * the columnar reader (PcapReader.packet_chunks) that analyze uses: it
-    reads a file or a pipe in fixed-size windows and decodes each window's
-    frame headers at once into Packets columns
+    reads a file or a pipe in fixed-size windows, finds a window's leading
+    run of records of one length with one strided comparison and walks the
+    rest record by record, and decodes each window's frame headers at once
+    into Packets columns
   * a frame-at-a-time path (PcapReader.__iter__ -> ipv4_payload ->
     parse_ipv4), kept only for the benchmark's pcapio passes and as the
     oracle the tests compare the columnar reader against; the two give the
@@ -23,9 +25,9 @@ format is block-based and not trivially convertible in-process.
 from __future__ import annotations
 
 import array
+import ipaddress
 import itertools
 import logging
-import socket
 import struct
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Tuple
@@ -109,7 +111,7 @@ class PacketRecord:
 
 
 def ipv4_strs(values: np.ndarray) -> Tuple[str, ...]:
-    """Dotted quads of an array of 32-bit values, as socket.inet_ntoa writes them."""
+    """Dotted quads of an array of 32-bit values, as parse_ipv4 writes them."""
     octets = (((values >> shift) & 0xFF).tolist() for shift in (24, 16, 8, 0))
     return tuple(map("%d.%d.%d.%d".__mod__, zip(*octets)))
 
@@ -247,20 +249,31 @@ class PcapReader:
     def _walk(self, image: bytes, index: int, final: bool) -> Tuple[np.ndarray, int]:
         """Header offsets of every whole record in `image`, and the offset after them.
 
-        Each caplen is read from one of four word views of `image`, one per
-        byte alignment; the walk ends where a caplen lies past the image or
-        its record runs past it. MAX_CAPLEN is checked after the walk, over
-        the walked records and then the cut one, so the refusal still names
-        the first record that claims too much. `index` is the number of
-        records before `image`, for that message. A cut header or record at
-        the end is logged only when the stream has ended (`final`); otherwise
-        the next read completes it.
+        The window's leading run of records as long as the first is taken at
+        once: the caplen field of every whole record slot of that length is
+        read through one strided view and compared with the first's, and the
+        run ends at the first that differs. From there each caplen is read
+        from one of four word views of `image`, one per byte alignment; the
+        walk ends where a caplen lies past the image or its record runs past
+        it. MAX_CAPLEN is checked after the walk, over the walked records
+        and then the cut one, so the refusal still names the first record
+        that claims too much. `index` is the number of records before
+        `image`, for that message. A cut header or record at the end is
+        logged only when the stream has ended (`final`); otherwise the next
+        read completes it.
         """
         size = len(image)
         words = self._word_views(image)
+        run, pos = np.empty(0, dtype=np.int64), 0
+        if size >= 12:
+            first = words[0][2]
+            step = 16 + first
+            same = np.ndarray(size // step, self._endian + "u4", image, 8, step) == first
+            # the run ends at the first slot that differs, or after the last
+            run = step * np.arange(np.append(same, False).argmin())
+            pos = step * len(run)
         walked = []         # a list appends faster than an array.array
         append = walked.append
-        pos = 0
         try:
             while True:
                 end = pos + 16 + words[pos & 3][pos + 8 >> 2]
@@ -270,7 +283,7 @@ class PcapReader:
                 pos = end
         except IndexError:  # the caplen field is cut
             pass
-        starts = np.array(walked, dtype=np.int64)
+        starts = np.concatenate((run, np.fromiter(walked, np.int64, len(walked))))
         caplen = np.diff(starts, append=pos) - 16
         over = np.flatnonzero(caplen > MAX_CAPLEN)
         if len(over):
@@ -417,6 +430,8 @@ def _syn_table(buf, tcp, tp, avail, ttl, df, keys, table):
 
 def _bytes_at(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
     """The `width` bytes at each offset in `pos`, one row per offset."""
+    if not len(pos):    # `buf` may then be shorter than `width`
+        return np.empty((0, width), dtype=np.uint8)
     return sliding_window_view(buf, width)[pos]
 
 
@@ -466,8 +481,8 @@ def parse_ipv4(buf: bytes) -> Optional[PacketRecord]:
     flags_frag = (buf[6] << 8) | buf[7]
     ttl = buf[8]
     proto = buf[9]
-    src_ip = socket.inet_ntoa(buf[12:16])
-    dst_ip = socket.inet_ntoa(buf[16:20])
+    src_ip = "%d.%d.%d.%d" % tuple(buf[12:16])
+    dst_ip = "%d.%d.%d.%d" % tuple(buf[16:20])
 
     if flags_frag & 0x1FFF:
         return PacketRecord(0, src_ip, dst_ip, 0, 0, proto, ttl, ip_len, True)
@@ -649,7 +664,8 @@ def build_ipv4_packet(src_ip: str, dst_ip: str, proto: int, ttl: int,
         flags_frag |= IP_FLAG_MF
     ip = bytearray(struct.pack("!BBHHHBBH4s4s",
                                0x45, 0, ip_len, 0, flags_frag, ttl, proto, 0,
-                               socket.inet_aton(src_ip), socket.inet_aton(dst_ip)))
+                               ipaddress.IPv4Address(src_ip).packed,
+                               ipaddress.IPv4Address(dst_ip).packed))
     struct.pack_into("!H", ip, 10, _checksum16(bytes(ip)))
 
     if frag_offset:

@@ -510,13 +510,14 @@ def test_fingerprint_db_mutants_check_or_exit_65(tmp_path_factory, text):
 
 
 def test_cli_import_leaves_the_generator_unimported(tmp_path):
-    # analyze never calls the generator, so the CLI imports it only for generate
+    # analyze never calls the generator, so the CLI imports it only for generate;
+    # nothing analyze runs formats or packs an address with socket
     scenario = tmp_path / "s.scenario"
     scenario.write_text("duration = 0.5\nseed = 3\nflows_per_block = fixed:2\n"
                         "[hosts]\n10.0.0.1 9 src ttl:64\n203.0.113.1 8 dst ttl:128\n")
     code = ("import sys\n"
             "import flowlens.cli\n"
-            "print('flowlens.synth' in sys.modules)\n"
+            "print('flowlens.synth' in sys.modules, 'socket' in sys.modules)\n"
             "code = flowlens.cli.main(sys.argv[1:])\n"
             "print('flowlens.synth' in sys.modules, code)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
@@ -525,7 +526,7 @@ def test_cli_import_leaves_the_generator_unimported(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "False" and lines[-1] == "True 0", proc.stdout
+    assert lines[0] == "False False" and lines[-1] == "True 0", proc.stdout
     assert json.loads(lines[1])["packets"] > 0
     assert (tmp_path / "gen" / "trace.pcap").exists()
 

@@ -292,8 +292,10 @@ def _mutant_bases(tmp_path):
                                  dport=0 if fragment else 80, proto=proto,
                                  ip_len=rng.randint(60, 90), sig=sig,
                                  is_fragment=fragment))
+    # the snap length 54 cuts every frame: records of one length, so flips land in runs
     encodings = [("<", {}), (">", dict(vlan=True, ihl=6, endian=">", ns=True)),
-                 ("<", dict(linktype=LINKTYPE_RAW_IP, ihl=15))]
+                 ("<", dict(linktype=LINKTYPE_RAW_IP, ihl=15)), ("<", dict(snaplen=54)),
+                 (">", dict(snaplen=54, endian=">"))]
     bases = []
     for i, (endian, kw) in enumerate(encodings):
         data = write_pcap(records, tmp_path / f"base{i}.pcap", **kw).read_bytes()
@@ -589,6 +591,86 @@ def test_big_endian_twin_reads_the_same(tmp_path, monkeypatch):
         assert summary.total == 60
         assert same_packets(read_trace(snapped)[0],
                             from_records(_reference_read(snapped)[0]))
+
+
+# --- runs of records of one length --------------------------------------------
+
+def _reads_as_reference(path, monkeypatch, windows):
+    """read_trace gives the per-frame parser's packets and counts at each window size."""
+    expected, counts = _reference_read(path)
+    for window in windows:
+        monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
+        got, summary = read_trace(path)
+        assert same_packets(got, from_records(expected)), (path.name, window)
+        assert (summary.total, summary.non_ipv4, summary.malformed) == \
+            (counts["total"], counts["non_ipv4"], counts["malformed"]), (path.name, window)
+    return counts
+
+
+def test_runs_of_one_length(tmp_path, monkeypatch):
+    """A window that is one run to its end, its last record cut and carried; a run
+    broken mid-window, with a second run after it; 16-byte records as a run, and
+    windows that hold nothing else."""
+    one = _walk_trace(tmp_path / "one.pcap", n=40, snaplen=54).read_bytes()
+    size = 16 + 54
+    assert len(one) == 24 + 40 * size              # the snap length cuts every frame
+    other = _walk_trace(tmp_path / "other.pcap", n=30, snaplen=70).read_bytes()
+    path = tmp_path / "runs.pcap"
+    windows = (pcapio.WINDOW_BYTES, 10 * size + 7, 3 * size, size, size - 1, 100, 11)
+    for image, total in ((one, 40), (one[:-5], 39), (one + other[24:], 70)):
+        path.write_bytes(image)
+        assert _reads_as_reference(path, monkeypatch, windows)["total"] == total
+    empty = _raw_pcap([(_syn_frame(), 0)] * 25 + [(_syn_frame(), 60)] * 5,
+                      tmp_path / "empty.pcap")
+    counts = _reads_as_reference(empty, monkeypatch,
+                                 (pcapio.WINDOW_BYTES, 7 * 16 + 3, 40, 16, 11))
+    assert (counts["total"], counts["non_ipv4"]) == (30, 25)
+    alone = _raw_pcap([(_syn_frame(), 0)], tmp_path / "alone.pcap")
+    assert _reads_as_reference(alone, monkeypatch, (pcapio.WINDOW_BYTES,))["total"] == 1
+
+
+def test_a_run_of_oversized_records_is_refused(tmp_path, monkeypatch):
+    """Records of one length that each claim more than MAX_CAPLEN are refused, naming
+    the first, whether a window holds several of them whole, one, or none."""
+    caplen = pcapio.MAX_CAPLEN + 1
+    path = _raw_pcap([(bytes(caplen), caplen)] * 4, tmp_path / "over.pcap")
+    with pytest.raises(PcapFormatError, match="record 0 claims"):
+        _reference_read(path)
+    for window in (pcapio.WINDOW_BYTES, 1 << 21, caplen + 16, 100):
+        monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
+        with pytest.raises(PcapFormatError, match=f"record 0 claims {caplen} "):
+            read_trace(path)
+
+
+class _Counted:
+    """A word view that records each word read from it."""
+
+    def __init__(self, view, reads):
+        self._view, self._reads = view, reads
+
+    def __getitem__(self, i):
+        self._reads.append(i)
+        return self._view[i]
+
+
+def test_a_run_is_read_at_once(tmp_path, monkeypatch):
+    """The walk reads a few caplen words one at a time from a trace of one length,
+    in either byte order, and about one a record from a trace of varied lengths."""
+    reads = []
+    word_views = PcapReader._word_views
+    monkeypatch.setattr(PcapReader, "_word_views",
+                        lambda self, image: [_Counted(v, reads) for v in word_views(self, image)])
+    n = 500
+    for endian, snaplen in (("<", 54), (">", 54), ("<", 65535), (">", 65535)):
+        path = _walk_trace(tmp_path / f"{snaplen}{endian}.pcap", n=n, endian=endian,
+                           snaplen=snaplen)
+        reads.clear()
+        got, _ = read_trace(path)
+        assert same_packets(got, from_records(_reference_read(path)[0]))
+        if snaplen == 54:
+            assert len(reads) < 10, (endian, len(reads))
+        else:
+            assert len(reads) > n, (endian, len(reads))
 
 
 def _with_caplen(path, record, caplen):

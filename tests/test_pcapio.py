@@ -175,3 +175,10 @@ def test_snaplen_truncation_preserves_headers(tmp_path):
     assert len(frame.data) == 96
     p = parse_ipv4(frame.data)
     assert p.ip_len == 1400 and p.dst_port == 80   # header says full length
+
+
+def test_no_offsets_give_no_rows():
+    """A window may be shorter than the bytes read at each offset when it has none."""
+    for size in (0, 3, 19, 20):
+        rows = pcapio._bytes_at(np.zeros(size, dtype=np.uint8), np.array([], dtype=np.int64), 20)
+        assert rows.shape == (0, 20), size

@@ -507,6 +507,7 @@ _FLOW = "[flows]\n0 10.0.0.1 203.0.113.1 1024 80 6 5\n"
 @pytest.mark.parametrize("name, line, accepted, refused", [
     ("duration", "duration = {}", "8589934591", "8589934592"),
     ("tau", "tau = {}", "0.000001", "0.0000004"),
+    ("tau", "tau = {}", "4294967295.999999", "4294967296"),
     ("key_repeat_prob", "key_repeat_prob = {}", "1", "1.0000000000000002"),
     ("packet_bytes", "packet_bytes = {}", "64", "63"),
     ("packet_bytes", "packet_bytes = {}", "65535", "65536"),
@@ -544,12 +545,18 @@ def test_field_bounds(name, line, accepted, refused, tmp_path):
     ({"duration": 10, "key_repeat_prob": 1, "flows_per_block": "fixed:104"}, None),
     ({"duration": 10, "key_repeat_prob": 1, "flows_per_block": "fixed:105"},
      "random plan too large"),
+    ({"duration": 10, "key_repeat_prob": 0.5, "flows_per_block": "fixed:5242"}, None),
+    ({"duration": 10, "key_repeat_prob": 0.5, "flows_per_block": "fixed:5243"},
+     "random plan too large"),
 ])
 def test_random_plan_bounds_at_their_edges(keys, refused):
     """A block has room for tau_us / 2 flows; the planned work of 100 blocks
     whose 104 flows a block never end is 100 * (1 + 104 * 100) = 1,040,100
-    <= 2**20, and with 105 flows 1,050,100 > 2**20. Checked without planning:
-    a plan past the bound is never made."""
+    <= 2**20, and with 105 flows 1,050,100 > 2**20. A flow that repeats its
+    key with probability 0.5 lives 1 / (1 - 0.5) = 2 blocks: 100 blocks of
+    5242 flows plan 100 * (1 + 5242 * 2) = 1,048,500 <= 2**20, and of 5243
+    flows 1,048,700 > 2**20. Checked without planning: a plan past the bound
+    is never made."""
     spec = scenario(**keys)
     if refused is None:
         _validate_spec(spec)
