@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 at least one trace rejected by the skewness gate,
 input or an output generate cannot write, 70 an unexpected error (a bug),
 reported with its traceback. A batch goes on past a failed trace and
 exits with the highest of its traces' codes.
+
+`main` runs one command and returns its exit code; it leaves the garbage
+collector as it finds it, so it can be called in-process any number of
+times. The process entry is `flowlens.__main__.run`, which owns the
+process lifecycle around it.
 """
 
 from __future__ import annotations
@@ -186,7 +191,3 @@ def main(argv=None) -> int:
         return command(args)
     except Exception:
         return _unexpected(f"flowlens {args.command}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

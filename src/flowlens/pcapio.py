@@ -24,7 +24,6 @@ format is block-based and not trivially convertible in-process.
 
 from __future__ import annotations
 
-import array
 import ipaddress
 import itertools
 import logging
@@ -184,9 +183,9 @@ class PcapReader:
             self._fh.close()
             raise
         self._endian, self._ts_divisor = _MAGICS[magic]
-        self.linktype = struct.unpack_from(self._endian + "I", header, 20)[0]
+        self._u32 = struct.Struct(self._endian + "I")
+        self.linktype = self._u32.unpack_from(header, 20)[0]
         self._rec_hdr = struct.Struct(self._endian + "IIII")
-        self._native = struct.pack(self._endian + "I", 1) == struct.pack("=I", 1)
         self._path = path
 
     def __enter__(self):
@@ -253,20 +252,20 @@ class PcapReader:
         once: the caplen field of every whole record slot of that length is
         read through one strided view and compared with the first's, and the
         run ends at the first that differs. From there each caplen is read
-        from one of four word views of `image`, one per byte alignment; the
-        walk ends where a caplen lies past the image or its record runs past
-        it. MAX_CAPLEN is checked after the walk, over the walked records
-        and then the cut one, so the refusal still names the first record
-        that claims too much. `index` is the number of records before
-        `image`, for that message. A cut header or record at the end is
-        logged only when the stream has ended (`final`); otherwise the next
-        read completes it.
+        in place, in the file's byte order, by one struct call; the walk ends
+        where a caplen lies past the image or its record runs past it. No
+        copy of the window is made in either byte order. MAX_CAPLEN is
+        checked after the walk, over the walked records and then the cut
+        one, so the refusal still names the first record that claims too
+        much. `index` is the number of records before `image`, for that
+        message. A cut header or record at the end is logged only when the
+        stream has ended (`final`); otherwise the next read completes it.
         """
         size = len(image)
-        words = self._word_views(image)
+        caplen_at = self._u32.unpack_from
         run, pos = np.empty(0, dtype=np.int64), 0
         if size >= 12:
-            first = words[0][2]
+            first = caplen_at(image, 8)[0]
             step = 16 + first
             same = np.ndarray(size // step, self._endian + "u4", image, 8, step) == first
             # the run ends at the first slot that differs, or after the last
@@ -276,12 +275,12 @@ class PcapReader:
         append = walked.append
         try:
             while True:
-                end = pos + 16 + words[pos & 3][pos + 8 >> 2]
+                end = pos + 16 + caplen_at(image, pos + 8)[0]
                 if end > size:
                     break
                 append(pos)
                 pos = end
-        except IndexError:  # the caplen field is cut
+        except struct.error:    # the caplen field is cut
             pass
         starts = np.concatenate((run, np.fromiter(walked, np.int64, len(walked))))
         caplen = np.diff(starts, append=pos) - 16
@@ -289,7 +288,7 @@ class PcapReader:
         if len(over):
             raise _oversized(index + int(over[0]), int(caplen[over[0]]))
         if pos + 16 <= size:
-            cut = words[pos & 3][pos + 8 >> 2]
+            cut = caplen_at(image, pos + 8)[0]
             if cut > MAX_CAPLEN:
                 raise _oversized(index + len(starts), cut)
             if final:
@@ -298,22 +297,6 @@ class PcapReader:
         elif final and pos < size:
             log.warning("%s: truncated record header at end of file", self._path)
         return starts, pos
-
-    def _word_views(self, image: bytes) -> list:
-        """32-bit words of `image` in the file's byte order: view k holds those
-        at byte offsets 4i + k, so the word at offset q is views[q & 3][q >> 2].
-        Native-order files are read in place, others through swapped copies."""
-        whole, views = memoryview(image), []
-        for k in range(4):
-            aligned = whole[k:k + max(0, (len(image) - k) // 4) * 4]
-            if self._native:
-                views.append(aligned.cast("I"))
-            else:
-                swapped = array.array("I")
-                swapped.frombytes(aligned)
-                swapped.byteswap()
-                views.append(swapped)
-        return views
 
     def _decode(self, image: bytes, starts: np.ndarray, keys: dict,
                 table: dict) -> Tuple[Packets, int, int]:

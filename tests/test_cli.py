@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, report layout, determinism, sidecar consistency."""
 
+import ast
 import csv
+import gc
 import json
 import os
 import re
@@ -570,6 +572,81 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "flowlens" in proc.stdout
+
+
+# what the installed `flowlens` script runs, as setuptools writes it
+_SCRIPT = "import sys; from flowlens.__main__ import run; sys.argv[0] = 'flowlens'; sys.exit(run())"
+
+
+def test_both_entries_give_mains_exit_codes(kept_trace, rejected_trace, tmp_path):
+    """`python -m flowlens` and the installed script's call pass main's exit code
+    and its whole stdout through run(), for success, a gate rejection, a
+    usage error raised inside argparse and an unreadable trace."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    cases = ((0, [str(kept_trace)]), (2, [str(rejected_trace)]),
+             (64, [str(kept_trace), "--tau", "x"]), (66, [str(tmp_path / "missing.pcap")]))
+    for code, args in cases:
+        argv = ["analyze", *args, "--out", str(tmp_path / "out")]
+        runs = [subprocess.run([sys.executable, *entry, *argv], capture_output=True,
+                               text=True, env=env)
+                for entry in (["-m", "flowlens"], ["-c", _SCRIPT])]
+        for proc in runs:
+            assert proc.returncode == code, (code, proc.stderr)
+            assert "Traceback" not in proc.stderr
+        assert runs[0].stdout == runs[1].stdout
+        if code in (0, 2):
+            assert runs[0].stdout.endswith("}\n") and runs[0].stdout.count("\n") == 1
+            line = json.loads(runs[0].stdout)
+            assert set(line) == {"trace", "mean_bps", "skewness", "kept"}
+            assert line["kept"] is (code == 0)
+        else:
+            assert runs[0].stdout == ""
+
+
+def test_run_collects_while_main_runs_and_freezes_at_exit():
+    """The collector is on while main runs, after the imports were frozen, and
+    what main leaves behind is frozen before the process exits."""
+    probe = ("import atexit, gc, sys\n"
+             "import flowlens.cli as cli\n"
+             "from flowlens.__main__ import run\n"
+             "left = []\n"
+             "def main():\n"
+             "    print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+             "    left.append([])     # a container main leaves behind\n"
+             "    return 3\n"
+             "cli.main = main\n"
+             "atexit.register(lambda: print(not any(o is left[0] for o in gc.get_objects())))\n"
+             "sys.exit(run())\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "True True\nTrue\n", "")
+
+
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys):
+    db = tmp_path / "ok.db"
+    db.write_text("5840|64|1|MSS,SACK,TS,NOP,WS|*|Linux 2.4\n")
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert main(["fingerprint-db", "check", str(db)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_installed_script_is_the_module_entry():
+    """pyproject's `flowlens` script names the function that `python -m flowlens`
+    calls: the one flowlens/__main__.py's main guard runs."""
+    text = (SRC.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:     # Python 3.10: read the line as text
+        target = re.search(r'^flowlens = "(.+)"$', text, re.M).group(1)
+    else:
+        target = tomllib.loads(text)["project"]["scripts"]["flowlens"]
+    module, attr = target.split(":")
+    assert module == "flowlens.__main__"
+    tree = ast.parse((SRC / "flowlens" / "__main__.py").read_text())
+    guard = tree.body[-1]
+    assert ast.unparse(guard) == f"if __name__ == '__main__':\n    sys.exit({attr}())"
+    assert attr in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
 
 
 def test_analyze_defaults_are_the_analysis_defaults():

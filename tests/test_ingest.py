@@ -643,23 +643,27 @@ def test_a_run_of_oversized_records_is_refused(tmp_path, monkeypatch):
 
 
 class _Counted:
-    """A word view that records each word read from it."""
+    """A struct whose unpack_from records the offset of each read."""
 
-    def __init__(self, view, reads):
-        self._view, self._reads = view, reads
+    def __init__(self, unpacker, reads):
+        self._unpacker, self._reads = unpacker, reads
 
-    def __getitem__(self, i):
-        self._reads.append(i)
-        return self._view[i]
+    def unpack_from(self, buffer, offset=0):
+        self._reads.append(offset)
+        return self._unpacker.unpack_from(buffer, offset)
 
 
 def test_a_run_is_read_at_once(tmp_path, monkeypatch):
     """The walk reads a few caplen words one at a time from a trace of one length,
     in either byte order, and about one a record from a trace of varied lengths."""
     reads = []
-    word_views = PcapReader._word_views
-    monkeypatch.setattr(PcapReader, "_word_views",
-                        lambda self, image: [_Counted(v, reads) for v in word_views(self, image)])
+    init = PcapReader.__init__
+
+    def counting_init(self, path):
+        init(self, path)
+        self._u32 = _Counted(self._u32, reads)
+
+    monkeypatch.setattr(PcapReader, "__init__", counting_init)
     n = 500
     for endian, snaplen in (("<", 54), (">", 54), ("<", 65535), (">", 65535)):
         path = _walk_trace(tmp_path / f"{snaplen}{endian}.pcap", n=n, endian=endian,
@@ -671,6 +675,27 @@ def test_a_run_is_read_at_once(tmp_path, monkeypatch):
             assert len(reads) < 10, (endian, len(reads))
         else:
             assert len(reads) > n, (endian, len(reads))
+
+
+def test_the_walk_copies_no_window(tmp_path):
+    """Walking a window allocates less than the window, in either byte order,
+    whether it is one run or records of varied lengths: no word of it is
+    copied, so a file not in the machine's byte order builds no swapped copy
+    (four of them took more than four times the window)."""
+    for endian in ("<", ">"):
+        for snaplen in (54, 65535):
+            path = _walk_trace(tmp_path / f"{snaplen}{endian}.pcap", n=5000, endian=endian,
+                               snaplen=snaplen)
+            image = path.read_bytes()[24:]
+            with PcapReader(path) as reader:
+                tracemalloc.start()
+                try:
+                    starts, end = reader._walk(image, 0, final=True)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert (len(starts), end) == (5000, len(image))
+            assert peak < len(image), (endian, snaplen, peak, len(image))
 
 
 def _with_caplen(path, record, caplen):
