@@ -5,7 +5,9 @@ Supported on the read side:
     reads a file or a pipe in fixed-size windows, finds a window's leading
     run of records of one length with one strided comparison and walks the
     rest record by record, and decodes each window's frame headers at once
-    into Packets columns
+    into Packets columns: a window that is one run of plain IPv4 records
+    through one strided view a field, any other by gathering each field at
+    every frame's offsets
   * a frame-at-a-time path (PcapReader.__iter__ -> ipv4_payload ->
     parse_ipv4), kept only for the benchmark's pcapio passes and as the
     oracle the tests compare the columnar reader against; the two give the
@@ -225,28 +227,31 @@ class PcapReader:
         that parse_ipv4 accepts among the `frames` whole records of a
         window; `non_ipv4` of those frames carry no IPv4, and the rest are
         malformed. A record cut by the window's end is carried into the
-        next read. Every field is gathered with array indexing, masked to
-        each frame's captured bytes as the per-frame parser's bounds checks
-        are. Truncation and MAX_CAPLEN are handled as in __iter__. A
+        next read. When the window's records are all of one length and all
+        plain IPv4, each field is one strided view of the window; otherwise
+        each is gathered with array indexing and masked to each frame's
+        captured bytes. Either way the per-frame parser's bounds checks
+        hold. Truncation and MAX_CAPLEN are handled as in __iter__. A
         chunk's `sigs` is the trace's table so far; the last one is whole.
         """
-        keys, table = {}, {}    # the trace's signature table; see _syn_table
+        keys, table = {}, {}    # the trace's signature table; see _intern_syns
         rest, index = b"", 0
         while True:
             more = self._fh.read(WINDOW_BYTES)
             image = rest + more
-            starts, end = self._walk(image, index, final=not more)
+            starts, end, one_run = self._walk(image, index, final=not more)
             if len(starts):
                 if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
                     raise PcapFormatError(f"unsupported link type {self.linktype}")
                 index += len(starts)
-                yield self._decode(image, starts, keys, table)
+                yield self._decode(image, starts, one_run, keys, table)
             if not more:
                 return
             rest = image[end:]
 
-    def _walk(self, image: bytes, index: int, final: bool) -> Tuple[np.ndarray, int]:
-        """Header offsets of every whole record in `image`, and the offset after them.
+    def _walk(self, image: bytes, index: int, final: bool) -> Tuple[np.ndarray, int, bool]:
+        """Header offsets of every whole record in `image`, the offset after them,
+        and whether they are all in the leading run.
 
         The window's leading run of records as long as the first is taken at
         once: the caplen field of every whole record slot of that length is
@@ -296,13 +301,22 @@ class PcapReader:
                             self._path, size - pos - 16, cut)
         elif final and pos < size:
             log.warning("%s: truncated record header at end of file", self._path)
-        return starts, pos
+        return starts, pos, len(run) > 0 and not walked
 
-    def _decode(self, image: bytes, starts: np.ndarray, keys: dict,
+    def _decode(self, image: bytes, starts: np.ndarray, one_run: bool, keys: dict,
                 table: dict) -> Tuple[Packets, int, int]:
-        """One packet_chunks step over the records whose headers are at `starts`."""
-        buf = np.frombuffer(image, dtype=np.uint8)
+        """One packet_chunks step over the records whose headers are at `starts`.
+
+        A window whose records all lie in the walk's leading run (`one_run`)
+        is read through strided views when it is plain (_decode_run). Any
+        other window is gathered: each field is read at every frame's own
+        offsets and masked to its captured bytes.
+        """
         n = len(starts)
+        chunk = self._decode_run(image, n, keys, table) if one_run else None
+        if chunk is not None:
+            return chunk, n, 0
+        buf = np.frombuffer(image, dtype=np.uint8)
         hdr = _bytes_at(buf, starts, 12).view(self._endian + "u4")
         ts_us = hdr[:, 0].astype(np.int64) * 1_000_000 + hdr[:, 1] // self._ts_divisor
         caplen = hdr[:, 2].astype(np.int64)
@@ -349,6 +363,62 @@ class PcapReader:
                         ip_len.astype(np.uint16), fragment, sig, sigs)
         return chunk, n, non_ipv4
 
+    def _decode_run(self, image: bytes, n: int, keys: dict, table: dict) -> Optional[Packets]:
+        """The packets of `n` records of one length at the start of `image`, or None
+        unless the records are plain.
+
+        Plain records are IPv4 over untagged Ethernet, or raw IPv4, each with
+        its 20-byte IP header captured, version/IHL byte 0x45 and a total
+        length of at least 20: each is a packet, with every field at one
+        offset from its record's start. So each field is one strided view of
+        the window, in its dtype and byte order in the file, and each of
+        the gather path's captured-bytes checks is one test of the caplen.
+        """
+        caplen = self._u32.unpack_from(image, 8)[0]
+        link = 14 if self.linktype == LINKTYPE_ETHERNET else 0
+        step, ip = 16 + caplen, 16 + link           # record size, IP header offset
+        tp, avail = ip + 20, caplen - link - 20     # transport offset, bytes captured
+        if avail < 0:
+            return None
+
+        def at(off, dtype):
+            """The field at `off` bytes into each record."""
+            return np.ndarray((n,), dtype, image, off, (step,))
+
+        if link and (at(16 + 12, ">u2") != ETHERTYPE_IPV4).any():
+            return None
+        ip_len = at(ip + 2, ">u2")
+        if (at(ip, np.uint8) != 0x45).any() or (ip_len < 20).any():
+            return None
+        ts_us = (at(0, self._endian + "u4").astype(np.int64) * 1_000_000
+                 + at(4, self._endian + "u4") // self._ts_divisor)
+        flags_frag, proto, ttl = at(ip + 6, ">u2"), at(ip + 9, np.uint8), at(ip + 8, np.uint8)
+        fragment = flags_frag & 0x1FFF != 0
+
+        # transport: ports for TCP and UDP first fragments, SYN signatures
+        tcp = ~fragment & (proto == PROTO_TCP) & (avail >= 14)
+        if avail >= 4:
+            ported = tcp | ~fragment & (proto == PROTO_UDP)
+            ports = [at(tp, ">u2") * ported, at(tp + 2, ">u2") * ported]
+        else:
+            ports = [np.zeros(n, dtype=np.uint16), np.zeros(n, dtype=np.uint16)]
+        sig = np.full(n, -1, dtype=np.int32)
+        if avail >= 14:
+            flags = at(tp + 13, np.uint8)
+            syn = np.flatnonzero(tcp & (flags & TCP_SYN != 0) & (flags & TCP_ACK == 0))
+            if avail > 20:      # the option bytes captured, up to 40, as one view
+                options = np.ndarray((n, min(avail - 20, 40)), np.uint8, image, tp + 20,
+                                     (step, 1))[syn]
+            else:
+                options = np.empty((len(syn), 0), dtype=np.uint8)
+            window = at(tp + 14, ">u2")[syn] if avail >= 16 else np.zeros(len(syn), np.int64)
+            sig[syn] = _intern_syns(options, at(tp + 12, np.uint8)[syn], avail, flags[syn],
+                                    window, ttl[syn], flags_frag[syn] & IP_FLAG_DF != 0,
+                                    keys, table)
+        return Packets(ts_us, at(ip + 12, ">u4").astype(np.uint32),
+                       at(ip + 16, ">u4").astype(np.uint32), ports[0], ports[1], proto.copy(),
+                       ttl.copy(), ip_len.astype(np.uint16), fragment, sig, tuple(table))
+
 
 def _oversized(index: int, caplen: int) -> PcapFormatError:
     """The refusal of record `index` (counted from 0), which claims `caplen` bytes."""
@@ -359,13 +429,10 @@ def _oversized(index: int, caplen: int) -> PcapFormatError:
 def _syn_table(buf, tcp, tp, avail, ttl, df, keys, table):
     """The chunk's sig column, for the pure SYNs among the TCP rows `tcp`, and the table.
 
-    A pure SYN's key is 48 bytes: its option bytes zero-padded to 40, their
-    length, the flags, window, TTL and DF bit, all that extract_syn_signature
-    reads. The chunk's SYNs are grouped by key with a sort, so Python runs
-    once per distinct key. The two dicts hold the trace's table across
-    chunks: `keys` maps a key to its index, and `table` maps a SynSignature
-    to that index, in order of first appearance; extract_syn_signature runs
-    once per new key.
+    Each SYN's fields are gathered at its transport start and numbered by
+    _intern_syns. 40 option bytes are read from each SYN's (clamped) option
+    offset, and the few SYNs whose 40 bytes would run past the window read
+    them again from a zero-padded copy of its last 40 bytes.
     """
     flags = buf[tp[tcp] + 13]
     pure = (flags & TCP_SYN != 0) & (flags & TCP_ACK == 0)
@@ -376,23 +443,41 @@ def _syn_table(buf, tcp, tp, avail, ttl, df, keys, table):
     t, n = tp[syn], avail[syn]
     window = np.zeros(len(syn), dtype=np.int64)
     window[n >= 16] = _be16(buf, t[n >= 16] + 14)
-    # the options are the bytes from t + 20 to t + data_offset that were captured.
-    # 40 bytes are read from each SYN's (clamped) option offset, and where they
-    # would run past the window, from a zero-padded copy of its last 40 bytes.
-    opt_len = np.clip(np.minimum((buf[t + 12] >> 4).astype(np.int64) * 4, n) - 20, 0, 40)
     at = np.minimum(t + 20, len(buf))
     edge = len(buf) - 40
+    options = _bytes_at(buf, np.minimum(at, edge), 40)
+    late = np.flatnonzero(at > edge)
     tail = np.concatenate((buf[edge:], np.zeros(40, dtype=np.uint8)))
-    options = np.where((at > edge)[:, None], _bytes_at(tail, np.maximum(at - edge, 0), 40),
-                       _bytes_at(buf, np.minimum(at, edge), 40))
-    key = np.zeros((len(syn), 48), dtype=np.uint8)
-    key[:, :40] = options * (np.arange(40) < opt_len[:, None])
-    key[:, 40], key[:, 41], key[:, 42] = opt_len, flags, ttl[syn]
-    key[:, 43], key[:, 44], key[:, 45] = df[syn], window >> 8, window & 0xFF
+    options[late] = _bytes_at(tail, at[late] - edge, 40)
+    sig[syn] = _intern_syns(options, buf[t + 12], n, flags, window, ttl[syn], df[syn],
+                            keys, table)
+    return sig, tuple(table)
+
+
+def _intern_syns(options, offset, avail, flags, window, ttl, df, keys, table) -> np.ndarray:
+    """Each pure SYN's index in the trace's signature table, one SYN a row.
+
+    A SYN's options are the bytes from 20 to its data offset (the high
+    nibble of `offset`, in words) into its TCP header that were captured
+    (`avail` bytes from the header's start): the first ones of its row of
+    `options`. Its key is 48 bytes: those option bytes zero-padded to 40,
+    their length, the flags, window, TTL and DF bit, all that
+    extract_syn_signature reads. The SYNs are grouped by key with a sort,
+    so Python runs once per distinct key. The two dicts hold the trace's
+    table across chunks: `keys` maps a key to its index, and `table` maps a
+    SynSignature to that index, in order of first appearance;
+    extract_syn_signature runs once per new key.
+    """
+    opt_len = np.clip(np.minimum((offset >> 4).astype(np.int64) * 4, avail) - 20, 0, 40)
+    width = options.shape[1]
+    key = np.zeros((len(flags), 48), dtype=np.uint8)
+    key[:, :width] = options * (np.arange(width) < opt_len[:, None])
+    key[:, 40], key[:, 41], key[:, 42] = opt_len, flags, ttl
+    key[:, 43], key[:, 44], key[:, 45] = df, window >> 8, window & 0xFF
     words = key.view(np.uint64)
     order = np.lexsort(words.T)
     words = words[order]
-    first = np.ones(len(syn), dtype=bool)
+    first = np.ones(len(flags), dtype=bool)
     first[1:] = (words[1:] != words[:-1]).any(axis=1)
     firsts = order[first]       # the sort is stable: each key's first row
     distinct = words[first].tobytes()
@@ -407,8 +492,9 @@ def _syn_table(buf, tcp, tp, avail, ttl, df, keys, table):
         found.append(i)
     index = np.empty(len(firsts), dtype=np.int32)
     index[appear] = found
-    sig[syn[order]] = index[np.cumsum(first) - 1]
-    return sig, tuple(table)
+    sig = np.empty(len(flags), dtype=np.int32)
+    sig[order] = index[np.cumsum(first) - 1]
+    return sig
 
 
 def _bytes_at(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:

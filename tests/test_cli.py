@@ -110,6 +110,21 @@ def test_usage_error_exit_64(capsys):
     assert exc.value.code == 64
 
 
+def test_http_port_list_edges(kept_trace, tmp_path, capsys):
+    """A port list is refused as a usage error when it holds 0 or 65536, and taken
+    when it holds 1 or 65535."""
+    for ports in ("0", "0,80", "65536", "80,65536"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(kept_trace), "--http-ports", ports])
+        assert exc.value.code == 64, ports
+        assert "bad port list" in capsys.readouterr().err, ports
+    for i, ports in enumerate(("1", "65535", "1,80,65535")):
+        out = tmp_path / f"out{i}"
+        assert main(["analyze", str(kept_trace), "--out", str(out), "--http-ports", ports]) == 0
+        params = json.loads((out / "report.json").read_text())["parameters"]
+        assert params["http_ports"] == sorted(map(int, ports.split(","))), ports
+
+
 def test_unreadable_input_exit_66(tmp_path):
     assert main(["analyze", str(tmp_path / "missing.pcap")]) == 66
     garbage = tmp_path / "garbage.pcap"

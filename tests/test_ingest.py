@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 from flowlens import pcapio
 from flowlens.ingest import DirectionFilter, read_trace
 from flowlens.pcapio import (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP, PROTO_ICMP,
-                             PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_SYN,
+                             PROTO_TCP, PROTO_UDP, TCP_ACK, TCP_RST, TCP_SYN,
                              PacketRecord, PcapFormatError, PcapReader,
                              SynSignature, build_ipv4_packet, build_tcp_options,
                              extract_syn_signature, ipv4_payload, parse_ipv4,
-                             parse_tcp_options)
+                             parse_tcp_options, wrap_ethernet)
 from flowlens.cli import main
 from flowlens.report import AnalysisParams, analyze_trace, write_report
+from flowlens.synth import generate
 
-from helpers import DB, mk_packet, write_pcap
+from helpers import DB, SRC_NET, mk_packet, random_scenario, write_pcap
 from reference import from_records, same_packets
 
 
@@ -238,6 +239,28 @@ def test_encoding_does_not_change_outputs(tmp_path_factory, records, data, link,
     assert _analyze_outputs(alt, keep) == _analyze_outputs(ref, keep)
 
 
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(1, 10_000),
+       windows=st.lists(st.integers(64, 1 << 13), min_size=3, max_size=3))
+def test_window_size_does_not_change_outputs(tmp_path_factory, seed, windows):
+    """Metamorphic: analyze gives the same files whatever the read window, on a
+    generated trace (records of one length) and on a snapped twin of it whose
+    record lengths vary, so windows move between the strided and the gather
+    decode."""
+    tmp = tmp_path_factory.mktemp("win")
+    trace, _ = generate(random_scenario(seed), tmp / "t.pcap")
+    (tmp / "snapped").mkdir()
+    twin = tmp / "snapped" / "t.pcap"
+    twin.write_bytes(_snapped(trace.read_bytes(), "<", random.Random(seed)))
+    for pcap in (trace, twin):
+        with pytest.MonkeyPatch.context() as patch:
+            outputs = []
+            for window in (pcapio.WINDOW_BYTES, *windows):
+                patch.setattr(pcapio, "WINDOW_BYTES", window)
+                outputs.append(_analyze_outputs(pcap, f"src:{SRC_NET}"))
+        assert all(out == outputs[0] for out in outputs), (pcap, windows)
+
+
 # --- differential: the columnar reader against the per-frame parser -----------
 
 def _reference_read(path):
@@ -278,10 +301,8 @@ def _snapped(data, endian, rng):
     return bytes(out)
 
 
-def _mutant_bases(tmp_path):
-    """Small encodings of one packet list with SYNs and fragments, whole and snapped,
-    as (pcap image, record header offsets)."""
-    rng = random.Random(4)
+def _mutant_records(rng):
+    """The packet list the mutants are made from, with SYNs and fragments."""
     records = []
     for i in range(40):
         proto = rng.choice([PROTO_TCP, PROTO_TCP, PROTO_UDP, PROTO_ICMP])
@@ -292,6 +313,14 @@ def _mutant_bases(tmp_path):
                                  dport=0 if fragment else 80, proto=proto,
                                  ip_len=rng.randint(60, 90), sig=sig,
                                  is_fragment=fragment))
+    return records
+
+
+def _mutant_bases(tmp_path):
+    """Small encodings of one packet list with SYNs and fragments, whole and snapped,
+    as (pcap image, record header offsets)."""
+    rng = random.Random(4)
+    records = _mutant_records(rng)
     # the snap length 54 cuts every frame: records of one length, so flips land in runs
     encodings = [("<", {}), (">", dict(vlan=True, ihl=6, endian=">", ns=True)),
                  ("<", dict(linktype=LINKTYPE_RAW_IP, ihl=15)), ("<", dict(snaplen=54)),
@@ -304,9 +333,36 @@ def _mutant_bases(tmp_path):
     return bases
 
 
+def _run_records():
+    """The mutants' packets, 40 bytes longer: a snap length of 96 cuts every one
+    of them after its SYN options."""
+    return [replace(r, ip_len=r.ip_len + 40) for r in _mutant_records(random.Random(4))]
+
+
+def _run_bases(tmp_path):
+    """The mutants' packets as runs of records of one length, as (pcap image,
+    record header offsets): plain runs for the strided decode in either byte order
+    and on either link type, and a VLAN run and an IHL-6 run that are gathered.
+    Last, a run cut inside the TCP options, then one whole SYN: the run's
+    caplen does not hold for its last record."""
+    records = _run_records()
+    encodings = [("<", {}), (">", dict(endian=">")), ("<", dict(linktype=LINKTYPE_RAW_IP)),
+                 (">", dict(linktype=LINKTYPE_RAW_IP, endian=">", ns=True)),
+                 ("<", dict(vlan=True)), ("<", dict(ihl=6))]
+    images = [write_pcap(records, tmp_path / f"run{i}.pcap", snaplen=96, **kw).read_bytes()
+              for i, (_, kw) in enumerate(encodings)]
+    syn = next(r for r in records if r.syn_sig is not None)
+    images.append(write_pcap(records, tmp_path / "cut.pcap", snaplen=60).read_bytes()
+                  + write_pcap([syn], tmp_path / "syn.pcap").read_bytes()[24:])
+    return [(image, _records_of(image, endian))
+            for image, (endian, _) in zip(images, encodings + [("<", {})])]
+
+
 def _assert_sigs_tight(packets, context):
-    """read_trace's table lists each signature once, and every entry is in use."""
+    """read_trace's table lists each signature once, and every entry is a signature
+    in use."""
     assert len(set(packets.sigs)) == len(packets.sigs), context
+    assert all(isinstance(sig, SynSignature) for sig in packets.sigs), context
     assert set(packets.sig[packets.sig >= 0].tolist()) == set(range(len(packets.sigs))), \
         context
 
@@ -318,13 +374,14 @@ _WINDOWS = (pcapio.WINDOW_BYTES, 512)
 
 def test_columnar_read_matches_reference_on_mutants(tmp_path, monkeypatch):
     """Byte flips and truncations: both readers refuse the file, or agree row for row,
-    whatever the window size."""
-    bases = _mutant_bases(tmp_path)
+    whatever the window size. The first 600 mutants are of the mixed bases, the
+    rest of the runs."""
+    bases, runs = _mutant_bases(tmp_path), _run_bases(tmp_path)
     path = tmp_path / "mutant.pcap"
     refused = 0
-    for seed in range(600):
+    for seed in range(600 + 40 * len(runs)):
         rng = random.Random(seed)
-        image, starts = rng.choice(bases)
+        image, starts = rng.choice(bases if seed < 600 else runs)
         data = bytearray(image)
         for _ in range(rng.randint(1, 8)):
             # mostly into a record's headers, where the parsers branch
@@ -504,10 +561,10 @@ def _syn_frame(options=LINUX_OPTS, flags=TCP_SYN, window=5840, ttl=55, df=True,
     return bytes(ip)
 
 
-def _raw_pcap(frames, path):
-    """A raw-IP pcap of (frame, caplen) pairs, 1 ms apart in stream order."""
-    out = bytearray(struct.pack("<IHHiIII", pcapio.MAGIC_US, 2, 4, 0, 0, 65535,
-                                LINKTYPE_RAW_IP))
+def _raw_pcap(frames, path, linktype=LINKTYPE_RAW_IP):
+    """A pcap of (frame, caplen) pairs, 1 ms apart in stream order; raw IP unless
+    `linktype` says otherwise."""
+    out = bytearray(struct.pack("<IHHiIII", pcapio.MAGIC_US, 2, 4, 0, 0, 65535, linktype))
     for i, (frame, caplen) in enumerate(frames):
         out += struct.pack("<IIII", 0, 1000 * i, caplen, len(frame)) + frame[:caplen]
     path.write_bytes(bytes(out))
@@ -677,6 +734,59 @@ def test_a_run_is_read_at_once(tmp_path, monkeypatch):
             assert len(reads) > n, (endian, len(reads))
 
 
+@pytest.fixture
+def gathers(monkeypatch):
+    """The width of every _bytes_at gather made while the test runs."""
+    widths = []
+    bytes_at = pcapio._bytes_at
+
+    def counting(buf, pos, width):
+        widths.append(width)
+        return bytes_at(buf, pos, width)
+
+    monkeypatch.setattr(pcapio, "_bytes_at", counting)
+    return widths
+
+
+def test_a_plain_run_is_decoded_without_gathers(tmp_path, monkeypatch, gathers):
+    """A window that is one run of plain IPv4 records is decoded through views, with
+    no gather, in either byte order and on either link type; a VLAN run, an IHL-6
+    run and records of varied lengths are gathered. Each reads as the per-frame
+    parser reads it."""
+    records = _run_records()
+    raw = dict(linktype=LINKTYPE_RAW_IP)
+    cases = [({}, False), (dict(endian=">"), False), (raw, False),
+             (dict(raw, endian=">"), False), (dict(vlan=True), True), (dict(ihl=6), True),
+             (dict(snaplen=65535), True)]
+    for i, (kw, gathered) in enumerate(cases):
+        path = write_pcap(records, tmp_path / f"case{i}.pcap", **{"snaplen": 96, **kw})
+        gathers.clear()
+        counts = _reads_as_reference(path, monkeypatch, (pcapio.WINDOW_BYTES,))
+        assert bool(gathers) == gathered, (kw, gathers)
+        assert counts["total"] == len(records), kw
+
+
+def test_every_cut_of_a_run(tmp_path, monkeypatch, gathers):
+    """Runs of one to three copies of one frame cut at each length, on either link
+    type: a run with its IP header captured is decoded through views, a bare
+    20-byte datagram too, and at every cut its captured-bytes checks keep what the
+    per-frame parser keeps. A RST without ACK has no SYN signature."""
+    forty = LINUX_OPTS + b"\x13\x12" + bytes(16) + b"\x01\x01"   # MD5, NOPs: 40 bytes
+    udp = build_ipv4_packet("10.0.0.1", "203.0.113.1", PROTO_UDP, ttl=64, ip_len=40,
+                            src_port=53, dst_port=1024)
+    bare = udp[:2] + struct.pack(">H", 20) + udp[4:20]          # ip_len 20: no transport
+    path = tmp_path / "cut.pcap"
+    for linktype, link in ((LINKTYPE_RAW_IP, b""), (LINKTYPE_ETHERNET, wrap_ethernet(b""))):
+        for frame in (link + _syn_frame(forty), link + _syn_frame(forty, flags=TCP_RST),
+                      link + udp, link + bare):
+            for cut in range(len(frame) + 1):
+                _raw_pcap([(frame, cut)] * (1 + cut % 3), path, linktype)
+                gathers.clear()
+                _reads_as_reference(path, monkeypatch, (pcapio.WINDOW_BYTES,))
+                assert (not gathers) == (cut >= len(link) + 20), (linktype, cut)
+                _assert_sigs_tight(read_trace(path)[0], (linktype, cut))
+
+
 def test_the_walk_copies_no_window(tmp_path):
     """Walking a window allocates less than the window, in either byte order,
     whether it is one run or records of varied lengths: no word of it is
@@ -690,11 +800,11 @@ def test_the_walk_copies_no_window(tmp_path):
             with PcapReader(path) as reader:
                 tracemalloc.start()
                 try:
-                    starts, end = reader._walk(image, 0, final=True)
+                    starts, end, one_run = reader._walk(image, 0, final=True)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert (len(starts), end) == (5000, len(image))
+            assert (len(starts), end, one_run) == (5000, len(image), snaplen == 54)
             assert peak < len(image), (endian, snaplen, peak, len(image))
 
 
