@@ -8,7 +8,7 @@ A fixed sample of them (the same on every run of the same source) is
 tried one at a time. Each mutant is written into a copy of src/, tests/ and
 the README, and only its module's test files run against it; a mutant is
 killed when they fail (or time out) and survives when they pass. Prints
-killed/total per module and each survivor's place.
+killed/total per module and each mutant's place and verdict.
 
 The score is evidence, not a gate: a survivor may be an equivalent mutant.
 
@@ -112,7 +112,7 @@ def run_tests(copy: Path, tests: List[str], timeout: float) -> Tuple[bool, float
 
 
 def check_module(name: str, copy: Path, sample: int) -> int:
-    """Print the module's score and survivors; the number of survivors, or
+    """Print the module's score and each mutant's verdict; the number of survivors, or
     -1 when its tests fail without a mutant. The sample depends on the
     module's source alone."""
     tests = list(MODULE_TESTS.get(name, (f"test_{name}.py",)))
@@ -135,8 +135,9 @@ def check_module(name: str, copy: Path, sample: int) -> int:
         path.write_text(source, encoding="utf-8")
     print(f"{name}: {len(chosen) - len(survivors)}/{len(chosen)} killed "
           f"({len(every)} sites; {', '.join(tests)})", flush=True)
-    for site in sorted(survivors, key=lambda s: s.line):
-        print(f"  survived: {name}.py:{site.line} {site.change}", flush=True)
+    for site in sorted(chosen, key=lambda s: s.line):
+        verdict = "survived" if site in survivors else "killed"
+        print(f"  {verdict}: {name}.py:{site.line} {site.change}", flush=True)
     return len(survivors)
 
 

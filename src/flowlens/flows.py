@@ -4,7 +4,9 @@ A trace is cut into fixed-length blocks and packets sharing an identical
 5-tuple within one block form a flow. The same 5-tuple in another block is
 an independent flow. Packet times are integer microseconds, so a block
 index is an integer division and boundary packets land deterministically
-(float division would misplace e.g. 0.3/0.1).
+(float division would misplace e.g. 0.3/0.1). The records are found with one
+stable sort of the packets by block, 5-tuple and TTL, taken as 16-bit digits
+so that each is one radix pass.
 """
 
 from __future__ import annotations
@@ -48,14 +50,18 @@ class Flows:
 # Rank of each octet's decimal string among those of 0..255. Comparing two
 # dotted quads as strings compares their octet strings in turn ("1." < "10."
 # because "." < "0"), so an address's four ranks, packed like its octets,
-# sort as its dotted quad does.
-_OCTET_RANK = np.argsort(np.argsort([str(i) for i in range(256)])).astype(np.uint32)
+# sort as its dotted quad does. _HALF_RANK packs them two at a time: the
+# string-order digit of each 16-bit half of an address.
+_OCTET_RANK = np.argsort(np.argsort([str(i) for i in range(256)]))
+_HALF_RANK = (_OCTET_RANK[:, None] << 8 | _OCTET_RANK).ravel().astype(np.uint16)
 
 
-def _string_order(addrs: np.ndarray) -> np.ndarray:
-    """A uint32 per address whose numeric order is the dotted quads' string order."""
-    return (_OCTET_RANK[addrs >> 24] << 24 | _OCTET_RANK[addrs >> 16 & 0xFF] << 16
-            | _OCTET_RANK[addrs >> 8 & 0xFF] << 8 | _OCTET_RANK[addrs & 0xFF])
+def _digits(values: np.ndarray) -> list:
+    """uint16 digits of non-negative int64 `values`, least significant first, as
+    many as the largest needs and at least one: as np.lexsort keys they sort
+    as the values do."""
+    count = max(1, -(-int(values.max(initial=0)).bit_length() // 16))
+    return [(values >> 16 * k).astype(np.uint16) for k in range(count)]
 
 
 def aggregate(packets: Packets, params: AnalysisParams) -> Flows:
@@ -65,42 +71,49 @@ def aggregate(packets: Packets, params: AnalysisParams) -> Flows:
     count toward throughput, which is computed from the raw packet stream.
     Non-first fragments carry no 5-tuple and are likewise excluded.
     Blocks are half-open, [i*tau, (i+1)*tau): a boundary packet joins the
-    later one. Records come in the order of Flows' rows.
+    later one. Records come in the order of Flows' rows. Packet times are
+    non-negative, as read_trace re-bases them.
+
+    The packets are sorted once by the flow key and then the TTL, as 16-bit
+    digits, each a stable radix pass: from the least significant,
+    proto << 8 | ttl, the ports, the destination and then the source
+    address as two string-order halves each (_HALF_RANK), and the block's
+    digits. A record is a run of equal key digits, and its modal TTL comes
+    from the runs of equal TTLs within it.
     """
     keyed = ~packets.is_fragment
     block = packets.ts_us[keyed] // params.tau_us
     src, dst = packets.src[keyed], packets.dst[keyed]
+    src_port, dst_port, proto = (packets.src_port[keyed], packets.dst_port[keyed],
+                                 packets.proto[keyed])
+    proto_ttl = proto.astype(np.uint16) << 8 | packets.ttl[keyed]
+    rank = _HALF_RANK.take     # take gathers faster than indexing
     # addresses compare as dotted-quad strings ("10.0.0.10" < "10.0.0.2")
-    pair = _string_order(src).astype(np.uint64) << 32 | _string_order(dst)
-    # sport 16 | dport 16 | proto 8 | ttl 8 bits: the rest of the key, then the TTL
-    low = (packets.src_port[keyed].astype(np.int64) << 32
-           | packets.dst_port[keyed].astype(np.int64) << 16
-           | packets.proto[keyed].astype(np.int64) << 8 | packets.ttl[keyed])
-    order = np.lexsort((low, pair, block))
-    block, pair, low = block[order], pair[order], low[order]
-    ip_len = packets.ip_len[keyed][order]
+    key = [dst_port, src_port, rank(dst & 0xFFFF), rank(dst >> 16),
+           rank(src & 0xFFFF), rank(src >> 16), *_digits(block)]
+    order = np.lexsort((proto_ttl, *key))
+    proto_ttl = proto_ttl.take(order)
+    ip_len = packets.ip_len[keyed].take(order)
 
-    key_change = ((block[1:] != block[:-1]) | (pair[1:] != pair[:-1])
-                  | (low[1:] >> 8 != low[:-1] >> 8))
     new_flow = np.ones(len(order), dtype=bool)      # also right for no rows
-    new_flow[1:] = key_change
+    new_flow[1:] = proto_ttl[1:] >> 8 != proto_ttl[:-1] >> 8
+    for digit in key:
+        digit = digit.take(order)
+        new_flow[1:] |= digit[1:] != digit[:-1]
     new_ttl = new_flow.copy()
-    new_ttl[1:] |= low[1:] != low[:-1]
+    new_ttl[1:] |= proto_ttl[1:] != proto_ttl[:-1]
     starts = np.flatnonzero(new_flow)
     n_packets = np.diff(np.append(starts, len(order)))
     n_bytes = np.add.reduceat(ip_len.astype(np.int64), starts)
     ttl_starts = np.flatnonzero(new_ttl)
     rep_ttl = modal_ttl(np.diff(np.append(ttl_starts, len(order))),
-                        low[ttl_starts] & 0xFF, np.flatnonzero(new_flow[ttl_starts]))
+                        proto_ttl[ttl_starts] & 0xFF, np.flatnonzero(new_flow[ttl_starts]))
 
     admitted = n_packets >= params.min_packets
-    first = starts[admitted]
-    key_low, rows = low[first] >> 8, order[first]
+    rows = order[starts[admitted]]
     n_packets = n_packets[admitted]
-    return Flows(block=block[first], src=src[rows], dst=dst[rows],
-                 src_port=(key_low >> 24).astype(np.uint16),
-                 dst_port=(key_low >> 8 & 0xFFFF).astype(np.uint16),
-                 proto=(key_low & 0xFF).astype(np.uint8),
+    return Flows(block=block[rows], src=src[rows], dst=dst[rows],
+                 src_port=src_port[rows], dst_port=dst_port[rows], proto=proto[rows],
                  n_packets=n_packets, n_bytes=n_bytes[admitted],
                  rep_ttl=rep_ttl[admitted].astype(np.uint8),
                  is_greedy=n_packets > params.greedy_threshold)

@@ -222,23 +222,29 @@ class PcapReader:
     def packet_chunks(self) -> Iterator[Tuple[Packets, int, int]]:
         """The stream's IPv4 packets as (chunk, frames, non_ipv4), one read window a step.
 
-        Files and pipes alike are read WINDOW_BYTES at a time. Each chunk
-        holds, in stream order and with absolute capture times, the packets
-        that parse_ipv4 accepts among the `frames` whole records of a
-        window; `non_ipv4` of those frames carry no IPv4, and the rest are
-        malformed. A record cut by the window's end is carried into the
-        next read. When the window's records are all of one length and all
-        plain IPv4, each field is one strided view of the window; otherwise
-        each is gathered with array indexing and masked to each frame's
-        captured bytes. Either way the per-frame parser's bounds checks
-        hold. Truncation and MAX_CAPLEN are handled as in __iter__. A
-        chunk's `sigs` is the trace's table so far; the last one is whole.
+        Files and pipes alike are read WINDOW_BYTES at a time, each window
+        into one buffer kept for the whole stream. Each chunk holds, in
+        stream order and with absolute capture times, the packets that
+        parse_ipv4 accepts among the `frames` whole records of a window;
+        `non_ipv4` of those frames carry no IPv4, and the rest are
+        malformed. A record cut by the window's end is moved to the
+        buffer's front, and the next read lands after it. The carry is at
+        most a record header and MAX_CAPLEN bytes (a longer cut record is
+        refused), so a buffer of that plus a window never grows. When the
+        window's records are all of one length and all plain IPv4, each
+        field is one strided view of the window; otherwise each is gathered
+        with array indexing and masked to each frame's captured bytes.
+        Either way each column is a copy, so no chunk refers to the buffer,
+        and the per-frame parser's bounds checks hold. Truncation and
+        MAX_CAPLEN are handled as in __iter__. A chunk's `sigs` is the
+        trace's table so far; the last one is whole.
         """
         keys, table = {}, {}    # the trace's signature table; see _intern_syns
-        rest, index = b"", 0
+        buffer = memoryview(bytearray(16 + MAX_CAPLEN + WINDOW_BYTES))
+        carry = index = 0
         while True:
-            more = self._fh.read(WINDOW_BYTES)
-            image = rest + more
+            more = self._fh.readinto(buffer[carry:carry + WINDOW_BYTES])
+            image = buffer[:carry + more]
             starts, end, one_run = self._walk(image, index, final=not more)
             if len(starts):
                 if self.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
@@ -247,9 +253,10 @@ class PcapReader:
                 yield self._decode(image, starts, one_run, keys, table)
             if not more:
                 return
-            rest = image[end:]
+            carry = len(image) - end
+            buffer[:carry] = image[end:]
 
-    def _walk(self, image: bytes, index: int, final: bool) -> Tuple[np.ndarray, int, bool]:
+    def _walk(self, image: memoryview, index: int, final: bool) -> Tuple[np.ndarray, int, bool]:
         """Header offsets of every whole record in `image`, the offset after them,
         and whether they are all in the leading run.
 
@@ -303,7 +310,7 @@ class PcapReader:
             log.warning("%s: truncated record header at end of file", self._path)
         return starts, pos, len(run) > 0 and not walked
 
-    def _decode(self, image: bytes, starts: np.ndarray, one_run: bool, keys: dict,
+    def _decode(self, image: memoryview, starts: np.ndarray, one_run: bool, keys: dict,
                 table: dict) -> Tuple[Packets, int, int]:
         """One packet_chunks step over the records whose headers are at `starts`.
 
@@ -363,7 +370,7 @@ class PcapReader:
                         ip_len.astype(np.uint16), fragment, sig, sigs)
         return chunk, n, non_ipv4
 
-    def _decode_run(self, image: bytes, n: int, keys: dict, table: dict) -> Optional[Packets]:
+    def _decode_run(self, image: memoryview, n: int, keys: dict, table: dict) -> Optional[Packets]:
         """The packets of `n` records of one length at the start of `image`, or None
         unless the records are plain.
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.flows import (FLOWS_CSV_HEADER, Flows, _string_order, aggregate,
+from flowlens.flows import (FLOWS_CSV_HEADER, Flows, _HALF_RANK, aggregate,
                             write_flows_csv)
-from flowlens.pcapio import PROTO_TCP, PROTO_UDP
+from flowlens.pcapio import PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketRecord
 from flowlens.report import AnalysisParams
 
 from helpers import mk_packet
@@ -35,7 +35,9 @@ def brute_force_group(packets, cfg):
     out = {}
     for cell, plist in cells.items():
         if len(plist) >= cfg.min_packets:
-            out[cell] = (len(plist), sum(p.ip_len for p in plist))
+            ttls = [p.ttl for p in plist]
+            rep_ttl = max(set(ttls), key=lambda t: (ttls.count(t), t))   # ties: larger
+            out[cell] = (len(plist), sum(p.ip_len for p in plist), rep_ttl)
     return out
 
 
@@ -98,15 +100,19 @@ def test_records_sorted_by_dotted_quad_string():
         "10.0.0.10", "10.0.0.2", "192.0.2.1", "3.0.0.1", "9.0.0.1"]
 
 
+# octets whose decimal strings sit at the string order's edges and turns
+_EDGE_OCTETS = (0, 1, 2, 9, 10, 11, 19, 20, 25, 99, 100, 101, 199, 200, 249, 250, 255)
+
+
 def test_string_order_of_addresses():
     # every octet string, alone and next to others, at random and at the edges
     rng = random.Random(3)
-    octets = [0, 1, 2, 9, 10, 11, 19, 20, 25, 99, 100, 101, 199, 200, 249, 250, 255]
     addrs = [rng.getrandbits(32) for _ in range(3000)]
-    addrs += [sum(rng.choice(octets) << s for s in (24, 16, 8, 0)) for _ in range(3000)]
+    addrs += [sum(rng.choice(_EDGE_OCTETS) << s for s in (24, 16, 8, 0)) for _ in range(3000)]
     addrs += [i << 24 | i << 16 | i << 8 | i for i in range(256)]
     arr = np.array(addrs, dtype=np.uint32)
-    by_key = arr[np.argsort(_string_order(arr), kind="stable")].tolist()
+    # aggregate's address digits: the string-order halves, the high one last
+    by_key = arr[np.lexsort((_HALF_RANK[arr & 0xFFFF], _HALF_RANK[arr >> 16]))].tolist()
     assert [ipv4_str(a) for a in by_key] == sorted(ipv4_str(a) for a in addrs)
 
 
@@ -155,7 +161,7 @@ def test_aggregate_matches_brute_force(seed):
     packets = _random_packets(rng, rng.randint(1, 1000))
     flows = aggregate(from_records(packets), CFG)
     oracle = brute_force_group(packets, CFG)
-    got = {tuple(row[:6]): (row[6], row[7]) for row in flow_rows(flows)}
+    got = {tuple(row[:6]): (row[6], row[7], row[9]) for row in flow_rows(flows)}
     assert got == oracle
     # the greedy flag is the same predicate the oracle would use
     assert flows.is_greedy.tolist() == [n > CFG.greedy_threshold
@@ -172,7 +178,57 @@ def test_partition_no_packet_lost_or_duplicated(seed):
     total_in_records = int(flows.n_packets.sum())
     assert total_in_records <= len(packets)
     oracle = brute_force_group(packets, AnalysisParams(min_packets=2))
-    assert total_in_records == sum(n for n, _ in oracle.values())
+    assert total_in_records == sum(n for n, *_ in oracle.values())
+
+
+def _keyed_packets(rng, n, times):
+    """`n` packets at times (µs) drawn from `times`, of 5-tuples drawn from a few
+    random 32-bit addresses (some of edge octets only), 16-bit ports and
+    protocols (4 and 132 differ in the top bit only), so that keys tie at
+    every field, and of a few TTLs."""
+    def addr():
+        if rng.random() < 0.5:
+            return ipv4_str(rng.getrandbits(32))
+        return ".".join(str(rng.choice(_EDGE_OCTETS)) for _ in range(4))
+
+    srcs, dsts = [addr() for _ in range(3)], [addr() for _ in range(3)]
+    ports = [rng.getrandbits(16) for _ in range(3)]
+    tuples = [(rng.choice(srcs), rng.choice(dsts), rng.choice(ports), rng.choice(ports),
+               rng.choice((PROTO_TCP, PROTO_UDP, PROTO_ICMP, 4, 132)))
+              for _ in range(rng.randint(1, 16))]
+    ttls = rng.sample((1, 32, 63, 64, 128, 255), 3)
+    return [PacketRecord(ts_us=rng.choice(times), src_ip=src, dst_ip=dst, src_port=sport,
+                         dst_port=dport, proto=proto, ttl=rng.choice(ttls),
+                         ip_len=rng.randint(20, 1500), is_fragment=rng.random() < 0.05)
+            for src, dst, sport, dport, proto in (rng.choice(tuples) for _ in range(n))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["0.1 s", "1 us"]))
+def test_records_and_their_order_match_the_oracle(seed, tau):
+    """Every record, its modal TTL and the order of the rows are the oracle's:
+    (block, dotted-quad strings, ports, proto). At 1 µs the largest block lies
+    on either side of 2^16 or 2^32, or past 2^40, so the block takes one to
+    three digits. A shuffled copy of the rows gives the same columns."""
+    rng = random.Random(seed)
+    if tau == "0.1 s":
+        cfg, times = CFG, [rng.randrange(0, 3_000_000) for _ in range(8)]
+    else:
+        cfg = AnalysisParams(tau=1e-6)         # the largest block sets the digits
+        times = [0, 1, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**32 + 2**16,
+                 2**40 + 3][:rng.randint(2, 8)]
+    packets = _keyed_packets(rng, rng.randint(0, 400), times)
+    flows = aggregate(from_records(packets), cfg)
+    oracle = brute_force_group(packets, cfg)
+    expected = [(*cell, n, n_bytes, int(n > cfg.greedy_threshold), rep_ttl)
+                for cell, (n, n_bytes, rep_ttl) in sorted(oracle.items())]
+    assert list(flow_rows(flows)) == expected
+    shuffled = from_records(packets).take(np.array(rng.sample(range(len(packets)),
+                                                              len(packets)), dtype=np.int64))
+    again = aggregate(shuffled, cfg)
+    for f in fields(Flows):
+        a, b = getattr(flows, f.name), getattr(again, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 def test_concatenation_of_block_disjoint_traces():

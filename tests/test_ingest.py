@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -528,6 +529,29 @@ def test_pipe_is_read_in_windows(tmp_path, monkeypatch):
     assert same_packets(got, from_records(expected))
     assert summary.total == len(records)
     assert peak < 0.75 * len(data), peak / len(data)
+
+
+def test_no_chunk_refers_to_the_read_buffer(tmp_path, monkeypatch, gathers):
+    """Every column of every chunk is a copy: none shares memory with the buffer
+    the reader reads each window into, whether the window is decoded through
+    views or gathered, and with windows smaller than a record."""
+    records, default = _run_records(), pcapio.WINDOW_BYTES
+    for snaplen, gathered in ((96, False), (65535, True)):
+        path = write_pcap(records, tmp_path / f"{snaplen}.pcap", snaplen=snaplen)
+        for window in (default, 333, 64):
+            monkeypatch.setattr(pcapio, "WINDOW_BYTES", window)
+            gathers.clear()
+            rows = 0
+            with PcapReader(path) as reader:
+                chunks = reader.packet_chunks()
+                for chunk, _, _ in chunks:
+                    buffer = np.asarray(chunks.gi_frame.f_locals["buffer"])
+                    assert not any(np.shares_memory(col, buffer)
+                                   for col in chunk.columns()), (snaplen, window)
+                    rows += len(chunk)
+            assert rows == len(records), (snaplen, window)
+            if window == default:   # a smaller one may hold a run of one
+                assert bool(gathers) == gathered, snaplen
 
 
 def test_decode_error_comes_out_unchanged(tmp_path, monkeypatch):

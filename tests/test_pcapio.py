@@ -81,7 +81,11 @@ def test_truncated_final_record_ends_cleanly(tmp_path, caplog):
     with PcapReader(path) as r:
         frames = list(r)
     assert len(frames) == 1
-    assert any("truncated" in rec.message for rec in caplog.records)
+    assert "truncated final record (50 of 60 bytes)" in caplog.text
+    caplog.clear()
+    with PcapReader(path) as r:     # the columnar reader says the same
+        assert [frames for _, frames, _ in r.packet_chunks()] == [1]
+    assert "truncated final record (50 of 60 bytes)" in caplog.text
 
 
 def test_oversized_caplen_rejected_before_reading(tmp_path):
@@ -182,3 +186,14 @@ def test_no_offsets_give_no_rows():
     for size in (0, 3, 19, 20):
         rows = pcapio._bytes_at(np.zeros(size, dtype=np.uint8), np.array([], dtype=np.int64), 20)
         assert rows.shape == (0, 20), size
+
+
+def test_packet_record_bounds():
+    """A PacketRecord takes a TTL of 0 to 255 and an IP total length of at least 20."""
+    for ttl in (256, -1):
+        with pytest.raises(ValueError, match=f"ttl {ttl} out of range"):
+            mk_packet(0, ttl=ttl)
+    assert [mk_packet(0, ttl=ttl).ttl for ttl in (0, 255)] == [0, 255]
+    with pytest.raises(ValueError, match="ip_len 19 below IPv4 minimum"):
+        mk_packet(0, ip_len=19)
+    assert mk_packet(0, ip_len=20).ip_len == 20
